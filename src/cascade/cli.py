@@ -24,7 +24,7 @@ from .coincidence_test import (
     nn_loo_distances,
     nn_test_pvalue,
 )
-from .convex_volume import hull_summary, scaled_volume, volume_ci
+from .convex_volume import hull_summary, scaled_volume, volume_interval_upper
 from .coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
 from .poset_estimators import (
     Antichain,
@@ -118,10 +118,11 @@ def _cmd_hull(args) -> int:
         "defect_estimate": summary.extreme_count / n,
     }
     if summary.extreme_count < n and summary.volume is not None:
-        out["volume_estimate"] = scaled_volume(summary.volume, summary.extreme_count, n)
-        ci = volume_ci(cloud, args.alpha)
-        out["ci_low"] = ci.ci_low
-        out["ci_high"] = ci.ci_high if np.isfinite(ci.ci_high) else None
+        est = scaled_volume(summary.volume, summary.extreme_count, n)
+        hi = volume_interval_upper(est, summary.extreme_count, n, d, args.alpha)
+        out["volume_estimate"] = est
+        out["ci_low"] = est
+        out["ci_high"] = hi if np.isfinite(hi) else None
         out["alpha"] = args.alpha
     _emit_json(out)
     return 0
@@ -312,11 +313,18 @@ def _configs_from_args(args) -> list[ScenarioConfig]:
             raw = [raw]
         configs = []
         for item in raw:
+            if not isinstance(item, dict):
+                raise ValueError("each --config entry must be a JSON object")
+            for key in ("scenario", "n_grid", "replications"):
+                if key not in item:
+                    raise ValueError(f"--config entry lacks the {key!r} key")
+            if not isinstance(item["n_grid"], list):
+                raise ValueError("--config 'n_grid' must be a list of sample sizes")
             configs.append(
                 ScenarioConfig(
                     scenario=item["scenario"],
                     n_grid=tuple(item["n_grid"]),
-                    replications=int(item["replications"]),
+                    replications=item["replications"],
                     seed=int(item.get("seed", args.seed)),
                     params=dict(item.get("params", {})),
                 )

@@ -66,8 +66,8 @@ def coverage_fraction(D, r: float) -> LooEstimate:
 
     Right-continuous and nondecreasing in r.  Requires r >= 0.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not r >= 0:
+        raise ValueError("radius must be nonnegative and not NaN")
     nn = nn_loo_distances(D)
     hits = int(np.sum(nn <= r))
     return LooEstimate.from_hits(hits, nn.size)
@@ -91,6 +91,8 @@ def nn_test_pvalue(reference_nn, query_nn_distance: float) -> float:
     ref = np.asarray(reference_nn, dtype=float).reshape(-1)
     if ref.size == 0:
         raise ValueError("empty reference sample")
+    if np.isnan(ref).any() or math.isnan(query_nn_distance):
+        raise ValueError("reference and query distances must not be NaN")
     count = int(np.sum(ref <= query_nn_distance))
     return (1 + count) / (ref.size + 1)
 

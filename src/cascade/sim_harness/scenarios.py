@@ -16,8 +16,10 @@ order.  Probe clouds and populations get their own sub-seeded streams
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -61,6 +63,8 @@ __all__ = [
 ]
 
 _FACET_TOL = 1e-10
+# Probes per facet test: keeps the probes-by-facets temporaries in cache.
+_PROBE_BLOCK = 2048
 
 
 @dataclass
@@ -280,34 +284,136 @@ def _hull_cells(cfg, params):
     return cells
 
 
+@dataclass(frozen=True)
+class _ProbeSet:
+    """A Gaussian cell's Sobol probes, each batch sorted by whitened radius.
+
+    Each batch is a pair ``(z, radius)``: probes z = w L^T, where
+    w = ndtri(u), in increasing order of radius = |w|.  Sorting keeps
+    every probe in its batch, so per-batch inside fractions do not
+    change.  ``chol`` is the Cholesky factor L of the covariance and
+    ``whiten`` its inverse, both None for the identity.
+    """
+
+    chol: np.ndarray | None
+    whiten: np.ndarray | None
+    batches: tuple
+
+
+@lru_cache(maxsize=1)
+def _probe_set(seed, tag, n, d, corr, batches, batch_size) -> _ProbeSet:
+    """Build a cell's probes.
+
+    The single cache entry lets a process build them once for all of a
+    cell's chunks; the arrays are read-only because every chunk shares
+    them.
+    """
+    chol = equicorrelation_cholesky(d, corr) if corr != 0.0 else None
+    out = []
+    for b in range(batches):
+        probe_seed = child_seed(seed, tag + "/probe", n, b)
+        u = qmc.Sobol(d, scramble=True, seed=probe_seed).random(batch_size)
+        w = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+        z = w @ chol.T if chol is not None else w
+        radius = np.linalg.norm(w, axis=1)
+        order = np.argsort(radius, kind="stable")
+        z, radius = z[order], radius[order]
+        z.flags.writeable = radius.flags.writeable = False
+        out.append((z, radius))
+    whiten = np.linalg.inv(chol) if chol is not None else None
+    return _ProbeSet(chol, whiten, tuple(out))
+
+
 def _hull_prep(ctx, seed):
     if ctx["truth"] != "probes":
         return ctx
-    d, n = ctx["d"], ctx["n"]
-    corr = float(ctx["spec"].get("corr", 0.0))
-    chol = equicorrelation_cholesky(d, corr) if corr != 0.0 else None
-    batches = []
-    for b in range(ctx["probe_batches"]):
-        probe_seed = child_seed(seed, ctx["tag"] + "/probe", n, b)
-        u = qmc.Sobol(d, scramble=True, seed=probe_seed).random(ctx["probe_batch_size"])
-        z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        if chol is not None:
-            z = z @ chol.T
-        batches.append(z)
-    return {**ctx, "_probes": batches}
+    probes = _probe_set(
+        seed,
+        ctx["tag"],
+        ctx["n"],
+        ctx["d"],
+        float(ctx["spec"].get("corr", 0.0)),
+        ctx["probe_batches"],
+        ctx["probe_batch_size"],
+    )
+    return {**ctx, "_probes": probes}
 
 
-def _probe_defect(facets, batches):
+def _whitened_geometry(facets, points, probes):
+    """Each facet's whitened distance from the origin, and a radius r_out
+    beyond which every probe is outside the hull.
+
+    With z = L w, facet row [a, b] reads (L^T a) . w + b <= 0, so its
+    distance from the origin is -b / |L^T a|, and a probe closer than
+    that cannot violate it.  The hull lies in the ball of radius
+    R = max |L^-1 x| over its points.  Beyond r_out = R (1 + m) some
+    facet is violated by at least min|L^T a| * r_in * m, where r_in is
+    the least distance (the hull's gauge is at least |w| / R); m makes
+    that 100 * _FACET_TOL, so no probe out there passes the tolerant
+    test.  If the origin is not strictly inside, r_in <= 0 and r_out is
+    infinite.
+    """
+    normals, offsets = facets[:, :-1], facets[:, -1]
+    if probes.chol is not None:
+        normals = normals @ probes.chol
+        points = points @ probes.whiten.T
+    scale = np.linalg.norm(normals, axis=1)
+    dist = -offsets / scale
+    r_in = float(dist.min())
+    if r_in <= 0.0:
+        return dist, math.inf
+    r_max = float(np.linalg.norm(points, axis=1).max())
+    return dist, r_max * (1.0 + 100.0 * _FACET_TOL / (float(scale.min()) * r_in))
+
+
+def _inside_probes(facets, points, probes, among=None):
+    """Per batch, the sorted positions of the probes inside the hull.
+
+    Probes nearer the origin than every facet are inside and probes
+    beyond r_out are outside; the others are tested, a block at a time,
+    against each facet that the block's farthest probe could cross.
+    ``among`` restricts the search to probes already known to be inside
+    a hull containing this one.
+    """
     if facets is None:
         raise RuntimeError("ground-truth probe failure: hull facets unavailable")
-    normals, offsets = facets[:, :-1], facets[:, -1]
-    means = np.empty(len(batches))
-    for i, batch in enumerate(batches):
-        vals = batch @ normals.T + offsets
-        means[i] = (vals <= _FACET_TOL).all(axis=1).mean()
-    inside = float(means.mean())
+    dist, r_out = _whitened_geometry(facets, points, probes)
+    r_in = dist.min()
+    inside = []
+    for b, (z, radius) in enumerate(probes.batches):
+        cand = np.arange(radius.size) if among is None else among[b]
+        lo, hi = np.searchsorted(radius[cand], (r_in, r_out))
+        parts = [cand[:lo]]
+        for start in range(lo, hi, _PROBE_BLOCK):
+            block = cand[start:min(start + _PROBE_BLOCK, hi)]
+            near = facets[dist < radius[block[-1]]]
+            hit = (z[block] @ near[:, :-1].T + near[:, -1] <= _FACET_TOL).all(axis=1)
+            parts.append(block[hit])
+        inside.append(np.concatenate(parts))
+    return inside
+
+
+def _defect(inside, batch_size):
+    means = np.array([idx.size for idx in inside]) / batch_size
     se = float(means.std(ddof=1) / math.sqrt(len(means)))
-    return 1.0 - inside, se
+    return 1.0 - float(means.mean()), se
+
+
+def _probe_defects(cloud, s_full, probes):
+    """defect(n), defect(n-1) and the probe standard error of defect(n).
+
+    Dropping a point that is not extreme leaves the hull unchanged, and
+    hull(n-1) lies inside hull(n), so only probes inside hull(n) are
+    tested against hull(n-1).
+    """
+    batch_size = probes.batches[0][1].size
+    inside = _inside_probes(s_full.facets, cloud, probes)
+    defect, probe_se = _defect(inside, batch_size)
+    if not s_full.extreme_flags[-1]:
+        return defect, defect, probe_se
+    s_drop = hull_summary(cloud[:-1], with_facets=True)
+    prev = _inside_probes(s_drop.facets, cloud[:-1], probes, among=inside)
+    return defect, _defect(prev, batch_size)[0], probe_se
 
 
 def _hull_rep(ctx, seed, k):
@@ -316,12 +422,11 @@ def _hull_rep(ctx, seed, k):
     cloud = sample_distribution(ctx["spec"], n, rng)
     probes = ctx["truth"] == "probes"
     s_full = hull_summary(cloud, with_facets=probes)
-    s_drop = hull_summary(cloud[:-1], with_facets=probes)
     est = s_full.extreme_count / n
     if probes:
-        defect, probe_se = _probe_defect(s_full.facets, ctx["_probes"])
-        defect_prev, _ = _probe_defect(s_drop.facets, ctx["_probes"])
+        defect, defect_prev, probe_se = _probe_defects(cloud, s_full, ctx["_probes"])
     else:
+        s_drop = hull_summary(cloud[:-1])
         support = ctx["support_volume"]
         defect = 1.0 - s_full.volume / support
         defect_prev = 1.0 - s_drop.volume / support
@@ -1000,8 +1105,12 @@ def _validate(cfg: ScenarioConfig):
     if not cfg.n_grid:
         raise ValueError("empty n grid")
     for n in cfg.n_grid:
-        if int(n) < 3:
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"n_grid entries must be integers, got {n!r}")
+        if n < 3:
             raise ValueError("every n in the grid must be at least 3")
+    if not isinstance(cfg.replications, numbers.Integral):
+        raise ValueError(f"replications must be an integer, got {cfg.replications!r}")
     if cfg.replications < 1:
         raise ValueError("replications must be at least 1")
 
@@ -1009,34 +1118,37 @@ def _validate(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     """Run one scenario; returns its BoundReportRow list.
 
-    Replications fan out over ``workers`` processes; the result is
-    byte-identical for any worker count because replication k's seed
-    depends only on (seed, tag, n, k) and aggregation runs in
-    replication order.
+    With ``workers`` > 1, each cell's replications are cut into up to
+    ``2 * workers`` contiguous chunks, and every chunk of every cell is
+    queued on one process pool before any result is read, so a worker
+    that is done with one cell moves on to the next instead of waiting
+    for the other workers.  A worker builds a cell's probe set once and
+    reuses it for that cell's later chunks.  The result is byte-identical
+    for any worker count because replication k's seed depends only on
+    (seed, tag, n, k) and aggregation runs in replication order.
     """
     _validate(cfg)
     family = _FAMILY_OF[cfg.scenario]
     params = _merged_params(cfg)
     cells = _BUILDERS[family](cfg, params)
     reps = cfg.replications
+    finish = _FINISHERS[family]
     rows = []
     if workers <= 1:
         for cell in cells:
-            records = _run_chunk((family, cell, cfg.seed, 0, reps))
-            rows.extend(_FINISHERS[family](cell, cfg, records))
+            rows.extend(finish(cell, cfg, _run_chunk((family, cell, cfg.seed, 0, reps))))
         return rows
+    bounds = np.linspace(0, reps, min(2 * workers, reps) + 1).astype(int)
+    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for cell in cells:
-            bounds = np.linspace(0, reps, min(2 * workers, reps) + 1).astype(int)
-            futures = [
-                pool.submit(_run_chunk, (family, cell, cfg.seed, int(lo), int(hi)))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            records = []
-            for fut in futures:  # submission order == replication order
-                records.extend(fut.result())
-            rows.extend(_FINISHERS[family](cell, cfg, records))
+        queued = [
+            (cell, [pool.submit(_run_chunk, (family, cell, cfg.seed, lo, hi)) for lo, hi in chunks])
+            for cell in cells
+        ]
+        for cell, futures in queued:
+            # submission order == replication order
+            records = [rec for fut in futures for rec in fut.result()]
+            rows.extend(finish(cell, cfg, records))
     return rows
 
 

@@ -85,7 +85,6 @@ def unseen_bound(n: int) -> tuple[float, float]:
     e = math.e
     three_term = 4.0 / (e * (n - 1)) + 4.0 * (n - 1) / (e * n * (n - 2)) + 2.0 / n
     cap = 5.0 / (n - 2)
-    assert three_term <= cap
     return three_term, cap
 
 

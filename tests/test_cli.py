@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import cascade.cli
+import cascade.convex_volume
 from cascade.cli import main
-from cascade.convex_volume import scaled_volume
+from cascade.convex_volume import scaled_volume, volume_ci
 from cascade.sim_harness import parse_report_csv
 
 
@@ -58,6 +60,37 @@ def test_hull_command(tmp_path, capsys):
     assert obj["volume_estimate"] == pytest.approx(scaled_volume(10.0, 4, 7))
     assert obj["ci_low"] == pytest.approx(obj["volume_estimate"])
     assert obj["alpha"] == 0.05
+
+
+def test_hull_runs_one_hull_summary_with_the_given_tol(tmp_path, capsys, monkeypatch):
+    tols = []
+    original = cascade.convex_volume.hull_summary
+
+    def recording(cloud, tol=cascade.convex_volume.DEFAULT_TOL, with_facets=False):
+        tols.append(tol)
+        return original(cloud, tol=tol, with_facets=with_facets)
+
+    monkeypatch.setattr(cascade.cli, "hull_summary", recording)
+    monkeypatch.setattr(cascade.convex_volume, "hull_summary", recording)
+    path = tmp_path / "cloud.csv"
+    path.write_text("0,0\n5,0\n5,2\n0,2\n1,1\n2,1\n3,1\n")
+    rc, _, _ = run_cli(capsys, "hull", str(path), "--tol", "1e-6")
+    assert rc == 0
+    assert tols == [1e-6]
+
+
+def test_hull_interval_matches_volume_ci(tmp_path, capsys):
+    cloud = np.random.default_rng(8).random((1500, 2)) * [3.0, 2.0]
+    path = tmp_path / "cloud.csv"
+    path.write_text("\n".join(f"{float(x)!r},{float(y)!r}" for x, y in cloud) + "\n")
+    rc, out, _ = run_cli(capsys, "hull", str(path), "--alpha", "0.2")
+    assert rc == 0
+    obj = json.loads(out)
+    ci = volume_ci(cloud, 0.2)
+    assert math.isfinite(ci.ci_high)
+    assert obj["volume_estimate"] == ci.estimate
+    assert obj["ci_low"] == ci.ci_low
+    assert obj["ci_high"] == ci.ci_high
 
 
 def test_hull_ragged_input_fails(tmp_path, capsys):
@@ -281,6 +314,39 @@ def test_verify_config_file(tmp_path, capsys):
     assert rc == 0
     assert "1/1 rows within bounds" in err
     assert "poset_convex_interval" in out
+
+
+@pytest.mark.parametrize("missing", ["scenario", "n_grid", "replications"])
+def test_verify_config_missing_key_fails(tmp_path, capsys, missing):
+    entry = {"scenario": "upset_chain", "n_grid": [20], "replications": 3}
+    del entry[missing]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([entry]))
+    rc, _, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert repr(missing) in err
+
+
+@pytest.mark.parametrize("bad", [[20.5], ["20"], 20])
+def test_verify_config_non_integer_n_fails(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"scenario": "upset_chain", "n_grid": bad, "replications": 3})
+    )
+    rc, _, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2
+    assert err.startswith("error:") and "n_grid" in err
+
+
+def test_verify_config_non_integer_replications_fails(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"scenario": "upset_chain", "n_grid": [20], "replications": 2.5})
+    )
+    rc, _, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2
+    assert err.startswith("error:") and "replications" in err
 
 
 def test_verify_unknown_scenario(capsys):

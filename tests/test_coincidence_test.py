@@ -63,6 +63,8 @@ def test_coverage_fraction_examples():
     assert coverage_fraction(d, 0.999).value == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         coverage_fraction(d, -0.1)
+    with pytest.raises(ValueError, match="NaN"):
+        coverage_fraction(d, math.nan)
 
 
 def test_coverage_matches_generic_loo():
@@ -92,6 +94,13 @@ def test_pvalue_examples():
     assert nn_test_pvalue(ref, 0.5) == pytest.approx(0.25)
     assert nn_test_pvalue(ref, 10.0) == pytest.approx(1.0)
     assert nn_test_pvalue(ref, 1.0) == pytest.approx(0.75)
+
+
+def test_pvalue_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        nn_test_pvalue([0.1, 0.2, 0.3], math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        nn_test_pvalue([0.1, math.nan, 0.3], 0.2)
 
 
 # -------------------------------------------------------------- kimura

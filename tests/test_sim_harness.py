@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from cascade.convex_volume import hull_summary
 from cascade.poset_estimators import (
     Antichain,
     ProductOrder,
@@ -36,8 +37,12 @@ from cascade.sim_harness.samplers import (
     zipf_probabilities,
 )
 from cascade.sim_harness.scenarios import (
+    _FACET_TOL,
+    _inside_probes,
     _ks_distance,
     _poset_convex_rep,
+    _probe_defects,
+    _probe_set,
     _staircase_closure_size,
     _upset_rep,
     random_forest,
@@ -301,6 +306,11 @@ def test_config_validation():
         run_scenario(ScenarioConfig("upset_chain", (10,), 0))
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario(ScenarioConfig("nope", (10,), 5))
+    for bad in (20.5, "20"):
+        with pytest.raises(ValueError, match="n_grid entries must be integers"):
+            run_scenario(ScenarioConfig("upset_chain", (bad,), 5))
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            run_scenario(ScenarioConfig("upset_chain", (20,), bad))
 
 
 _TINY = {
@@ -377,6 +387,90 @@ def test_worker_count_does_not_change_results():
     seq2 = report_text(run_scenario(cfg2, workers=1), timestamp=False)
     par2 = report_text(run_scenario(cfg2, workers=3), timestamp=False)
     assert seq2 == par2
+
+    # Several cells and several chunks per worker, all queued at once.
+    cfg3 = ScenarioConfig(
+        "hull_gauss_corr",
+        (10, 16),
+        5,
+        seed=9,
+        params={"probe_batches": 2, "probe_batch_size": 512},
+    )
+    seq3 = report_text(run_scenario(cfg3, workers=1), timestamp=False)
+    par3 = report_text(run_scenario(cfg3, workers=2), timestamp=False)
+    assert seq3 == par3
+
+
+def test_probe_cache_is_keyed_on_batch_size():
+    # One cell, so the second run finds the first run's entry in the cache.
+    def cfg(batch_size):
+        params = {"dims": (3,), "probe_batches": 2, "probe_batch_size": batch_size}
+        return ScenarioConfig("hull_gauss", (12,), 3, seed=4, params=params)
+
+    first = report_text(run_scenario(cfg(256)), timestamp=False)
+    second = report_text(run_scenario(cfg(512)), timestamp=False)
+    _probe_set.cache_clear()
+    fresh = report_text(run_scenario(cfg(512)), timestamp=False)
+    assert second == fresh
+    assert second != first
+
+
+# -------------------------------------------------- probe ground truth
+
+
+def _brute_inside(facets, probes):
+    """Every probe against every facet: the reference for the pruned test."""
+    normals, offsets = facets[:, :-1], facets[:, -1]
+    return [
+        np.flatnonzero((z @ normals.T + offsets <= _FACET_TOL).all(axis=1))
+        for z, _ in probes.batches
+    ]
+
+
+def _brute_defect(facets, probes):
+    means = np.empty(len(probes.batches))
+    for i, (z, _) in enumerate(probes.batches):
+        vals = z @ facets[:, :-1].T + facets[:, -1]
+        means[i] = (vals <= _FACET_TOL).all(axis=1).mean()
+    return 1.0 - float(means.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("corr", (0.0, 0.8))
+def test_pruned_probe_truth_matches_brute_force(d, corr):
+    n = 25
+    probes = _probe_set(3, f"oracle:d{d}", n, d, corr, 4, 4096)
+    rng = np.random.default_rng(17 + d)
+    spec = {"kind": "gauss", "d": d, "corr": corr}
+    last_extreme = set()
+    for k in range(16):
+        cloud = sample_distribution(spec, n, rng)
+        if k == 0:
+            cloud = cloud + 2.0  # origin outside the hull: nothing is pruned
+        s_full = hull_summary(cloud, with_facets=True)
+        s_drop = hull_summary(cloud[:-1], with_facets=True)
+        full = _inside_probes(s_full.facets, cloud, probes)
+        drop = _inside_probes(s_drop.facets, cloud[:-1], probes, among=full)
+        for got, want in zip(full, _brute_inside(s_full.facets, probes)):
+            assert np.array_equal(got, want)
+        for got, want in zip(drop, _brute_inside(s_drop.facets, probes)):
+            assert np.array_equal(got, want)
+        defect, se = _brute_defect(s_full.facets, probes)
+        defect_prev, _ = _brute_defect(s_drop.facets, probes)
+        assert _probe_defects(cloud, s_full, probes) == (defect, defect_prev, se)
+        last_extreme.add(bool(s_full.extreme_flags[-1]))
+    assert last_extreme == {False, True}
+
+
+def test_probe_set_is_sorted_and_read_only():
+    probes = _probe_set(5, "sorted:d3", 20, 3, 0.8, 2, 1024)
+    chol = equicorrelation_cholesky(3, 0.8)
+    for z, radius in probes.batches:
+        assert np.all(np.diff(radius) >= 0)
+        w = z @ probes.whiten.T
+        assert np.allclose(np.linalg.norm(w, axis=1), radius)
+        assert np.allclose(w @ chol.T, z)
+        assert not z.flags.writeable and not radius.flags.writeable
 
 
 def test_run_suite_combines_scenarios():

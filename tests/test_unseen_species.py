@@ -60,7 +60,7 @@ def test_bound_pair_examples():
 
 
 def test_three_term_below_cap_everywhere():
-    for n in range(3, 501):
+    for n in range(3, 10001):
         three, cap = unseen_bound(n)
         assert three <= cap
 
