@@ -107,6 +107,8 @@ def _cmd_unseen(args) -> int:
 
 
 def _cmd_hull(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     cloud = _load_matrix(args.input)
     summary = hull_summary(cloud, tol=args.tol)
     n, d = cloud.shape
@@ -325,8 +327,8 @@ def _configs_from_args(args) -> list[ScenarioConfig]:
                     scenario=item["scenario"],
                     n_grid=tuple(item["n_grid"]),
                     replications=item["replications"],
-                    seed=int(item.get("seed", args.seed)),
-                    params=dict(item.get("params", {})),
+                    seed=item.get("seed", args.seed),
+                    params=item.get("params", {}),
                 )
             )
         return configs

@@ -76,6 +76,11 @@ class VolumeEstimate:
     alpha: float
 
 
+def _check_tol(tol) -> None:
+    if not tol > 0:  # NaN included
+        raise ValueError("tol must be positive")
+
+
 def _as_cloud(cloud) -> np.ndarray:
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2:
@@ -96,8 +101,7 @@ def in_hull(query, cloud, tol: float = DEFAULT_TOL) -> bool:
     so boundary points within tol count as inside.  An empty cloud has
     an empty hull.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     q = np.asarray(query, dtype=float).reshape(-1)
     pts = np.asarray(cloud, dtype=float)
     if pts.size == 0:
@@ -170,6 +174,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
     Fast path: vertex enumeration on the deduplicated cloud when it is
     affinely full-dimensional; otherwise per-point LP membership.
     """
+    _check_tol(tol)
     pts = _as_cloud(cloud)
     n, d = pts.shape
     unique_pts, inverse, counts = np.unique(
@@ -248,6 +253,10 @@ def estimate_volume(cloud) -> float:
     return scaled_volume(summary.volume, summary.extreme_count, pts.shape[0])
 
 
+def _relative_halfwidth(extreme_count: int, n: int, d: int, alpha: float) -> float:
+    return math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - extreme_count))
+
+
 def volume_interval_upper(
     estimate: float, extreme_count: int, n: int, d: int, alpha: float
 ) -> float:
@@ -260,7 +269,7 @@ def volume_interval_upper(
         raise ValueError("alpha must lie in (0, 1)")
     if extreme_count >= n:
         raise ValueError("all points extreme; estimator undefined")
-    eps = math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - extreme_count))
+    eps = _relative_halfwidth(extreme_count, n, d, alpha)
     if eps >= 1.0:
         return math.inf
     return estimate / (1.0 - eps)

@@ -21,12 +21,15 @@ The built-in posets cover the classical specializations: equality only
 (label collision counting, the birthday regime), reversed naturals
 (sample-maximum estimation, the serial-number regime), the reversed
 componentwise product order (staircase shapes), and ancestry in the
-infinite rooted tree (subtrees and subforests).
+infinite rooted tree (subtrees and subforests).  Each counts and
+closes a sample with numpy or hash tables; any other order, given by
+its ``leq`` alone, is counted by the O(n^2) pair scan.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -48,6 +51,13 @@ __all__ = [
 _GRID_CELL_CAP = 2_000_000
 
 
+def _positive_integers(values, ndim: int) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != ndim or not np.issubdtype(arr.dtype, np.integer) or arr.min() < 1:
+        raise ValueError("elements must be positive integers")
+    return arr
+
+
 class Antichain:
     """No two distinct elements comparable: x is below y iff x == y."""
 
@@ -56,14 +66,19 @@ class Antichain:
         return x == y
 
     @staticmethod
-    def upset_closure_size(sample) -> int:
-        return len(set(sample))
+    def upset_dominated_count(sample) -> int:
+        # A point is dominated exactly when its label repeats; a repeat
+        # also supplies both witnesses of the convex count.
+        return sum(c for c in Counter(sample).values() if c > 1)
 
     @staticmethod
-    def convex_closure_size(sample) -> int:
+    def upset_closure_size(sample) -> int:
         # Sandwiching forces equality, so the convex hull is the
-        # sample's distinct values.
+        # sample's distinct values too.
         return len(set(sample))
+
+    convex_sandwiched_count = upset_dominated_count
+    convex_closure_size = upset_closure_size
 
 
 class ReversedNaturals:
@@ -78,12 +93,28 @@ class ReversedNaturals:
         return y <= x
 
     @staticmethod
+    def upset_dominated_count(sample) -> int:
+        # Only a unique maximum has nothing above it.
+        x = _positive_integers(sample, 1)
+        return x.size - int((x == x.max()).sum() == 1)
+
+    @staticmethod
     def upset_closure_size(sample) -> int:
-        return int(max(sample))
+        return int(_positive_integers(sample, 1).max())
+
+    @staticmethod
+    def convex_sandwiched_count(sample) -> int:
+        # A unique maximum or minimum lacks one witness.
+        x = _positive_integers(sample, 1)
+        hi, lo = x == x.max(), x == x.min()
+        below = ~hi | (hi.sum() > 1)
+        above = ~lo | (lo.sum() > 1)
+        return int((below & above).sum())
 
     @staticmethod
     def convex_closure_size(sample) -> int:
-        return int(max(sample)) - int(min(sample)) + 1
+        x = _positive_integers(sample, 1)
+        return int(x.max()) - int(x.min()) + 1
 
 
 class ProductOrder:
@@ -107,41 +138,48 @@ class ProductOrder:
         x, y = self._check(x), self._check(y)
         return all(yv <= xv for xv, yv in zip(x, y))
 
+    def _points(self, sample) -> np.ndarray:
+        try:
+            pts = np.asarray(sample)
+        except ValueError:  # ragged
+            pts = None
+        if pts is None or pts.ndim != 2 or pts.shape[1] != self.d:
+            raise ValueError(f"every element must have {self.d} coordinates")
+        return _positive_integers(pts, 2)
+
+    def _below(self, pts) -> np.ndarray:
+        # [i, j]: j != i and pts[j] >= pts[i] everywhere, i.e. pts[j]
+        # is below pts[i].
+        below = np.ones((pts.shape[0],) * 2, dtype=bool)
+        for c in range(self.d):
+            below &= pts[None, :, c] >= pts[:, None, c]
+        np.fill_diagonal(below, False)
+        return below
+
+    def upset_dominated_count(self, sample) -> int:
+        return int(self._below(self._points(sample)).any(axis=1).sum())
+
+    def convex_sandwiched_count(self, sample) -> int:
+        below = self._below(self._points(sample))
+        return int((below.any(axis=1) & below.any(axis=0)).sum())
+
     def upset_closure_size(self, sample) -> int:
-        pts = [self._check(x) for x in sample]
-        if not pts:
-            raise ValueError("empty sample")
-        if any(min(p) < 1 for p in pts):
-            raise ValueError("coordinates must be positive integers")
+        pts = self._points(sample)
         if self.d == 2:
-            # Union of boxes [1..a] x [1..b]: sum of suffix-running
-            # column heights.
-            max_a = max(p[0] for p in pts)
-            best = [0] * (max_a + 1)
-            for a, b in pts:
-                if b > best[a]:
-                    best[a] = b
-            total, running = 0, 0
-            for a in range(max_a, 0, -1):
-                running = max(running, best[a])
-                total += running
-            return total
-        return self._grid_count(pts, upper=True, lower=False)
+            # Union of boxes [1..a] x [1..b]: sum over columns b of the
+            # tallest box reaching b.
+            heights = np.zeros(int(pts[:, 1].max()) + 1, dtype=np.int64)
+            np.maximum.at(heights, pts[:, 1], pts[:, 0])
+            return int(np.maximum.accumulate(heights[::-1])[::-1][1:].sum())
+        return self._grid_count(pts, lower=False)
 
     def convex_closure_size(self, sample) -> int:
-        pts = [self._check(x) for x in sample]
-        if not pts:
-            raise ValueError("empty sample")
-        return self._grid_count(pts, upper=True, lower=True)
+        return self._grid_count(self._points(sample), lower=True)
 
-    def _grid_count(self, pts, upper: bool, lower: bool) -> int:
-        maxs = [max(p[i] for p in pts) for i in range(self.d)]
-        cells = 1
-        for m in maxs:
-            cells *= m
-        if cells > _GRID_CELL_CAP:
+    def _grid_count(self, pts, lower: bool) -> int:
+        shape = tuple(int(m) for m in pts.max(axis=0))
+        if math.prod(shape) > _GRID_CELL_CAP:
             raise ValueError("closure enumeration grid too large")
-        shape = tuple(maxs)
         cover_up = np.zeros(shape, dtype=bool)  # z <= some sample point
         for p in pts:
             cover_up[tuple(slice(0, v) for v in p)] = True
@@ -163,42 +201,66 @@ class TreeAncestor:
     """
 
     @staticmethod
-    def _check(x):
-        return tuple(x)
-
-    @staticmethod
     def leq(x, y) -> bool:
         x, y = tuple(x), tuple(y)
         return len(y) <= len(x) and x[: len(y)] == y
 
     @staticmethod
+    def _ancestors(points) -> set:
+        # Proper ancestors of the given nodes; each walk up stops at the
+        # first ancestor already found.
+        found = set()
+        for x in points:
+            for k in range(len(x) - 1, -1, -1):
+                if x[:k] in found:
+                    break
+                found.add(x[:k])
+        return found
+
+    @staticmethod
+    def _hull(points, ancestors) -> set:
+        # The order-convex hull: prefixes of sampled nodes that have a
+        # sampled prefix themselves, settled shallowest first.
+        hull = set()
+        for z in sorted(ancestors | points, key=len):
+            if z in points or (z and z[:-1] in hull):
+                hull.add(z)
+        return hull
+
+    @staticmethod
+    def upset_dominated_count(sample) -> int:
+        # Dominated: a duplicate, or an ancestor of another sampled node.
+        counts = Counter(map(tuple, sample))
+        ancestors = TreeAncestor._ancestors(counts)
+        return sum(c for x, c in counts.items() if c > 1 or x in ancestors)
+
+    @staticmethod
+    def convex_sandwiched_count(sample) -> int:
+        # Sandwiched: a duplicate, or an ancestor of one sampled node and
+        # a descendant of another (its parent is then in the hull).
+        counts = Counter(map(tuple, sample))
+        ancestors = TreeAncestor._ancestors(counts)
+        hull = TreeAncestor._hull(counts.keys(), ancestors)
+        return sum(
+            c
+            for x, c in counts.items()
+            if c > 1 or (x in ancestors and x and x[:-1] in hull)
+        )
+
+    @staticmethod
     def upset_closure_size(sample) -> int:
-        nodes = set()
-        for x in sample:
-            x = tuple(x)
-            for k in range(len(x) + 1):
-                nodes.add(x[:k])
-        if not nodes:
-            raise ValueError("empty sample")
-        return len(nodes)
+        points = set(map(tuple, sample))
+        return len(points | TreeAncestor._ancestors(points))
 
     @staticmethod
     def convex_closure_size(sample) -> int:
-        points = {tuple(x) for x in sample}
-        if not points:
-            raise ValueError("empty sample")
-        candidates = set()
-        for x in points:
-            for k in range(len(x) + 1):
-                candidates.add(x[:k])
-        # A candidate is a prefix of some sample node, hence has a
-        # sampled descendant-or-self; keep those that also have a
-        # sampled ancestor-or-self.
-        count = 0
-        for z in candidates:
-            if any(z[: len(s)] == s for s in points if len(s) <= len(z)):
-                count += 1
-        return count
+        points = set(map(tuple, sample))
+        return len(TreeAncestor._hull(points, TreeAncestor._ancestors(points)))
+
+
+def _as_sample(sample):
+    # Arrays pass straight to the numpy counts; other iterables are listed.
+    return sample if isinstance(sample, np.ndarray) else list(sample)
 
 
 def _leq_fn(oracle):
@@ -209,8 +271,15 @@ def _leq_fn(oracle):
 
 
 def upset_dominated_count(sample, oracle) -> int:
-    """#{i : some other sample point is below sample[i]}."""
-    sample = list(sample)
+    """#{i : some other sample point is below sample[i]}.
+
+    The built-in orders count in numpy or with hash tables; any other
+    oracle, or a bare ``leq`` callable, takes the O(n^2) pair scan.
+    """
+    sample = _as_sample(sample)
+    fn = getattr(oracle, "upset_dominated_count", None)
+    if fn is not None and len(sample):
+        return int(fn(sample))
     leq = _leq_fn(oracle)
     count = 0
     for i, x in enumerate(sample):
@@ -223,8 +292,8 @@ def upset_dominated_count(sample, oracle) -> int:
 
 def upset_closure_size(sample, oracle) -> int:
     """Size of the union of everything above some sample point."""
-    sample = list(sample)
-    if not sample:
+    sample = _as_sample(sample)
+    if len(sample) == 0:
         raise ValueError("empty sample")
     fn = getattr(oracle, "upset_closure_size", None)
     if fn is None:
@@ -240,7 +309,7 @@ def estimate_upset_size(sample, oracle) -> float:
     to max scaled by n/(n-1) when the maximum is unique, and to max
     otherwise.
     """
-    sample = list(sample)
+    sample = _as_sample(sample)
     n = len(sample)
     dominated = upset_dominated_count(sample, oracle)
     if dominated == 0:
@@ -260,9 +329,12 @@ def convex_sandwiched_count(sample, oracle) -> int:
 
     The two witnesses are quantified independently over the other
     indices, so a single duplicate supplies both at once (equality
-    chains count).
+    chains count).  Dispatched like ``upset_dominated_count``.
     """
-    sample = list(sample)
+    sample = _as_sample(sample)
+    fn = getattr(oracle, "convex_sandwiched_count", None)
+    if fn is not None and len(sample):
+        return int(fn(sample))
     leq = _leq_fn(oracle)
     n = len(sample)
     count = 0
@@ -278,8 +350,8 @@ def convex_sandwiched_count(sample, oracle) -> int:
 
 def convex_closure_size(sample, oracle) -> int:
     """Size of the order-convex hull of the sample."""
-    sample = list(sample)
-    if not sample:
+    sample = _as_sample(sample)
+    if len(sample) == 0:
         raise ValueError("empty sample")
     fn = getattr(oracle, "convex_closure_size", None)
     if fn is None:
@@ -289,7 +361,7 @@ def convex_closure_size(sample, oracle) -> int:
 
 def estimate_convex_size(sample, oracle) -> float:
     """n * |order-convex hull of sample| / (sandwiched count)."""
-    sample = list(sample)
+    sample = _as_sample(sample)
     n = len(sample)
     sandwiched = convex_sandwiched_count(sample, oracle)
     if sandwiched == 0:

@@ -20,11 +20,13 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 from scipy.special import ndtri
-from scipy.stats import qmc
+from scipy.stats import ks_2samp, qmc
 
 from ..coincidence_test import (
     SequenceRecord,
@@ -32,9 +34,9 @@ from ..coincidence_test import (
     coincidence_mse_bound,
     coverage_fraction,
     kimura_matrix,
-    nn_loo_distances,
 )
 from ..convex_volume import (
+    _relative_halfwidth,
     consecutive_defect_bound,
     conv_mse_bound,
     hull_summary,
@@ -42,7 +44,18 @@ from ..convex_volume import (
     volume_interval_upper,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage
-from ..poset_estimators import poset_convex_mse_bound, upset_mse_bound
+from ..poset_estimators import (
+    Antichain,
+    ProductOrder,
+    ReversedNaturals,
+    TreeAncestor,
+    convex_closure_size,
+    convex_sandwiched_count,
+    poset_convex_mse_bound,
+    upset_closure_size,
+    upset_dominated_count,
+    upset_mse_bound,
+)
 from ..unseen_species import (
     good_turing,
     missing_mass,
@@ -83,9 +96,14 @@ class ScenarioConfig:
 
 
 _DEFAULTS = {
-    "unseen_uniform": dict(n_grid=(10, 50, 200), replications=2000, params={"N": 100}),
-    "unseen_zipf": dict(n_grid=(10, 50, 200), replications=2000, params={"N": 100, "s": 1.0}),
+    "unseen_uniform": dict(
+        family="unseen", n_grid=(10, 50, 200), replications=2000, params={"N": 100}
+    ),
+    "unseen_zipf": dict(
+        family="unseen", n_grid=(10, 50, 200), replications=2000, params={"N": 100, "s": 1.0}
+    ),
     "hull_rect": dict(
+        family="hull",
         n_grid=(20, 50, 100, 200),
         replications=1000,
         params={
@@ -95,33 +113,49 @@ _DEFAULTS = {
         },
     ),
     "hull_disk": dict(
+        family="hull",
         n_grid=(20, 50, 100, 200),
         replications=1000,
         params={"dims": (2, 3), "alpha": 0.05},
     ),
     "hull_gauss": dict(
+        family="hull",
         n_grid=(20, 50, 100, 200),
         replications=1000,
         params={"dims": (2, 3), "corr": 0.0, "probe_batches": 8, "probe_batch_size": 16384},
     ),
     "hull_gauss_corr": dict(
+        family="hull",
         n_grid=(20, 50, 100, 200),
         replications=1000,
         params={"dims": (2, 3), "corr": 0.8, "probe_batches": 8, "probe_batch_size": 16384},
     ),
-    "upset_chain": dict(n_grid=(30, 100), replications=2000, params={"size": 1000}),
-    "upset_antichain": dict(n_grid=(30, 100), replications=2000, params={"labels": 365}),
-    "upset_staircase": dict(n_grid=(30, 100), replications=2000, params={"parts": 31}),
-    "poset_convex_interval": dict(n_grid=(30, 100), replications=2000, params={"size": 1000}),
+    "upset_chain": dict(
+        family="poset", n_grid=(30, 100), replications=2000, params={"size": 1000}
+    ),
+    "upset_antichain": dict(
+        family="poset", n_grid=(30, 100), replications=2000, params={"labels": 365}
+    ),
+    "upset_staircase": dict(
+        family="poset", n_grid=(30, 100), replications=2000, params={"parts": 31}
+    ),
+    "poset_convex_interval": dict(
+        family="poset", n_grid=(30, 100), replications=2000, params={"size": 1000}
+    ),
     "poset_convex_forest": dict(
-        n_grid=(30, 100), replications=2000, params={"min_nodes": 50, "max_nodes": 200}
+        family="poset",
+        n_grid=(30, 100),
+        replications=2000,
+        params={"min_nodes": 50, "max_nodes": 200},
     ),
     "coincide_uniform_square": dict(
+        family="coincide",
         n_grid=(30, 100),
         replications=1000,
         params={"radii": (0.05, 0.1, 0.2), "probes": 100000},
     ),
     "dna_split": dict(
+        family="dna",
         n_grid=(40,),
         replications=500,
         params={
@@ -135,16 +169,20 @@ _DEFAULTS = {
         },
     ),
     "coverage_linear": dict(
+        family="coverage",
         n_grid=(50, 100, 200, 400),
         replications=500,
         params={"alpha": 0.05, "x_scale": 1.5, "holdout": 2000, "beta": (1.0, 0.5)},
     ),
     "coverage_quadratic_misspec": dict(
+        family="coverage",
         n_grid=(50, 100, 200, 400),
         replications=500,
         params={"alpha": 0.05, "x_scale": 1.5, "holdout": 2000, "beta": (1.0, 0.5)},
     ),
-    "aldous_demo": dict(n_grid=(200,), replications=2000, params={"probes": 20000}),
+    "aldous_demo": dict(
+        family="aldous", n_grid=(200,), replications=2000, params={"probes": 20000}
+    ),
 }
 
 SCENARIO_NAMES = tuple(_DEFAULTS)
@@ -166,6 +204,11 @@ def default_config(name: str, seed: int = 42, replications: int | None = None) -
 
 def _merged_params(cfg: ScenarioConfig) -> dict:
     params = dict(_DEFAULTS[cfg.scenario]["params"])
+    if not isinstance(cfg.params, dict):
+        raise ValueError(f"params must be a mapping, got {cfg.params!r}")
+    for key in cfg.params:
+        if key not in params:
+            raise ValueError(f"unknown params key {key!r} for scenario {cfg.scenario!r}")
     params.update(cfg.params)
     return params
 
@@ -202,9 +245,7 @@ def _unseen_cells(cfg, params):
         probs = np.full(N, 1.0 / N)
     return [
         {
-            "family": "unseen",
             "tag": cfg.scenario,
-            "scenario": cfg.scenario,
             "n": n,
             "N": N,
             "spec": spec,
@@ -268,9 +309,7 @@ def _hull_cells(cfg, params):
         for n in cfg.n_grid:
             cells.append(
                 {
-                    "family": "hull",
                     "tag": f"{cfg.scenario}:d{d}",
-                    "scenario": cfg.scenario,
                     "n": n,
                     "d": d,
                     "spec": spec,
@@ -445,7 +484,7 @@ def _hull_rep(ctx, seed, k):
         if s_full.extreme_count < n:
             vhat = scaled_volume(s_full.volume, s_full.extreme_count, n)
             hi = volume_interval_upper(vhat, s_full.extreme_count, n, d, alpha)
-            eps = math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - s_full.extreme_count))
+            eps = _relative_halfwidth(s_full.extreme_count, n, d, alpha)
             rec["ratio"] = vhat / support
             rec["ci_cover"] = bool(vhat <= support <= hi)
             rec["ci_two_sided_cover"] = bool(vhat / (1.0 + eps) <= support <= hi)
@@ -480,249 +519,114 @@ def _hull_finish(ctx, cfg, records):
         ),
     }
     if ctx["truth"] == "exact":
-        ratios = [r["ratio"] for r in records if r.get("ratio") is not None]
+        defined = [r for r in records if r["ratio"] is not None]
         extras["alpha"] = ctx["alpha"]
-        extras["ratio_defined"] = len(ratios)
-        if ratios:
-            extras["mean_volume_ratio"] = _mean(ratios)
-            extras["ci_coverage"] = _mean([r["ci_cover"] for r in records if r.get("ratio") is not None])
-            extras["ci_two_sided_coverage"] = _mean(
-                [r["ci_two_sided_cover"] for r in records if r.get("ratio") is not None]
-            )
-            extras["mse_event_rate"] = _mean(
-                [r["mse_event"] for r in records if r.get("ratio") is not None]
-            )
+        extras["ratio_defined"] = len(defined)
+        if defined:
+            extras["mean_volume_ratio"] = _mean([r["ratio"] for r in defined])
+            extras["ci_coverage"] = _mean([r["ci_cover"] for r in defined])
+            extras["ci_two_sided_coverage"] = _mean([r["ci_two_sided_cover"] for r in defined])
+            extras["mse_event_rate"] = _mean([r["mse_event"] for r in defined])
     return [
         _sq_err_row(cfg.scenario, n, cfg.replications, est, defect, conv_mse_bound(n, d), extras)
     ]
 
 
-# ----------------------------------------------------------------- upset
+# ----------------------------------------------------------------- poset
 
-def _upset_cells(cfg, params):
-    cells = []
-    for n in cfg.n_grid:
-        ctx = {"family": "upset", "tag": cfg.scenario, "scenario": cfg.scenario, "n": n}
-        if cfg.scenario == "upset_chain":
-            ctx["variant"] = "chain"
-            ctx["size"] = int(params["size"])
-        elif cfg.scenario == "upset_antichain":
-            ctx["variant"] = "antichain"
-            ctx["labels"] = int(params["labels"])
-        else:
-            ctx["variant"] = "staircase"
-            parts = int(params["parts"])
-            cells_arr = np.array(
-                [(a, b) for a in range(1, parts + 1) for b in range(1, parts + 2 - a)],
-                dtype=np.int64,
-            )
-            ctx["cells"] = cells_arr
-        cells.append(ctx)
-    return cells
+# scenario -> (variant, order, convex)
+_POSET_VARIANTS = {
+    "upset_chain": ("chain", ReversedNaturals(), False),
+    "upset_antichain": ("antichain", Antichain(), False),
+    "upset_staircase": ("staircase", ProductOrder(2), False),
+    "poset_convex_interval": ("interval", ReversedNaturals(), True),
+    "poset_convex_forest": ("forest", TreeAncestor(), True),
+}
 
 
-def _staircase_closure_size(pts) -> int:
-    # |union of boxes [1..a] x [1..b]|: suffix maxima of heights per column.
-    max_b = int(pts[:, 1].max())
-    heights = np.zeros(max_b + 1, dtype=np.int64)
-    np.maximum.at(heights, pts[:, 1], pts[:, 0])
-    running = np.maximum.accumulate(heights[::-1])[::-1]
-    return int(running[1:].sum())
-
-
-def _upset_rep(ctx, seed, k):
-    n = ctx["n"]
-    rng = rng_for(seed, ctx["tag"], n, k)
-    if ctx["variant"] == "chain":
-        size = ctx["size"]
-        vals = rng.integers(1, size + 1, size=n)
-        mx = int(vals.max())
-        unique_max = int((vals == mx).sum()) == 1
-        dominated = n - 1 if unique_max else n
-        truth = mx / size
-        closure = mx
-    elif ctx["variant"] == "antichain":
-        total = ctx["labels"]
-        vals = rng.integers(1, total + 1, size=n)
-        counts = np.bincount(vals, minlength=total + 1)
-        singles = int((counts == 1).sum())
-        dominated = n - singles
-        distinct = int((counts > 0).sum())
-        truth = distinct / total
-        closure = distinct
+def _poset_cells(cfg, params):
+    variant, order, convex = _POSET_VARIANTS[cfg.scenario]
+    ctx = {"tag": cfg.scenario, "variant": variant, "order": order, "convex": convex}
+    if variant == "staircase":
+        parts = int(params["parts"])
+        ctx["cells"] = np.array(
+            [(a, b) for a in range(1, parts + 1) for b in range(1, parts + 2 - a)],
+            dtype=np.int64,
+        )
+        ctx["ground"] = ctx["cells"].shape[0]
+    elif variant == "forest":
+        ctx["min_nodes"] = int(params["min_nodes"])
+        ctx["max_nodes"] = int(params["max_nodes"])
     else:
-        cells_arr = ctx["cells"]
-        idx = rng.integers(0, cells_arr.shape[0], size=n)
-        pts = cells_arr[idx]
-        a, b = pts[:, 0], pts[:, 1]
-        ge = (a[None, :] >= a[:, None]) & (b[None, :] >= b[:, None])
-        np.fill_diagonal(ge, False)
-        dominated = int(ge.any(axis=1).sum())
-        closure = _staircase_closure_size(pts)
-        truth = closure / cells_arr.shape[0]
-    rec = {"est": dominated / n, "truth": truth}
-    rec["size_est"] = n * closure / dominated if dominated > 0 else None
-    return rec
+        ctx["ground"] = int(params["labels" if variant == "antichain" else "size"])
+    return [{**ctx, "n": n} for n in cfg.n_grid]
 
 
-def _upset_finish(ctx, cfg, records):
-    n = ctx["n"]
-    est = [r["est"] for r in records]
-    truth = [r["truth"] for r in records]
-    defined = [r["size_est"] for r in records if r["size_est"] is not None]
-    ground = {
-        "chain": ctx.get("size"),
-        "antichain": ctx.get("labels"),
-        "staircase": ctx["cells"].shape[0] if "cells" in ctx else None,
-    }[ctx["variant"]]
-    extras = {
-        "variant": ctx["variant"],
-        "ground_size": ground,
-        "bound_cap": 3.5 / n,
-        "size_estimate_defined": len(defined),
-        "mean_size_estimate": _mean(defined) if defined else None,
-    }
-    return [
-        _sq_err_row(cfg.scenario, n, cfg.replications, est, truth, upset_mse_bound(n), extras)
-    ]
-
-
-# ---------------------------------------------------------- poset convex
-
-def _poset_convex_cells(cfg, params):
-    cells = []
-    for n in cfg.n_grid:
-        ctx = {"family": "poset_convex", "tag": cfg.scenario, "scenario": cfg.scenario, "n": n}
-        if cfg.scenario == "poset_convex_interval":
-            ctx["variant"] = "interval"
-            ctx["size"] = int(params["size"])
-        else:
-            ctx["variant"] = "forest"
-            ctx["min_nodes"] = int(params["min_nodes"])
-            ctx["max_nodes"] = int(params["max_nodes"])
-        cells.append(ctx)
-    return cells
-
-
-def random_forest(rng, min_nodes: int, max_nodes: int) -> dict:
-    """A rooted random forest encoded for fast ancestor queries.
+def random_forest(rng, min_nodes: int, max_nodes: int) -> list:
+    """A random forest as the root paths of its nodes (``TreeAncestor`` elements).
 
     Components hang from distinct children of an implicit global root
-    (so the node set is order-convex).  Within a component, node t
-    attaches to a uniform earlier node.  Returns component ids, Euler
-    in/out times, parent indices (-1 for component roots), and sizes.
+    (so the node set is order-convex): component c's root is (c,).
+    Within a component, node t attaches to a uniform earlier node, and
+    its path is its parent's path extended by t.
     """
     total = int(rng.integers(min_nodes, max_nodes + 1))
     n_comp = int(rng.integers(1, 4))
     weights = rng.dirichlet(np.ones(n_comp))
     sizes = np.maximum(1, np.floor(weights * total).astype(int))
-    comp_list, parent_list, tin_list, tout_list = [], [], [], []
-    offset = 0
+    paths = []
     for c, size in enumerate(sizes):
-        size = int(size)
-        parents = np.full(size, -1, dtype=np.int64)
-        children = [[] for _ in range(size)]
-        for t in range(1, size):
-            p = int(rng.integers(0, t))
-            parents[t] = p
-            children[p].append(t)
-        tin = np.zeros(size, dtype=np.int64)
-        tout = np.zeros(size, dtype=np.int64)
-        clock = 0
-        stack = [(0, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                tout[node] = clock
-                clock += 1
-                continue
-            tin[node] = clock
-            clock += 1
-            stack.append((node, True))
-            for ch in reversed(children[node]):
-                stack.append((ch, False))
-        comp_list.append(np.full(size, c, dtype=np.int64))
-        parent_list.append(np.where(parents >= 0, parents + offset, -1))
-        tin_list.append(tin)
-        tout_list.append(tout)
-        offset += size
+        comp = [(c,)]
+        for t in range(1, int(size)):
+            comp.append(comp[int(rng.integers(0, t))] + (t,))
+        paths.extend(comp)
+    return paths
+
+
+def _poset_rep(ctx, seed, k):
+    n = ctx["n"]
+    rng = rng_for(seed, ctx["tag"], n, k)
+    if ctx["variant"] == "forest":
+        paths = random_forest(rng, ctx["min_nodes"], ctx["max_nodes"])
+        ground = len(paths)
+        sample = [paths[i] for i in rng.integers(0, ground, size=n)]
+    elif ctx["variant"] == "staircase":
+        ground = ctx["ground"]
+        sample = ctx["cells"][rng.integers(0, ground, size=n)]
+    else:
+        ground = ctx["ground"]
+        sample = rng.integers(1, ground + 1, size=n)
+    if ctx["convex"]:
+        hits = convex_sandwiched_count(sample, ctx["order"])
+        closure = convex_closure_size(sample, ctx["order"])
+    else:
+        hits = upset_dominated_count(sample, ctx["order"])
+        closure = upset_closure_size(sample, ctx["order"])
     return {
-        "comp": np.concatenate(comp_list),
-        "tin": np.concatenate(tin_list),
-        "tout": np.concatenate(tout_list),
-        "parent": np.concatenate(parent_list),
-        "sizes": sizes,
+        "est": hits / n,
+        "truth": closure / ground,
+        "size_est": n * closure / hits if hits > 0 else None,
+        "ground": ground,
     }
 
 
-def _ancestor_matrix(comp_a, tin_a, tout_a, comp_b, tin_b, tout_b):
-    # [i, j] = element i is an ancestor-or-self of element j.
-    return (
-        (comp_a[:, None] == comp_b[None, :])
-        & (tin_a[:, None] <= tin_b[None, :])
-        & (tout_b[None, :] <= tout_a[:, None])
-    )
-
-
-def _poset_convex_rep(ctx, seed, k):
-    n = ctx["n"]
-    rng = rng_for(seed, ctx["tag"], n, k)
-    if ctx["variant"] == "interval":
-        size = ctx["size"]
-        vals = rng.integers(1, size + 1, size=n)
-        mx, mn = int(vals.max()), int(vals.min())
-        unique_max = int((vals == mx).sum()) == 1
-        unique_min = int((vals == mn).sum()) == 1
-        sandwiched = n - int(unique_max) - int(unique_min)
-        closure = mx - mn + 1
-        truth = closure / size
-        rec = {"est": sandwiched / n, "truth": truth, "forest_size": None}
-    else:
-        forest = random_forest(rng, ctx["min_nodes"], ctx["max_nodes"])
-        total = forest["comp"].shape[0]
-        idx = rng.integers(0, total, size=n)
-        comp, tin, tout = forest["comp"][idx], forest["tin"][idx], forest["tout"][idx]
-        anc = _ancestor_matrix(comp, tin, tout, comp, tin, tout)
-        np.fill_diagonal(anc, False)
-        below = anc.any(axis=1)  # i has a sampled strict-or-duplicate descendant
-        above = anc.any(axis=0)  # i has a sampled ancestor among the others
-        sandwiched = int((below & above).sum())
-        node_over_sample = _ancestor_matrix(
-            forest["comp"], forest["tin"], forest["tout"], comp, tin, tout
-        )
-        sample_over_node = _ancestor_matrix(
-            comp, tin, tout, forest["comp"], forest["tin"], forest["tout"]
-        )
-        in_conv = node_over_sample.any(axis=1) & sample_over_node.any(axis=0)
-        closure = int(in_conv.sum())
-        truth = closure / total
-        rec = {"est": sandwiched / n, "truth": truth, "forest_size": total}
-    rec["size_est"] = n * closure / sandwiched if sandwiched > 0 else None
-    return rec
-
-
-def _poset_convex_finish(ctx, cfg, records):
+def _poset_finish(ctx, cfg, records):
     n = ctx["n"]
     est = [r["est"] for r in records]
     truth = [r["truth"] for r in records]
     defined = [r["size_est"] for r in records if r["size_est"] is not None]
     extras = {
         "variant": ctx["variant"],
-        "bound_cap": 7.0 / n,
+        "bound_cap": (7.0 if ctx["convex"] else 3.5) / n,
         "size_estimate_defined": len(defined),
         "mean_size_estimate": _mean(defined) if defined else None,
     }
-    if ctx["variant"] == "interval":
-        extras["ground_size"] = ctx["size"]
+    if ctx["variant"] == "forest":
+        extras["mean_forest_size"] = _mean([r["ground"] for r in records])
     else:
-        extras["mean_forest_size"] = _mean(
-            [r["forest_size"] for r in records if r["forest_size"] is not None]
-        )
-    return [
-        _sq_err_row(
-            cfg.scenario, n, cfg.replications, est, truth, poset_convex_mse_bound(n), extras
-        )
-    ]
+        extras["ground_size"] = ctx["ground"]
+    bound = poset_convex_mse_bound(n) if ctx["convex"] else upset_mse_bound(n)
+    return [_sq_err_row(cfg.scenario, n, cfg.replications, est, truth, bound, extras)]
 
 
 # ------------------------------------------------------------- coincide
@@ -730,9 +634,7 @@ def _poset_convex_finish(ctx, cfg, records):
 def _coincide_cells(cfg, params):
     return [
         {
-            "family": "coincide",
             "tag": cfg.scenario,
-            "scenario": cfg.scenario,
             "n": n,
             "radii": tuple(float(r) for r in params["radii"]),
             "probes": int(params["probes"]),
@@ -741,18 +643,11 @@ def _coincide_cells(cfg, params):
     ]
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    delta = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((delta**2).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def _coincide_rep(ctx, seed, k):
     n = ctx["n"]
     rng = rng_for(seed, ctx["tag"], n, k)
     pts = rng.random((n, 2))
-    dist = _pairwise_distances(pts)
+    dist = cdist(pts, pts)
     probes = rng.random((ctx["probes"], 2))
     nearest = cKDTree(pts).query(probes)[0]
     w, truth, probe_se = [], [], []
@@ -827,9 +722,7 @@ def _dna_cells(cfg, params):
         raise ValueError("split sizes exceed the observed population")
     return [
         {
-            "family": "dna",
             "tag": cfg.scenario,
-            "scenario": cfg.scenario,
             "n": split[0],
             "split": split,
             "population": pop,
@@ -865,19 +758,10 @@ def _dna_rep(ctx, seed, k):
     return {"ad_obs": ad_obs, "ad_null": ad_null}
 
 
-def _ks_distance(x, y) -> float:
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    grid = np.concatenate([x, y])
-    f_x = np.searchsorted(x, grid, side="right") / x.size
-    f_y = np.searchsorted(y, grid, side="right") / y.size
-    return float(np.abs(f_x - f_y).max())
-
-
 def _dna_finish(ctx, cfg, records):
     obs = np.array([r["ad_obs"] for r in records])
     null = np.array([r["ad_null"] for r in records])
-    ks = _ks_distance(obs, null)
+    ks = float(ks_2samp(obs, null).statistic)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     extras = {
         "value_kind": "ks_distance_between_ad_statistic_samples",
@@ -912,9 +796,7 @@ def _dna_finish(ctx, cfg, records):
 def _coverage_cells(cfg, params):
     return [
         {
-            "family": "coverage",
             "tag": cfg.scenario,
-            "scenario": cfg.scenario,
             "n": n,
             "alpha": float(params["alpha"]),
             "x_scale": float(params["x_scale"]),
@@ -972,9 +854,7 @@ _DEMO_RADIUS = 0.5 * (1.0 + math.sqrt(2.0))
 def _aldous_cells(cfg, params):
     return [
         {
-            "family": "aldous",
             "tag": cfg.scenario,
-            "scenario": cfg.scenario,
             "n": n,
             "probes": int(params["probes"]),
         }
@@ -1035,72 +915,34 @@ def _aldous_finish(ctx, cfg, records):
 
 # ------------------------------------------------------------ the runner
 
-_FAMILY_OF = {
-    "unseen_uniform": "unseen",
-    "unseen_zipf": "unseen",
-    "hull_rect": "hull",
-    "hull_disk": "hull",
-    "hull_gauss": "hull",
-    "hull_gauss_corr": "hull",
-    "upset_chain": "upset",
-    "upset_antichain": "upset",
-    "upset_staircase": "upset",
-    "poset_convex_interval": "poset_convex",
-    "poset_convex_forest": "poset_convex",
-    "coincide_uniform_square": "coincide",
-    "dna_split": "dna",
-    "coverage_linear": "coverage",
-    "coverage_quadratic_misspec": "coverage",
-    "aldous_demo": "aldous",
-}
+class _Family(NamedTuple):
+    cells: Callable  # (cfg, params) -> cell contexts
+    prep: Callable | None  # (ctx, seed) -> ctx, once per chunk
+    rep: Callable  # (ctx, seed, k) -> replication k's record
+    finish: Callable  # (ctx, cfg, records) -> report rows
 
-_BUILDERS = {
-    "unseen": _unseen_cells,
-    "hull": _hull_cells,
-    "upset": _upset_cells,
-    "poset_convex": _poset_convex_cells,
-    "coincide": _coincide_cells,
-    "dna": _dna_cells,
-    "coverage": _coverage_cells,
-    "aldous": _aldous_cells,
-}
 
-_REPS = {
-    "unseen": _unseen_rep,
-    "hull": _hull_rep,
-    "upset": _upset_rep,
-    "poset_convex": _poset_convex_rep,
-    "coincide": _coincide_rep,
-    "dna": _dna_rep,
-    "coverage": _coverage_rep,
-    "aldous": _aldous_rep,
+_FAMILIES = {
+    "unseen": _Family(_unseen_cells, None, _unseen_rep, _unseen_finish),
+    "hull": _Family(_hull_cells, _hull_prep, _hull_rep, _hull_finish),
+    "poset": _Family(_poset_cells, None, _poset_rep, _poset_finish),
+    "coincide": _Family(_coincide_cells, None, _coincide_rep, _coincide_finish),
+    "dna": _Family(_dna_cells, None, _dna_rep, _dna_finish),
+    "coverage": _Family(_coverage_cells, None, _coverage_rep, _coverage_finish),
+    "aldous": _Family(_aldous_cells, None, _aldous_rep, _aldous_finish),
 }
-
-_FINISHERS = {
-    "unseen": _unseen_finish,
-    "hull": _hull_finish,
-    "upset": _upset_finish,
-    "poset_convex": _poset_convex_finish,
-    "coincide": _coincide_finish,
-    "dna": _dna_finish,
-    "coverage": _coverage_finish,
-    "aldous": _aldous_finish,
-}
-
-_PREPS = {"hull": _hull_prep}
 
 
 def _run_chunk(args):
     family, ctx, seed, lo, hi = args
-    prep = _PREPS.get(family)
-    if prep is not None:
-        ctx = prep(ctx, seed)
-    rep = _REPS[family]
-    return [rep(ctx, seed, k) for k in range(lo, hi)]
+    fam = _FAMILIES[family]
+    if fam.prep is not None:
+        ctx = fam.prep(ctx, seed)
+    return [fam.rep(ctx, seed, k) for k in range(lo, hi)]
 
 
 def _validate(cfg: ScenarioConfig):
-    if cfg.scenario not in _FAMILY_OF:
+    if cfg.scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     if not cfg.n_grid:
         raise ValueError("empty n grid")
@@ -1113,6 +955,8 @@ def _validate(cfg: ScenarioConfig):
         raise ValueError(f"replications must be an integer, got {cfg.replications!r}")
     if cfg.replications < 1:
         raise ValueError("replications must be at least 1")
+    if not isinstance(cfg.seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
@@ -1128,11 +972,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     (seed, tag, n, k) and aggregation runs in replication order.
     """
     _validate(cfg)
-    family = _FAMILY_OF[cfg.scenario]
-    params = _merged_params(cfg)
-    cells = _BUILDERS[family](cfg, params)
+    family = _DEFAULTS[cfg.scenario]["family"]
+    cells = _FAMILIES[family].cells(cfg, _merged_params(cfg))
     reps = cfg.replications
-    finish = _FINISHERS[family]
+    finish = _FAMILIES[family].finish
     rows = []
     if workers <= 1:
         for cell in cells:

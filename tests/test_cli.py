@@ -93,6 +93,17 @@ def test_hull_interval_matches_volume_ci(tmp_path, capsys):
     assert obj["ci_high"] == ci.ci_high
 
 
+@pytest.mark.parametrize("alpha", ["5", "0", "-0.1", "1", "nan"])
+def test_hull_alpha_out_of_range_fails(tmp_path, capsys, alpha):
+    # Every point extreme: the interval is never computed, alpha is
+    # still checked.
+    path = tmp_path / "square.csv"
+    path.write_text("0,0\n1,0\n1,1\n0,1\n")
+    rc, out, err = run_cli(capsys, "hull", str(path), "--alpha", alpha)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "alpha" in err
+
+
 def test_hull_ragged_input_fails(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3\n")
@@ -133,6 +144,19 @@ def test_poset_product_width_mismatch(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "poset", str(path), "--kind", "product")
     assert rc == 2
     assert "share one width" in err
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [("chain", "0 -3 -3\n"), ("product", "0 1\n-2 5\n-2 5\n")],
+)
+@pytest.mark.parametrize("mode", [[], ["--convex"]])
+def test_poset_non_positive_elements_fail(tmp_path, capsys, kind, text, mode):
+    path = tmp_path / "vals.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "poset", str(path), "--kind", kind, *mode)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "positive integers" in err
 
 
 def test_poset_tree_command(tmp_path, capsys):
@@ -347,6 +371,21 @@ def test_verify_config_non_integer_replications_fails(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "verify", "--config", str(cfg_path))
     assert rc == 2
     assert err.startswith("error:") and "replications" in err
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [({"params": {"sise": 5}}, "sise"), ({"params": [1]}, "params"), ({"seed": 2.7}, "seed")],
+)
+def test_verify_config_bad_params_or_seed_fails(tmp_path, capsys, extra, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"scenario": "upset_chain", "n_grid": [20], "replications": 3, **extra})
+    )
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert key in err
 
 
 def test_verify_unknown_scenario(capsys):

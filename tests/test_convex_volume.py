@@ -31,6 +31,17 @@ def test_membership_dimension_mismatch():
         in_hull([0.5, 0.5, 0.5], SQUARE)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+def test_tol_must_be_positive(tol):
+    # SQUARE runs Qhull, the collinear cloud the LP route.
+    collinear = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    for cloud in (SQUARE, collinear):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hull_summary(cloud, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        in_hull([0.5, 0.5], SQUARE, tol=tol)
+
+
 def test_square_plus_center():
     cloud = np.vstack([SQUARE, [0.5, 0.5]])
     s = hull_summary(cloud)

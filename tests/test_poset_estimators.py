@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cascade.loo_core import loo_estimate
 from cascade.poset_estimators import (
@@ -285,3 +285,99 @@ def test_antichain_label_renaming_invariant(sample):
     assert upset_closure_size(sample, Antichain()) == upset_closure_size(
         renamed, Antichain()
     )
+
+
+# ------------------------------------- vectorized counts vs the leq scan
+
+def _tree_ground(sample):
+    return {x[:k] for x in sample for k in range(len(x) + 1)}
+
+
+def _grid_ground(sample):
+    return set(product(*(range(1, max(col) + 1) for col in zip(*sample))))
+
+
+# (order, element strategy, finite ground set containing both closures,
+# three distinct elements)
+ORDERS = {
+    "chain": (ReversedNaturals(), st.integers(1, 6), lambda s: range(1, max(s) + 1), (2, 5, 7)),
+    "antichain": (Antichain(), st.integers(1, 6), set, ("a", "b", "c")),
+    "product2": (ProductOrder(2), pairs2, _grid_ground, ((1, 2), (2, 2), (3, 1))),
+    "product3": (
+        ProductOrder(3),
+        st.tuples(*[st.integers(1, 3)] * 3),
+        _grid_ground,
+        ((1, 1, 1), (2, 1, 3), (1, 2, 1)),
+    ),
+    "tree": (TreeAncestor(), paths, _tree_ground, ((), (0,), (0, 1))),
+}
+
+
+def _scan_closure(sample, leq, ground, convex):
+    return sum(
+        1
+        for z in ground
+        if any(leq(s, z) for s in sample) and (not convex or any(leq(z, s) for s in sample))
+    )
+
+
+def _check_against_scan(order, ground_of, sample):
+    # order.leq passed bare has no fast count, so it takes the pair scan.
+    ground = ground_of(sample)
+    assert upset_dominated_count(sample, order) == upset_dominated_count(sample, order.leq)
+    assert convex_sandwiched_count(sample, order) == convex_sandwiched_count(sample, order.leq)
+    assert upset_closure_size(sample, order) == _scan_closure(sample, order.leq, ground, False)
+    assert convex_closure_size(sample, order) == _scan_closure(sample, order.leq, ground, True)
+
+
+@pytest.mark.parametrize("kind", ORDERS)
+@given(data=st.data())
+@settings(max_examples=150)
+def test_fast_counts_and_closures_match_leq_scan(kind, data):
+    order, element, ground_of, _ = ORDERS[kind]
+    sample = data.draw(st.lists(element, min_size=1, max_size=8))
+    _check_against_scan(order, ground_of, sample)
+
+
+@pytest.mark.parametrize("kind", ORDERS)
+def test_fast_counts_on_small_and_tied_samples(kind):
+    # n = 1, n = 2, all-equal samples and duplicates, for each order.
+    order, _, ground_of, (a, b, c) = ORDERS[kind]
+    for sample in ([a], [b], [a, a], [a, b], [b, a], [a, a, a], [a, b, a], [c, b, a, b, c]):
+        _check_against_scan(order, ground_of, sample)
+    assert convex_sandwiched_count([a], order) == 0
+    assert upset_dominated_count([a], order) == 0
+
+
+def test_chain_counts_on_numpy_samples():
+    import numpy as np
+
+    sample = np.array([4, 9, 9, 1, 4])
+    assert upset_dominated_count(sample, ReversedNaturals()) == 5
+    assert convex_sandwiched_count(sample, ReversedNaturals()) == 4
+    assert upset_closure_size(sample, ReversedNaturals()) == 9
+    assert convex_closure_size(sample, ReversedNaturals()) == 9
+
+
+@pytest.mark.parametrize(
+    "order, sample",
+    [
+        (ReversedNaturals(), [0, 3, 3]),
+        (ReversedNaturals(), [-3, 2]),
+        (ProductOrder(2), [(0, 1), (-2, 5), (-2, 5)]),
+        (ProductOrder(2), [(1, 1), (3, 0)]),
+        (ProductOrder(3), [(1, 1, 1), (2, -1, 2)]),
+    ],
+)
+@pytest.mark.parametrize(
+    "fn",
+    [upset_dominated_count, upset_closure_size, convex_sandwiched_count, convex_closure_size],
+)
+def test_non_positive_elements_rejected(order, sample, fn):
+    with pytest.raises(ValueError, match="positive integers"):
+        fn(sample, order)
+
+
+def test_non_integer_chain_elements_rejected():
+    with pytest.raises(ValueError, match="positive integers"):
+        upset_closure_size([1.5, 2.0], ReversedNaturals())

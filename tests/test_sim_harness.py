@@ -3,19 +3,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from cascade.convex_volume import hull_summary
-from cascade.poset_estimators import (
-    Antichain,
-    ProductOrder,
-    ReversedNaturals,
-    TreeAncestor,
-    convex_closure_size,
-    convex_sandwiched_count,
-    upset_closure_size,
-    upset_dominated_count,
-)
+from cascade.poset_estimators import TreeAncestor
 from cascade.sim_harness import (
     BoundReportRow,
     SCENARIO_NAMES,
@@ -39,12 +29,8 @@ from cascade.sim_harness.samplers import (
 from cascade.sim_harness.scenarios import (
     _FACET_TOL,
     _inside_probes,
-    _ks_distance,
-    _poset_convex_rep,
     _probe_defects,
     _probe_set,
-    _staircase_closure_size,
-    _upset_rep,
     random_forest,
 )
 from cascade.sim_harness.seeding import fnv1a64, mix64
@@ -311,6 +297,12 @@ def test_config_validation():
             run_scenario(ScenarioConfig("upset_chain", (bad,), 5))
         with pytest.raises(ValueError, match="replications must be an integer"):
             run_scenario(ScenarioConfig("upset_chain", (20,), bad))
+    with pytest.raises(ValueError, match="unknown params key 'sise'"):
+        run_scenario(ScenarioConfig("upset_chain", (10,), 2, params={"sise": 5}))
+    with pytest.raises(ValueError, match="params must be a mapping"):
+        run_scenario(ScenarioConfig("upset_chain", (10,), 2, params=[1]))
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_scenario(ScenarioConfig("upset_chain", (10,), 2, seed=2.7))
 
 
 _TINY = {
@@ -479,111 +471,32 @@ def test_run_suite_combines_scenarios():
     assert names == {"upset_chain", "upset_antichain"}
 
 
-def test_ks_distance_matches_reference():
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        x = rng.normal(size=int(rng.integers(5, 40)))
-        y = rng.normal(size=int(rng.integers(5, 40)))
-        ref = scipy.stats.ks_2samp(x, y, method="exact").statistic
-        assert _ks_distance(x, y) == pytest.approx(ref, abs=1e-12)
-    # Ties.
-    x = np.array([1.0, 1.0, 2.0, 3.0])
-    y = np.array([1.0, 2.0, 2.0, 2.0])
-    ref = scipy.stats.ks_2samp(x, y).statistic
-    assert _ks_distance(x, y) == pytest.approx(ref, abs=1e-12)
+def test_random_forest_paths_form_a_convex_forest():
+    # Distinct nodes, every non-root node's parent is present, and
+    # component roots are distinct children of the implicit root, so the
+    # node set is order-convex in the tree order.
+    for k in range(10):
+        paths = random_forest(rng_for(35, "forest", 20, k), 15, 40)
+        nodes = set(paths)
+        assert len(nodes) == len(paths)
+        assert all(len(p) == 1 or p[:-1] in nodes for p in paths)
+        roots = [p for p in paths if len(p) == 1]
+        assert roots == [(c,) for c in range(len(roots))]
+        assert TreeAncestor.convex_closure_size(paths) == len(paths)
 
 
-# ---------------------------------------- harness vs module (dual routes)
-
-def _counts_from_rec(rec, n, ground):
-    hits = round(rec["est"] * n)
-    closure = round(rec["truth"] * ground)
-    return hits, closure
-
-
-def test_chain_rep_matches_module_functions():
-    seed, tag, n, size = 31, "upset_chain", 25, 1000
-    for k in range(30):
-        ctx = {"variant": "chain", "size": size, "n": n, "tag": tag}
-        rec = _upset_rep(ctx, seed, k)
-        vals = rng_for(seed, tag, n, k).integers(1, size + 1, size=n)
-        sample = [int(v) for v in vals]
-        hits, closure = _counts_from_rec(rec, n, size)
-        assert hits == upset_dominated_count(sample, ReversedNaturals())
-        assert closure == upset_closure_size(sample, ReversedNaturals())
-
-
-def test_antichain_rep_matches_module_functions():
-    seed, tag, n, labels = 32, "upset_antichain", 40, 50
-    for k in range(30):
-        ctx = {"variant": "antichain", "labels": labels, "n": n, "tag": tag}
-        rec = _upset_rep(ctx, seed, k)
-        vals = rng_for(seed, tag, n, k).integers(1, labels + 1, size=n)
-        sample = [int(v) for v in vals]
-        hits, closure = _counts_from_rec(rec, n, labels)
-        assert hits == upset_dominated_count(sample, Antichain())
-        assert closure == upset_closure_size(sample, Antichain())
-
-
-def test_staircase_rep_matches_module_functions():
-    seed, tag, n, parts = 33, "upset_staircase", 20, 8
-    cells = np.array(
-        [(a, b) for a in range(1, parts + 1) for b in range(1, parts + 2 - a)],
-        dtype=np.int64,
+def test_poset_rows_match_library_counts():
+    # The poset family's rows come straight from the library's counts:
+    # one replication of the forest scenario, redrawn by hand.
+    seed, n = 35, 20
+    cfg = ScenarioConfig(
+        "poset_convex_forest", (n,), 1, seed=seed, params={"min_nodes": 15, "max_nodes": 40}
     )
-    ground = cells.shape[0]
-    for k in range(20):
-        ctx = {"variant": "staircase", "cells": cells, "n": n, "tag": tag}
-        rec = _upset_rep(ctx, seed, k)
-        rng = rng_for(seed, tag, n, k)
-        idx = rng.integers(0, ground, size=n)
-        pts = cells[idx]
-        sample = [tuple(int(c) for c in p) for p in pts]
-        hits, closure = _counts_from_rec(rec, n, ground)
-        assert hits == upset_dominated_count(sample, ProductOrder(2))
-        assert closure == upset_closure_size(sample, ProductOrder(2))
-        assert closure == _staircase_closure_size(pts)
-
-
-def test_interval_rep_matches_module_functions():
-    seed, tag, n, size = 34, "poset_convex_interval", 25, 200
-    for k in range(30):
-        ctx = {"variant": "interval", "size": size, "n": n, "tag": tag}
-        rec = _poset_convex_rep(ctx, seed, k)
-        vals = rng_for(seed, tag, n, k).integers(1, size + 1, size=n)
-        sample = [int(v) for v in vals]
-        hits, closure = _counts_from_rec(rec, n, size)
-        assert hits == convex_sandwiched_count(sample, ReversedNaturals())
-        assert closure == convex_closure_size(sample, ReversedNaturals())
-
-
-def _paths_from_parents(forest):
-    comp, parent = forest["comp"], forest["parent"]
-    paths = []
-    for i in range(parent.shape[0]):
-        p = int(parent[i])
-        if p < 0:
-            paths.append((int(comp[i]),))
-        else:
-            paths.append(paths[p] + (i,))
-    return paths
-
-
-def test_forest_rep_matches_tree_order_route():
-    # The replication scores ancestry with Euler-tour interval tests;
-    # rebuilding the same forest as explicit root paths and using the
-    # generic tree order must give identical counts.
-    seed, tag, n = 35, "poset_convex_forest", 20
-    for k in range(15):
-        ctx = {"variant": "forest", "min_nodes": 15, "max_nodes": 40, "n": n, "tag": tag}
-        rec = _poset_convex_rep(ctx, seed, k)
-        rng = rng_for(seed, tag, n, k)
-        forest = random_forest(rng, 15, 40)
-        total = forest["comp"].shape[0]
-        assert total == rec["forest_size"]
-        idx = rng.integers(0, total, size=n)
-        paths = _paths_from_parents(forest)
-        sample = [paths[i] for i in idx]
-        hits, closure = _counts_from_rec(rec, n, total)
-        assert hits == convex_sandwiched_count(sample, TreeAncestor())
-        assert closure == convex_closure_size(sample, TreeAncestor())
+    row = run_scenario(cfg)[0]
+    rng = rng_for(seed, "poset_convex_forest", n, 0)
+    paths = random_forest(rng, 15, 40)
+    sample = [paths[i] for i in rng.integers(0, len(paths), size=n)]
+    hits = TreeAncestor.convex_sandwiched_count(sample)
+    closure = TreeAncestor.convex_closure_size(sample)
+    assert row.empirical_mse == (hits / n - closure / len(paths)) ** 2
+    assert row.extras["mean_forest_size"] == len(paths)
