@@ -135,9 +135,12 @@ def _affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
 
 
 def _polygon_area(vertices: np.ndarray) -> float:
-    # Shoelace over an ordered polygon.
+    # Shoelace over an ordered polygon; the next vertex after the last
+    # is the first.
     x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
 
 
 def _facet_fan_volume(points: np.ndarray, hull: ConvexHull) -> float:
@@ -149,6 +152,26 @@ def _facet_fan_volume(points: np.ndarray, hull: ConvexHull) -> float:
     edges = simplex_pts - interior
     dets = np.linalg.det(edges)
     return float(np.abs(dets).sum()) / 6.0
+
+
+def _unique_rows(pts: np.ndarray):
+    """Distinct rows in lexicographic order, each row's index among them,
+    and each distinct row's multiplicity.
+
+    The values of ``np.unique(pts, axis=0, return_inverse=True,
+    return_counts=True)`` from one stable lexsort: a sorted row that
+    differs from its predecessor in some coordinate starts a new
+    distinct row.
+    """
+    n = pts.shape[0]
+    order = np.lexsort(pts.T[::-1])
+    ordered = pts[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse, np.bincount(inverse)
 
 
 def _lp_extreme_flags(unique_pts: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
@@ -171,16 +194,17 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
     ordered hull polygon, d=3 summed tetrahedra over triangulated
     facets; None for d > 3.
 
+    Duplicates are found by sorting the rows lexicographically (one
+    ``np.lexsort``) and comparing each sorted row with the one before
+    it; coordinates are compared as floats, so 0.0 and -0.0 coincide.
+
     Fast path: vertex enumeration on the deduplicated cloud when it is
     affinely full-dimensional; otherwise per-point LP membership.
     """
     _check_tol(tol)
     pts = _as_cloud(cloud)
     n, d = pts.shape
-    unique_pts, inverse, counts = np.unique(
-        pts, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.reshape(-1)
+    unique_pts, inverse, counts = _unique_rows(pts)
     u = unique_pts.shape[0]
 
     vertex_mask = np.zeros(u, dtype=bool)

@@ -166,11 +166,14 @@ class ProductOrder:
     def upset_closure_size(self, sample) -> int:
         pts = self._points(sample)
         if self.d == 2:
-            # Union of boxes [1..a] x [1..b]: sum over columns b of the
-            # tallest box reaching b.
-            heights = np.zeros(int(pts[:, 1].max()) + 1, dtype=np.int64)
-            np.maximum.at(heights, pts[:, 1], pts[:, 0])
-            return int(np.maximum.accumulate(heights[::-1])[::-1][1:].sum())
+            # Union of boxes [1..a] x [1..b], swept from the widest b
+            # down: the columns between a box's b and the next smaller b
+            # are as tall as the tallest box reaching them.  Python ints
+            # keep the sum exact for any coordinates.
+            order = np.argsort(pts[:, 1], kind="stable")[::-1]
+            widths = pts[order, 1] - np.append(pts[order[1:], 1], 0)
+            heights = np.maximum.accumulate(pts[order, 0])
+            return sum(w * h for w, h in zip(widths.tolist(), heights.tolist()))
         return self._grid_count(pts, lower=False)
 
     def convex_closure_size(self, sample) -> int:

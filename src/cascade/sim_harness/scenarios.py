@@ -438,19 +438,28 @@ def _defect(inside, batch_size):
     return 1.0 - float(means.mean()), se
 
 
+def _drop_last(cloud, s_full, with_facets=False):
+    """The hull summary of ``cloud[:-1]``, or None when it is ``s_full``'s
+    hull: a point that is not extreme lies in the hull of the others, so
+    dropping it leaves the hull unchanged.
+    """
+    if not s_full.extreme_flags[-1]:
+        return None
+    return hull_summary(cloud[:-1], with_facets=with_facets)
+
+
 def _probe_defects(cloud, s_full, probes):
     """defect(n), defect(n-1) and the probe standard error of defect(n).
 
-    Dropping a point that is not extreme leaves the hull unchanged, and
-    hull(n-1) lies inside hull(n), so only probes inside hull(n) are
-    tested against hull(n-1).
+    hull(n-1) lies inside hull(n), so when it differs only probes inside
+    hull(n) are tested against it.
     """
     batch_size = probes.batches[0][1].size
     inside = _inside_probes(s_full.facets, cloud, probes)
     defect, probe_se = _defect(inside, batch_size)
-    if not s_full.extreme_flags[-1]:
+    s_drop = _drop_last(cloud, s_full, with_facets=True)
+    if s_drop is None:
         return defect, defect, probe_se
-    s_drop = hull_summary(cloud[:-1], with_facets=True)
     prev = _inside_probes(s_drop.facets, cloud[:-1], probes, among=inside)
     return defect, _defect(prev, batch_size)[0], probe_se
 
@@ -465,10 +474,10 @@ def _hull_rep(ctx, seed, k):
     if probes:
         defect, defect_prev, probe_se = _probe_defects(cloud, s_full, ctx["_probes"])
     else:
-        s_drop = hull_summary(cloud[:-1])
         support = ctx["support_volume"]
         defect = 1.0 - s_full.volume / support
-        defect_prev = 1.0 - s_drop.volume / support
+        s_drop = _drop_last(cloud, s_full)
+        defect_prev = defect if s_drop is None else 1.0 - s_drop.volume / support
         probe_se = 0.0
     rec = {
         "est": est,

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
+from cascade import convex_volume
 from cascade.convex_volume import (
+    _unique_rows,
     consecutive_defect_bound,
     conv_mse_bound,
     estimate_volume,
@@ -63,6 +66,37 @@ def test_duplicates_never_extreme():
     assert not s.extreme_flags[0]
     assert not s.extreme_flags[4]
     assert s.extreme_count == 3
+
+
+def _np_unique_rows(pts):
+    unique_pts, inverse, counts = np.unique(
+        pts, axis=0, return_inverse=True, return_counts=True
+    )
+    return unique_pts, inverse.reshape(-1), counts
+
+
+@st.composite
+def clouds_with_repeats(draw):
+    # Up to six distinct rows drawn with repetition; signed zeros must
+    # coincide, as they do in np.unique.
+    d = draw(st.integers(1, 3))
+    coord = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=14))
+    return np.array([rows[i] for i in picks]).reshape(len(picks), d)
+
+
+@given(clouds_with_repeats())
+@settings(max_examples=150, deadline=None)
+def test_lexsort_dedupe_matches_np_unique(cloud):
+    for got, want in zip(_unique_rows(cloud), _np_unique_rows(cloud), strict=True):
+        assert np.array_equal(got, want)
+    s = hull_summary(cloud)
+    with mock.patch.object(convex_volume, "_unique_rows", _np_unique_rows):
+        ref = hull_summary(cloud)
+    assert np.array_equal(s.extreme_flags, ref.extreme_flags)
+    assert s.extreme_count == ref.extreme_count
+    assert s.volume == ref.volume
 
 
 def test_single_point_cloud():

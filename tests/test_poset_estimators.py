@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -113,6 +114,21 @@ def test_grid_closure_brute_equivalence(sample):
         for y in range(1, b + 1)
     }
     assert upset_closure_size(sample, ProductOrder(2)) == len(brute)
+
+
+def test_grid_closure_needs_no_coordinate_sized_array():
+    tracemalloc.start()
+    try:
+        size = upset_closure_size([(1, 10**9), (2, 3)], ProductOrder(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 10**9 + 3
+    assert peak < 1 << 20
+    # Past int64: the sum stays exact.
+    assert upset_closure_size([(2**40, 2**40), (1, 2**62)], ProductOrder(2)) == (
+        2**80 + 2**62 - 2**40
+    )
 
 
 def test_closure_needs_enumeration_support():

@@ -26,6 +26,7 @@ from cascade.sim_harness.samplers import (
     sample_distribution,
     zipf_probabilities,
 )
+from cascade.sim_harness import scenarios
 from cascade.sim_harness.scenarios import (
     _FACET_TOL,
     _inside_probes,
@@ -463,6 +464,59 @@ def test_probe_set_is_sorted_and_read_only():
         assert np.allclose(np.linalg.norm(w, axis=1), radius)
         assert np.allclose(w @ chol.T, z)
         assert not z.flags.writeable and not radius.flags.writeable
+
+
+# -------------------------------------------------- exact ground truth
+
+
+def test_exact_hull_rep_rebuilds_the_drop_hull_only_for_an_extreme_point(monkeypatch):
+    calls = []
+
+    def counted(cloud, *args, **kwargs):
+        calls.append(len(cloud))
+        return hull_summary(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "hull_summary", counted)
+    seen = set()
+    for name in ("hull_rect", "hull_disk"):
+        cfg = ScenarioConfig(name, (12,), 12, seed=8)
+        for ctx in scenarios._hull_cells(cfg, scenarios._merged_params(cfg)):
+            n = ctx["n"]
+            for k in range(cfg.replications):
+                calls.clear()
+                rec = scenarios._hull_rep(ctx, cfg.seed, k)
+                cloud = sample_distribution(ctx["spec"], n, rng_for(cfg.seed, ctx["tag"], n, k))
+                extreme = bool(hull_summary(cloud).extreme_flags[-1])
+                assert calls == ([n, n - 1] if extreme else [n])
+                want = 1.0 - hull_summary(cloud[:-1]).volume / ctx["support_volume"]
+                assert abs(rec["defect_prev"] - want) <= 1e-12
+                seen.add(extreme)
+    assert seen == {False, True}
+
+
+def test_skipping_the_drop_hull_leaves_exact_reports_unchanged(monkeypatch):
+    names = ("hull_rect", "hull_disk")
+
+    def run():
+        return [row for name in names for row in run_scenario(default_config(name, 42, 30))]
+
+    fast = run()
+    monkeypatch.setattr(
+        scenarios,
+        "_drop_last",
+        lambda cloud, s_full, with_facets=False: hull_summary(
+            cloud[:-1], with_facets=with_facets
+        ),
+    )
+    always = run()
+    assert len(fast) == len(always) == 16
+    for a, b in zip(fast, always):
+        if a.extras["d"] == 3:
+            # A rebuilt hull's facet-fan volume may differ in its last bit.
+            step_a = a.extras.pop("mean_abs_defect_step")
+            step_b = b.extras.pop("mean_abs_defect_step")
+            assert abs(step_a - step_b) <= 1e-15
+        assert report_text([a], timestamp=False) == report_text([b], timestamp=False)
 
 
 def test_run_suite_combines_scenarios():
