@@ -51,15 +51,19 @@ class HullSummary:
     """Extreme-point flags and exact hull volume of a point cloud.
 
     ``volume`` is None for d > 3 (exact volume unsupported there).
-    ``facets`` optionally carries the hull's facet inequalities
-    (rows [normal, offset] with normal . x + offset <= 0 inside), for
-    probe-based integration; None unless requested or degenerate.
+    With ``with_facets=True``, ``facets`` carries the hull's facet
+    inequalities (rows [normal, offset] with normal . x + offset <= 0
+    inside) and ``facet_vertices`` each facet's d vertices (an array of
+    shape (facets, d, d), Qhull's triangulated simplices), so callers
+    can integrate over the hull facet by facet; both are None unless
+    requested, and None for a degenerate cloud.
     """
 
     extreme_count: int
     extreme_flags: np.ndarray
     volume: float | None
     facets: np.ndarray | None = field(default=None, repr=False)
+    facet_vertices: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
 
     vertex_mask = np.zeros(u, dtype=bool)
     volume: float | None = 0.0 if d <= 3 else None
-    facets = None
+    facets = facet_vertices = None
 
     if u == 1:
         # One distinct position: extreme iff it is the only point.
@@ -243,6 +247,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
                 volume = None
             if with_facets:
                 facets = hull.equations.copy()
+                facet_vertices = unique_pts[hull.simplices]
 
     flags = vertex_mask[inverse] & (counts[inverse] == 1)
     return HullSummary(
@@ -250,6 +255,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
         extreme_flags=flags,
         volume=volume,
         facets=facets,
+        facet_vertices=facet_vertices,
     )
 
 

@@ -1,16 +1,22 @@
 """Scenario registry and the replicated Monte Carlo runner.
 
 Each scenario draws samples from a known distribution, runs one of the
-package's leave-one-out estimators, computes the ground truth (exact
-enumeration, closed form, or probe integration), and aggregates the
-squared error across replications into a ``BoundReportRow`` that is
-compared against the module's theoretical bound.
+package's leave-one-out estimators, computes the ground truth, and
+aggregates the squared error across replications into a
+``BoundReportRow`` that is compared against the module's theoretical
+bound.
+
+Ground truths are exact (enumeration or closed form) except the
+ball-coverage masses of ``coincide_uniform_square`` and
+``aldous_demo``, which are Monte Carlo probe counts that report their
+probe standard errors.  The Gaussian hull scenarios take the hull's
+exact normal mass from ``gauss_mass``.
 
 Determinism: replication k of a cell uses the child seed
 ``child_seed(seed, tag, n, k)``, so results are independent of how
 replications are scheduled; aggregation always happens in replication
-order.  Probe clouds and populations get their own sub-seeded streams
-(tag suffixes "/probe", "/population").
+order.  Populations get their own sub-seeded stream (tag suffix
+"/population").
 """
 
 from __future__ import annotations
@@ -19,14 +25,12 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
-from scipy.special import ndtri
-from scipy.stats import ks_2samp, qmc
+from scipy.stats import ks_2samp
 
 from ..coincidence_test import (
     SequenceRecord,
@@ -63,9 +67,10 @@ from ..unseen_species import (
     unseen_bound_finite_N,
     unseen_bound_general,
 )
+from .gauss_mass import normal_hull_mass
 from .report import BoundReportRow
 from .samplers import equicorrelation_cholesky, sample_distribution, zipf_probabilities
-from .seeding import child_seed, rng_for
+from .seeding import rng_for
 
 __all__ = [
     "ScenarioConfig",
@@ -74,11 +79,6 @@ __all__ = [
     "run_scenario",
     "run_suite",
 ]
-
-_FACET_TOL = 1e-10
-# Probes per facet test: keeps the probes-by-facets temporaries in cache.
-_PROBE_BLOCK = 2048
-
 
 @dataclass
 class ScenarioConfig:
@@ -122,13 +122,13 @@ _DEFAULTS = {
         family="hull",
         n_grid=(20, 50, 100, 200),
         replications=1000,
-        params={"dims": (2, 3), "corr": 0.0, "probe_batches": 8, "probe_batch_size": 16384},
+        params={"dims": (2, 3), "corr": 0.0},
     ),
     "hull_gauss_corr": dict(
         family="hull",
         n_grid=(20, 50, 100, 200),
         replications=1000,
-        params={"dims": (2, 3), "corr": 0.8, "probe_batches": 8, "probe_batch_size": 16384},
+        params={"dims": (2, 3), "corr": 0.8},
     ),
     "upset_chain": dict(
         family="poset", n_grid=(30, 100), replications=2000, params={"size": 1000}
@@ -292,20 +292,20 @@ def _hull_cells(cfg, params):
     cells = []
     dims = tuple(int(d) for d in params["dims"])
     for d in dims:
+        chol = None
         if cfg.scenario == "hull_rect":
             boxes = {int(kk): v for kk, v in params["boxes"].items()}
             bounds = boxes[d]
             spec = {"kind": "uniform_box", "bounds": bounds}
             support = float(np.prod([b[1] - b[0] for b in bounds]))
-            truth_mode = "exact"
         elif cfg.scenario == "hull_disk":
             spec = {"kind": "uniform_ball", "d": d}
             support = math.pi if d == 2 else 4.0 * math.pi / 3.0
-            truth_mode = "exact"
         else:
-            spec = {"kind": "gauss", "d": d, "corr": float(params.get("corr", 0.0))}
+            corr = float(params.get("corr", 0.0))
+            spec = {"kind": "gauss", "d": d, "corr": corr}
             support = None
-            truth_mode = "probes"
+            chol = equicorrelation_cholesky(d, corr) if corr != 0.0 else None
         for n in cfg.n_grid:
             cells.append(
                 {
@@ -314,128 +314,11 @@ def _hull_cells(cfg, params):
                     "d": d,
                     "spec": spec,
                     "support_volume": support,
-                    "truth": truth_mode,
+                    "chol": chol,
                     "alpha": float(params.get("alpha", 0.05)),
-                    "probe_batches": int(params.get("probe_batches", 8)),
-                    "probe_batch_size": int(params.get("probe_batch_size", 16384)),
                 }
             )
     return cells
-
-
-@dataclass(frozen=True)
-class _ProbeSet:
-    """A Gaussian cell's Sobol probes, each batch sorted by whitened radius.
-
-    Each batch is a pair ``(z, radius)``: probes z = w L^T, where
-    w = ndtri(u), in increasing order of radius = |w|.  Sorting keeps
-    every probe in its batch, so per-batch inside fractions do not
-    change.  ``chol`` is the Cholesky factor L of the covariance and
-    ``whiten`` its inverse, both None for the identity.
-    """
-
-    chol: np.ndarray | None
-    whiten: np.ndarray | None
-    batches: tuple
-
-
-@lru_cache(maxsize=1)
-def _probe_set(seed, tag, n, d, corr, batches, batch_size) -> _ProbeSet:
-    """Build a cell's probes.
-
-    The single cache entry lets a process build them once for all of a
-    cell's chunks; the arrays are read-only because every chunk shares
-    them.
-    """
-    chol = equicorrelation_cholesky(d, corr) if corr != 0.0 else None
-    out = []
-    for b in range(batches):
-        probe_seed = child_seed(seed, tag + "/probe", n, b)
-        u = qmc.Sobol(d, scramble=True, seed=probe_seed).random(batch_size)
-        w = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        z = w @ chol.T if chol is not None else w
-        radius = np.linalg.norm(w, axis=1)
-        order = np.argsort(radius, kind="stable")
-        z, radius = z[order], radius[order]
-        z.flags.writeable = radius.flags.writeable = False
-        out.append((z, radius))
-    whiten = np.linalg.inv(chol) if chol is not None else None
-    return _ProbeSet(chol, whiten, tuple(out))
-
-
-def _hull_prep(ctx, seed):
-    if ctx["truth"] != "probes":
-        return ctx
-    probes = _probe_set(
-        seed,
-        ctx["tag"],
-        ctx["n"],
-        ctx["d"],
-        float(ctx["spec"].get("corr", 0.0)),
-        ctx["probe_batches"],
-        ctx["probe_batch_size"],
-    )
-    return {**ctx, "_probes": probes}
-
-
-def _whitened_geometry(facets, points, probes):
-    """Each facet's whitened distance from the origin, and a radius r_out
-    beyond which every probe is outside the hull.
-
-    With z = L w, facet row [a, b] reads (L^T a) . w + b <= 0, so its
-    distance from the origin is -b / |L^T a|, and a probe closer than
-    that cannot violate it.  The hull lies in the ball of radius
-    R = max |L^-1 x| over its points.  Beyond r_out = R (1 + m) some
-    facet is violated by at least min|L^T a| * r_in * m, where r_in is
-    the least distance (the hull's gauge is at least |w| / R); m makes
-    that 100 * _FACET_TOL, so no probe out there passes the tolerant
-    test.  If the origin is not strictly inside, r_in <= 0 and r_out is
-    infinite.
-    """
-    normals, offsets = facets[:, :-1], facets[:, -1]
-    if probes.chol is not None:
-        normals = normals @ probes.chol
-        points = points @ probes.whiten.T
-    scale = np.linalg.norm(normals, axis=1)
-    dist = -offsets / scale
-    r_in = float(dist.min())
-    if r_in <= 0.0:
-        return dist, math.inf
-    r_max = float(np.linalg.norm(points, axis=1).max())
-    return dist, r_max * (1.0 + 100.0 * _FACET_TOL / (float(scale.min()) * r_in))
-
-
-def _inside_probes(facets, points, probes, among=None):
-    """Per batch, the sorted positions of the probes inside the hull.
-
-    Probes nearer the origin than every facet are inside and probes
-    beyond r_out are outside; the others are tested, a block at a time,
-    against each facet that the block's farthest probe could cross.
-    ``among`` restricts the search to probes already known to be inside
-    a hull containing this one.
-    """
-    if facets is None:
-        raise RuntimeError("ground-truth probe failure: hull facets unavailable")
-    dist, r_out = _whitened_geometry(facets, points, probes)
-    r_in = dist.min()
-    inside = []
-    for b, (z, radius) in enumerate(probes.batches):
-        cand = np.arange(radius.size) if among is None else among[b]
-        lo, hi = np.searchsorted(radius[cand], (r_in, r_out))
-        parts = [cand[:lo]]
-        for start in range(lo, hi, _PROBE_BLOCK):
-            block = cand[start:min(start + _PROBE_BLOCK, hi)]
-            near = facets[dist < radius[block[-1]]]
-            hit = (z[block] @ near[:, :-1].T + near[:, -1] <= _FACET_TOL).all(axis=1)
-            parts.append(block[hit])
-        inside.append(np.concatenate(parts))
-    return inside
-
-
-def _defect(inside, batch_size):
-    means = np.array([idx.size for idx in inside]) / batch_size
-    se = float(means.std(ddof=1) / math.sqrt(len(means)))
-    return 1.0 - float(means.mean()), se
 
 
 def _drop_last(cloud, s_full, with_facets=False):
@@ -448,47 +331,30 @@ def _drop_last(cloud, s_full, with_facets=False):
     return hull_summary(cloud[:-1], with_facets=with_facets)
 
 
-def _probe_defects(cloud, s_full, probes):
-    """defect(n), defect(n-1) and the probe standard error of defect(n).
-
-    hull(n-1) lies inside hull(n), so when it differs only probes inside
-    hull(n) are tested against it.
-    """
-    batch_size = probes.batches[0][1].size
-    inside = _inside_probes(s_full.facets, cloud, probes)
-    defect, probe_se = _defect(inside, batch_size)
-    s_drop = _drop_last(cloud, s_full, with_facets=True)
-    if s_drop is None:
-        return defect, defect, probe_se
-    prev = _inside_probes(s_drop.facets, cloud[:-1], probes, among=inside)
-    return defect, _defect(prev, batch_size)[0], probe_se
-
-
 def _hull_rep(ctx, seed, k):
     n, d = ctx["n"], ctx["d"]
     rng = rng_for(seed, ctx["tag"], n, k)
     cloud = sample_distribution(ctx["spec"], n, rng)
-    probes = ctx["truth"] == "probes"
-    s_full = hull_summary(cloud, with_facets=probes)
+    support = ctx["support_volume"]
+    uniform = support is not None
+    s_full = hull_summary(cloud, with_facets=not uniform)
     est = s_full.extreme_count / n
-    if probes:
-        defect, defect_prev, probe_se = _probe_defects(cloud, s_full, ctx["_probes"])
-    else:
-        support = ctx["support_volume"]
-        defect = 1.0 - s_full.volume / support
-        s_drop = _drop_last(cloud, s_full)
-        defect_prev = defect if s_drop is None else 1.0 - s_drop.volume / support
-        probe_se = 0.0
+
+    def defect_of(summary):
+        if uniform:
+            return 1.0 - summary.volume / support
+        return 1.0 - normal_hull_mass(summary, ctx["chol"])
+
+    defect = defect_of(s_full)
+    s_drop = _drop_last(cloud, s_full, with_facets=not uniform)
     rec = {
         "est": est,
         "defect": defect,
-        "defect_prev": defect_prev,
+        "defect_prev": defect if s_drop is None else defect_of(s_drop),
         "extreme": s_full.extreme_count,
         "hull_volume": s_full.volume if s_full.volume is not None else math.nan,
-        "probe_se": probe_se,
     }
-    if ctx["truth"] == "exact":
-        support = ctx["support_volume"]
+    if uniform:
         alpha = ctx["alpha"]
         if s_full.extreme_count < n:
             vhat = scaled_volume(s_full.volume, s_full.extreme_count, n)
@@ -522,12 +388,11 @@ def _hull_finish(ctx, cfg, records):
         "mse_vs_prev_defect": _mean(
             (np.asarray(est) - np.asarray(prev)) ** 2
         ),
-        "probe_se_max": float(max(r["probe_se"] for r in records)),
-        "probe_count": (
-            ctx["probe_batches"] * ctx["probe_batch_size"] if ctx["truth"] == "probes" else 0
-        ),
+        # Every hull truth is exact: no probes, no probe error.
+        "probe_se_max": 0.0,
+        "probe_count": 0,
     }
-    if ctx["truth"] == "exact":
+    if ctx["support_volume"] is not None:
         defined = [r for r in records if r["ratio"] is not None]
         extras["alpha"] = ctx["alpha"]
         extras["ratio_defined"] = len(defined)
@@ -574,15 +439,22 @@ def _poset_cells(cfg, params):
 def random_forest(rng, min_nodes: int, max_nodes: int) -> list:
     """A random forest as the root paths of its nodes (``TreeAncestor`` elements).
 
-    Components hang from distinct children of an implicit global root
-    (so the node set is order-convex): component c's root is (c,).
-    Within a component, node t attaches to a uniform earlier node, and
-    its path is its parent's path extended by t.
+    The forest has a uniform number of nodes in [min_nodes, max_nodes],
+    split among one to three components.  Components hang from distinct
+    children of an implicit global root (so the node set is
+    order-convex): component c's root is (c,).  Within a component,
+    node t attaches to a uniform earlier node, and its path is its
+    parent's path extended by t.
     """
+    if not 1 <= min_nodes <= max_nodes:
+        raise ValueError("need 1 <= min_nodes <= max_nodes")
     total = int(rng.integers(min_nodes, max_nodes + 1))
-    n_comp = int(rng.integers(1, 4))
+    n_comp = min(int(rng.integers(1, 4)), total)
     weights = rng.dirichlet(np.ones(n_comp))
-    sizes = np.maximum(1, np.floor(weights * total).astype(int))
+    # A root per component, the other nodes shared by weight; the
+    # rounding remainder goes to the last component.
+    sizes = 1 + np.floor(weights * (total - n_comp)).astype(int)
+    sizes[-1] += total - sizes.sum()
     paths = []
     for c, size in enumerate(sizes):
         comp = [(c,)]
@@ -926,28 +798,25 @@ def _aldous_finish(ctx, cfg, records):
 
 class _Family(NamedTuple):
     cells: Callable  # (cfg, params) -> cell contexts
-    prep: Callable | None  # (ctx, seed) -> ctx, once per chunk
     rep: Callable  # (ctx, seed, k) -> replication k's record
     finish: Callable  # (ctx, cfg, records) -> report rows
 
 
 _FAMILIES = {
-    "unseen": _Family(_unseen_cells, None, _unseen_rep, _unseen_finish),
-    "hull": _Family(_hull_cells, _hull_prep, _hull_rep, _hull_finish),
-    "poset": _Family(_poset_cells, None, _poset_rep, _poset_finish),
-    "coincide": _Family(_coincide_cells, None, _coincide_rep, _coincide_finish),
-    "dna": _Family(_dna_cells, None, _dna_rep, _dna_finish),
-    "coverage": _Family(_coverage_cells, None, _coverage_rep, _coverage_finish),
-    "aldous": _Family(_aldous_cells, None, _aldous_rep, _aldous_finish),
+    "unseen": _Family(_unseen_cells, _unseen_rep, _unseen_finish),
+    "hull": _Family(_hull_cells, _hull_rep, _hull_finish),
+    "poset": _Family(_poset_cells, _poset_rep, _poset_finish),
+    "coincide": _Family(_coincide_cells, _coincide_rep, _coincide_finish),
+    "dna": _Family(_dna_cells, _dna_rep, _dna_finish),
+    "coverage": _Family(_coverage_cells, _coverage_rep, _coverage_finish),
+    "aldous": _Family(_aldous_cells, _aldous_rep, _aldous_finish),
 }
 
 
 def _run_chunk(args):
     family, ctx, seed, lo, hi = args
-    fam = _FAMILIES[family]
-    if fam.prep is not None:
-        ctx = fam.prep(ctx, seed)
-    return [fam.rep(ctx, seed, k) for k in range(lo, hi)]
+    rep = _FAMILIES[family].rep
+    return [rep(ctx, seed, k) for k in range(lo, hi)]
 
 
 def _validate(cfg: ScenarioConfig):
@@ -975,8 +844,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     ``2 * workers`` contiguous chunks, and every chunk of every cell is
     queued on one process pool before any result is read, so a worker
     that is done with one cell moves on to the next instead of waiting
-    for the other workers.  A worker builds a cell's probe set once and
-    reuses it for that cell's later chunks.  The result is byte-identical
+    for the other workers.  The result is byte-identical
     for any worker count because replication k's seed depends only on
     (seed, tag, n, k) and aggregation runs in replication order.
     """

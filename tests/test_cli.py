@@ -388,6 +388,23 @@ def test_verify_config_bad_params_or_seed_fails(tmp_path, capsys, extra, key):
     assert key in err
 
 
+@pytest.mark.parametrize("scenario", ["hull_gauss", "hull_gauss_corr"])
+@pytest.mark.parametrize("key", ["probe_batches", "probe_batch_size"])
+def test_verify_config_rejects_gaussian_probe_params(tmp_path, capsys, scenario, key):
+    # The Gaussian hull truth is exact, so the old probe settings are
+    # unknown keys, not silently ignored ones.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps(
+            {"scenario": scenario, "n_grid": [10], "replications": 2, "params": {key: 4}}
+        )
+    )
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert repr(key) in err
+
+
 def test_verify_unknown_scenario(capsys):
     rc, _, err = run_cli(capsys, "verify", "--scenario", "nope")
     assert rc == 2

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import dblquad
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc
 
 from cascade.convex_volume import hull_summary
 from cascade.poset_estimators import TreeAncestor
@@ -27,13 +31,9 @@ from cascade.sim_harness.samplers import (
     zipf_probabilities,
 )
 from cascade.sim_harness import scenarios
-from cascade.sim_harness.scenarios import (
-    _FACET_TOL,
-    _inside_probes,
-    _probe_defects,
-    _probe_set,
-    random_forest,
-)
+from cascade.sim_harness import gauss_mass
+from cascade.sim_harness.gauss_mass import normal_hull_mass
+from cascade.sim_harness.scenarios import random_forest
 from cascade.sim_harness.seeding import fnv1a64, mix64
 
 
@@ -311,12 +311,8 @@ _TINY = {
     "unseen_zipf": dict(n_grid=(6,), replications=4, params={}),
     "hull_rect": dict(n_grid=(10,), replications=2, params={}),
     "hull_disk": dict(n_grid=(10,), replications=2, params={}),
-    "hull_gauss": dict(
-        n_grid=(10,), replications=2, params={"probe_batches": 2, "probe_batch_size": 512}
-    ),
-    "hull_gauss_corr": dict(
-        n_grid=(10,), replications=2, params={"probe_batches": 2, "probe_batch_size": 512}
-    ),
+    "hull_gauss": dict(n_grid=(10,), replications=2, params={}),
+    "hull_gauss_corr": dict(n_grid=(10,), replications=2, params={}),
     "upset_chain": dict(n_grid=(8,), replications=4, params={}),
     "upset_antichain": dict(n_grid=(8,), replications=4, params={}),
     "upset_staircase": dict(n_grid=(8,), replications=4, params={}),
@@ -382,47 +378,33 @@ def test_worker_count_does_not_change_results():
     assert seq2 == par2
 
     # Several cells and several chunks per worker, all queued at once.
-    cfg3 = ScenarioConfig(
-        "hull_gauss_corr",
-        (10, 16),
-        5,
-        seed=9,
-        params={"probe_batches": 2, "probe_batch_size": 512},
-    )
+    cfg3 = ScenarioConfig("hull_gauss_corr", (10, 16), 5, seed=9)
     seq3 = report_text(run_scenario(cfg3, workers=1), timestamp=False)
     par3 = report_text(run_scenario(cfg3, workers=2), timestamp=False)
     assert seq3 == par3
 
 
-def test_probe_cache_is_keyed_on_batch_size():
-    # One cell, so the second run finds the first run's entry in the cache.
-    def cfg(batch_size):
-        params = {"dims": (3,), "probe_batches": 2, "probe_batch_size": batch_size}
-        return ScenarioConfig("hull_gauss", (12,), 3, seed=4, params=params)
+# ----------------------------------------------- Gaussian ground truth
 
-    first = report_text(run_scenario(cfg(256)), timestamp=False)
-    second = report_text(run_scenario(cfg(512)), timestamp=False)
-    _probe_set.cache_clear()
-    fresh = report_text(run_scenario(cfg(512)), timestamp=False)
-    assert second == fresh
-    assert second != first
+_FACET_TOL = 1e-10
 
 
-# -------------------------------------------------- probe ground truth
+def _sobol_normal_batches(d, corr, batches, size, seed):
+    """Scrambled Sobol batches pushed through the normal quantile: the
+    probe clouds of an independent Monte Carlo oracle."""
+    chol = equicorrelation_cholesky(d, corr)
+    out = []
+    for b in range(batches):
+        u = qmc.Sobol(d, scramble=True, seed=seed + b).random(size)
+        out.append(ndtri(np.clip(u, 1e-15, 1.0 - 1e-15)) @ chol.T)
+    return out
 
 
-def _brute_inside(facets, probes):
-    """Every probe against every facet: the reference for the pruned test."""
-    normals, offsets = facets[:, :-1], facets[:, -1]
-    return [
-        np.flatnonzero((z @ normals.T + offsets <= _FACET_TOL).all(axis=1))
-        for z, _ in probes.batches
-    ]
-
-
-def _brute_defect(facets, probes):
-    means = np.empty(len(probes.batches))
-    for i, (z, _) in enumerate(probes.batches):
+def _brute_defect(facets, batches):
+    """Every probe against every facet; the defect and its standard error
+    over the batches."""
+    means = np.empty(len(batches))
+    for i, z in enumerate(batches):
         vals = z @ facets[:, :-1].T + facets[:, -1]
         means[i] = (vals <= _FACET_TOL).all(axis=1).mean()
     return 1.0 - float(means.mean()), float(means.std(ddof=1) / math.sqrt(len(means)))
@@ -430,40 +412,92 @@ def _brute_defect(facets, probes):
 
 @pytest.mark.parametrize("d", (2, 3))
 @pytest.mark.parametrize("corr", (0.0, 0.8))
-def test_pruned_probe_truth_matches_brute_force(d, corr):
-    n = 25
-    probes = _probe_set(3, f"oracle:d{d}", n, d, corr, 4, 4096)
+def test_exact_gauss_mass_matches_brute_force_probes(d, corr, monkeypatch):
+    batches = _sobol_normal_batches(d, corr, 16, 8192, seed=100 * d + int(10 * corr))
+    chol = equicorrelation_cholesky(d, corr) if corr else None
     rng = np.random.default_rng(17 + d)
     spec = {"kind": "gauss", "d": d, "corr": corr}
-    last_extreme = set()
-    for k in range(16):
+    for k, n in enumerate((12, 25, 25, 60, 200)):
         cloud = sample_distribution(spec, n, rng)
-        if k == 0:
-            cloud = cloud + 2.0  # origin outside the hull: nothing is pruned
-        s_full = hull_summary(cloud, with_facets=True)
-        s_drop = hull_summary(cloud[:-1], with_facets=True)
-        full = _inside_probes(s_full.facets, cloud, probes)
-        drop = _inside_probes(s_drop.facets, cloud[:-1], probes, among=full)
-        for got, want in zip(full, _brute_inside(s_full.facets, probes)):
-            assert np.array_equal(got, want)
-        for got, want in zip(drop, _brute_inside(s_drop.facets, probes)):
-            assert np.array_equal(got, want)
-        defect, se = _brute_defect(s_full.facets, probes)
-        defect_prev, _ = _brute_defect(s_drop.facets, probes)
-        assert _probe_defects(cloud, s_full, probes) == (defect, defect_prev, se)
-        last_extreme.add(bool(s_full.extreme_flags[-1]))
-    assert last_extreme == {False, True}
+        if k == 1:
+            cloud = cloud + 1.5  # the origin lies outside the hull
+        s = hull_summary(cloud, with_facets=True)
+        defect = 1.0 - normal_hull_mass(s, chol)
+        want, se = _brute_defect(s.facets, batches)
+        assert abs(defect - want) <= 4.0 * se, (n, k, defect, want, se)
+        if d == 3:
+            with monkeypatch.context() as m:
+                m.setattr(gauss_mass, "NODES", 2 * gauss_mass.NODES)
+                doubled = 1.0 - normal_hull_mass(s, chol)
+            assert abs(doubled - defect) <= 1e-12
 
 
-def test_probe_set_is_sorted_and_read_only():
-    probes = _probe_set(5, "sorted:d3", 20, 3, 0.8, 2, 1024)
-    chol = equicorrelation_cholesky(3, 0.8)
-    for z, radius in probes.batches:
-        assert np.all(np.diff(radius) >= 0)
-        w = z @ probes.whiten.T
-        assert np.allclose(np.linalg.norm(w, axis=1), radius)
-        assert np.allclose(w @ chol.T, z)
-        assert not z.flags.writeable and not radius.flags.writeable
+_TRIANGLES = (
+    ((-1.0, -0.5), (2.0, -1.0), (0.3, 1.7)),  # contains the origin
+    ((0.0, -0.4), (1.2, 0.0), (0.0, 0.9)),  # the origin lies on an edge
+    ((0.5, 0.5), (3.0, 1.0), (1.0, 2.5)),  # the origin is outside
+)
+
+
+@pytest.mark.parametrize("tri", _TRIANGLES)
+def test_exact_gauss_mass_of_a_triangle_matches_dblquad(tri):
+    pts = np.array(tri)
+    (x0, y0), (x1, y1), (x2, y2) = sorted(tri)
+    # Integrate over x between the leftmost and rightmost vertex, y
+    # between the edges above and below.
+    def line(xa, ya, xb, yb):
+        return lambda x: ya + (yb - ya) * (x - xa) / (xb - xa)
+
+    long_edge = line(x0, y0, x2, y2)
+    pdf = lambda y, x: math.exp(-0.5 * (x * x + y * y)) / (2.0 * math.pi)  # noqa: E731
+    total = 0.0
+    for (xa, ya), (xb, yb) in (((x0, y0), (x1, y1)), ((x1, y1), (x2, y2))):
+        if xb == xa:
+            continue
+        short_edge = line(xa, ya, xb, yb)
+        lower = lambda x, f=short_edge: min(f(x), long_edge(x))  # noqa: E731
+        upper = lambda x, f=short_edge: max(f(x), long_edge(x))  # noqa: E731
+        total += dblquad(pdf, xa, xb, lower, upper, epsabs=1e-13, epsrel=1e-12)[0]
+    mass = normal_hull_mass(hull_summary(pts, with_facets=True))
+    assert abs(mass - total) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [((-1.0, -0.5, -2.0), (0.7, 1.5, 0.4)), ((0.2, -1.0, 0.5), (1.9, 0.3, 1.5))],
+)
+def test_exact_gauss_mass_of_a_box_is_a_product(lo, hi):
+    # A box's standard-normal mass factors into one-dimensional masses;
+    # the second box does not contain the origin.  Qhull splits each
+    # square face into two triangles.
+    corners = np.array([[h if bit else l for l, h, bit in zip(lo, hi, bits)]
+                        for bits in np.ndindex(2, 2, 2)], dtype=float)
+    want = float(np.prod(ndtr(np.array(hi)) - ndtr(np.array(lo))))
+    mass = normal_hull_mass(hull_summary(corners, with_facets=True))
+    assert abs(mass - want) <= 1e-13
+
+
+def test_exact_gauss_mass_rejects_a_summary_it_cannot_use():
+    square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match="with_facets=True"):
+        normal_hull_mass(hull_summary(square))
+    simplex = np.vstack([np.zeros(4), np.eye(4)])
+    with pytest.raises(ValueError, match="d = 2 or 3"):
+        normal_hull_mass(hull_summary(simplex, with_facets=True))
+
+
+@pytest.mark.parametrize("name", ("hull_gauss", "hull_gauss_corr"))
+def test_exact_gauss_defect_never_shrinks_when_a_point_is_dropped(name):
+    # hull(n-1) lies in hull(n), so its mass cannot be larger.
+    cfg = ScenarioConfig(name, (20,), 40, seed=6)
+    extreme_seen = 0
+    for ctx in scenarios._hull_cells(cfg, scenarios._merged_params(cfg)):
+        for k in range(cfg.replications):
+            rec = scenarios._hull_rep(ctx, cfg.seed, k)
+            if rec["defect_prev"] != rec["defect"]:
+                extreme_seen += 1
+            assert rec["defect_prev"] >= rec["defect"] - 1e-12, (ctx["d"], k)
+    assert extreme_seen > 0
 
 
 # -------------------------------------------------- exact ground truth
@@ -537,6 +571,34 @@ def test_random_forest_paths_form_a_convex_forest():
         roots = [p for p in paths if len(p) == 1]
         assert roots == [(c,) for c in range(len(roots))]
         assert TreeAncestor.convex_closure_size(paths) == len(paths)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.integers(0, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_forest_draws_exactly_its_node_count(seed, lo, extra):
+    hi = lo + extra
+    rng = np.random.default_rng(seed)
+    probe = np.random.default_rng(seed)
+    total = int(probe.integers(lo, hi + 1))  # the count random_forest draws first
+    paths = random_forest(rng, lo, hi)
+    assert len(paths) == total and lo <= len(paths) <= hi
+    nodes = set(paths)
+    assert len(nodes) == len(paths)
+    assert all(len(p) == 1 or p[:-1] in nodes for p in paths)
+    roots = [p for p in paths if len(p) == 1]
+    assert roots == [(c,) for c in range(len(roots))]
+    assert TreeAncestor.convex_closure_size(paths) == len(paths)
+
+
+def test_random_forest_rejects_an_empty_range():
+    rng = np.random.default_rng(0)
+    for lo, hi in ((0, 5), (5, 4)):
+        with pytest.raises(ValueError, match="min_nodes"):
+            random_forest(rng, lo, hi)
 
 
 def test_poset_rows_match_library_counts():
