@@ -393,7 +393,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hull", help="convex hull volume estimate from a point cloud")
     p.add_argument("input", help="CSV of points, one per row ('-' for stdin)")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="flatness threshold: singular values below tol times the largest count as zero",
+    )
     p.set_defaults(fn=_cmd_hull)
 
     p = sub.add_parser("poset", help="up-set / order-convex closure size estimates")

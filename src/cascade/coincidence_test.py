@@ -16,8 +16,10 @@ Anderson-Darling statistic used to compare distance distributions.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+from scipy import stats
 
 from .loo_core import LooEstimate
 
@@ -262,41 +264,28 @@ def ad_two_sample(x, y) -> float:
     return (n_total - 1) / n_total * total
 
 
-def _ad_variance(n_total: int, sizes) -> float:
-    # Null variance of the k-sample statistic (Scholz-Stephens).
-    k = len(sizes)
-    if n_total < 4:
-        raise ValueError("normalization needs a pooled size of at least 4")
-    h_cap = sum(1.0 / s for s in sizes)
-    idx = np.arange(1, n_total, dtype=float)  # 1 .. N-1
-    inv = 1.0 / idx
-    h = float(inv.sum())
-    partial = np.cumsum(inv)  # partial[i-1] = sum_{j<=i} 1/j
-    # g = sum over 1 <= i < j <= N-1 of 1/((N-i) j)
-    i_vals = np.arange(1, n_total - 1, dtype=float)
-    tails = partial[-1] - partial[: n_total - 2]  # sum_{j=i+1}^{N-1} 1/j
-    g = float(np.sum(tails / (n_total - i_vals)))
-    a = (4 * g - 6) * (k - 1) + (10 - 6 * g) * h_cap
-    b = (2 * g - 4) * k * k + 8 * h * k + (2 * g - 14 * h - 4) * h_cap - 8 * h + 4 * g - 6
-    c = (6 * h + 2 * g - 2) * k * k + (4 * h - 4 * g + 6) * k + (2 * h - 6) * h_cap + 4 * h
-    d = (2 * h + 6) * k * k - 4 * h * k
-    var = (a * n_total ** 3 + b * n_total ** 2 + c * n_total + d) / (
-        (n_total - 1.0) * (n_total - 2.0) * (n_total - 3.0)
-    )
-    return var
-
-
 def ad_two_sample_normalized(x, y) -> float:
     """Standardized statistic (A2 - 1) / sigma under the null.
 
     Comparable across sample-size pairs and to published quantile
-    tables for the k-sample statistic.
+    tables for the k-sample statistic; computed by
+    ``scipy.stats.anderson_ksamp`` in its midrank form.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    a2 = ad_two_sample(x, y)
-    var = _ad_variance(x.size + y.size, (x.size, y.size))
-    return (a2 - 1.0) / math.sqrt(var)
+    if x.size == 0 or y.size == 0:
+        raise ValueError("both samples must be nonempty")
+    pooled = np.concatenate([x, y])
+    if pooled.min() == pooled.max():
+        raise ValueError("pooled sample is constant; statistic undefined")
+    if pooled.size < 4:
+        raise ValueError("normalization needs a pooled size of at least 4")
+    with warnings.catch_warnings():
+        # Only the statistic is used; scipy warns when its interpolated
+        # p-value is capped or floored, and that `midrank` is being
+        # renamed `variant` (scipy >= 1.17).
+        warnings.simplefilter("ignore", UserWarning)
+        return float(stats.anderson_ksamp([x, y], midrank=True).statistic)
 
 
 def aldous_sup_statistic(D, truth) -> float:

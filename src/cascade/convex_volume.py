@@ -13,12 +13,14 @@ is NOT in the convex hull of the other n - 1 points, so V_n / n is the
 leave-one-out estimator for the complement region "outside the hull of
 the rest".
 
-Membership is decided by linear-programming feasibility, which works in
-any dimension and needs no facet enumeration.  ``hull_summary`` uses a
-vertex-enumeration fast path when the cloud is full-dimensional and
-falls back to the LP test on degenerate inputs; the two routes are
-checked against each other in the test suite.  Exact hull volume is
-provided for d <= 3 only.
+``hull_summary`` decides every cloud with one rule.  The singular
+values of the deduplicated rows give their affine rank k; a
+full-dimensional cloud goes to Qhull as it is, and a flat one goes to
+Qhull in its own affine span, after projecting onto the top k singular
+directions (a line needs only its two ends).  ``in_hull`` decides a
+single membership by linear-programming feasibility, which works in any
+dimension and serves the tests as an independent oracle for the flags.
+Exact hull volume is provided for d <= 3 only; a flat hull has volume 0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull
 
 __all__ = [
     "HullSummary",
@@ -56,7 +58,7 @@ class HullSummary:
     inside) and ``facet_vertices`` each facet's d vertices (an array of
     shape (facets, d, d), Qhull's triangulated simplices), so callers
     can integrate over the hull facet by facet; both are None unless
-    requested, and None for a degenerate cloud.
+    requested, and None for a flat cloud.
     """
 
     extreme_count: int
@@ -128,14 +130,14 @@ def in_hull(query, cloud, tol: float = DEFAULT_TOL) -> bool:
     return bool(res.status == 0 and res.fun <= tol)
 
 
-def _affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
-    if points.shape[0] <= 1:
-        return 0
-    centered = points - points[0]
-    s = np.linalg.svd(centered, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _affine_rank(centered: np.ndarray, tol: float) -> int:
+    # The number of singular values above tol times the largest; a
+    # spread beyond the float range makes some of them inf or NaN.
+    if np.all(np.isfinite(centered)):
+        s = np.linalg.svd(centered, compute_uv=False)
+        if np.all(np.isfinite(s)):
+            return int(np.sum(s > tol * s[0]))
+    raise ValueError("point cloud spread overflows the float range")
 
 
 def _polygon_area(vertices: np.ndarray) -> float:
@@ -178,17 +180,6 @@ def _unique_rows(pts: np.ndarray):
     return ordered[first], inverse, np.bincount(inverse)
 
 
-def _lp_extreme_flags(unique_pts: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
-    u = unique_pts.shape[0]
-    flags = np.zeros(u, dtype=bool)
-    for i in range(u):
-        if counts[i] != 1:
-            continue  # a duplicated position is never extreme
-        others = np.delete(unique_pts, i, axis=0)
-        flags[i] = not in_hull(unique_pts[i], others, tol)
-    return flags
-
-
 def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> HullSummary:
     """Extreme-point flags, V_n, and (for d <= 3) exact hull volume.
 
@@ -202,52 +193,50 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
     ``np.lexsort``) and comparing each sorted row with the one before
     it; coordinates are compared as floats, so 0.0 and -0.0 coincide.
 
-    Fast path: vertex enumeration on the deduplicated cloud when it is
-    affinely full-dimensional; otherwise per-point LP membership.
+    ``tol`` is the flatness threshold: the distinct rows, shifted so
+    the first is the origin, have affine rank k, the number of their
+    singular values above ``tol`` times the largest.  A line (k = 1)
+    has its two ends as extremes.  Otherwise, when k = d the cloud goes
+    to Qhull, and when k < d the cloud is flat: its rows are projected
+    onto the top k right singular vectors and Qhull runs there.  A flat
+    cloud's volume is 0.0 for d <= 3 and None above.  A cloud whose
+    spread overflows the float range raises ``ValueError``.
     """
     _check_tol(tol)
     pts = _as_cloud(cloud)
     n, d = pts.shape
     unique_pts, inverse, counts = _unique_rows(pts)
-    u = unique_pts.shape[0]
+    with np.errstate(over="ignore"):
+        centered = unique_pts - unique_pts[0]
+    k = _affine_rank(centered, tol)
 
-    vertex_mask = np.zeros(u, dtype=bool)
+    vertex_mask = np.zeros(unique_pts.shape[0], dtype=bool)
     volume: float | None = 0.0 if d <= 3 else None
     facets = facet_vertices = None
 
-    if u == 1:
+    if k == 0:
         # One distinct position: extreme iff it is the only point.
-        if n == 1:
-            vertex_mask[0] = True
-    elif d == 1:
-        x = unique_pts[:, 0]
-        vertex_mask[np.argmin(x)] = True
-        vertex_mask[np.argmax(x)] = True
-        volume = float(x.max() - x.min())
-    elif u <= d or _affine_rank(unique_pts) < d:
-        # Degenerate: flat hull, zero d-volume; LP decides extremeness.
-        vertex_mask = _lp_extreme_flags(unique_pts, counts, tol)
-        if d > 3:
-            volume = None
-    else:
-        try:
-            hull = ConvexHull(unique_pts)
-        except QhullError:
-            vertex_mask = _lp_extreme_flags(unique_pts, counts, tol)
-            if d <= 3:
-                raise RuntimeError("hull volume computation failed on a full-rank cloud")
-            volume = None
+        vertex_mask[0] = n == 1
+    elif k == 1:
+        if d == 1:
+            line = centered[:, 0]
+            volume = float(unique_pts.max() - unique_pts.min())
         else:
-            vertex_mask[hull.vertices] = True
-            if d == 2:
-                volume = _polygon_area(unique_pts[hull.vertices])
-            elif d == 3:
-                volume = _facet_fan_volume(unique_pts, hull)
-            else:
-                volume = None
-            if with_facets:
-                facets = hull.equations.copy()
-                facet_vertices = unique_pts[hull.simplices]
+            line = centered @ np.linalg.svd(centered, full_matrices=False)[2][0]
+        vertex_mask[[np.argmin(line), np.argmax(line)]] = True
+    elif k < d:
+        basis = np.linalg.svd(centered, full_matrices=False)[2][:k]
+        vertex_mask[ConvexHull(centered @ basis.T).vertices] = True
+    else:
+        hull = ConvexHull(unique_pts)
+        vertex_mask[hull.vertices] = True
+        if d == 2:
+            volume = _polygon_area(unique_pts[hull.vertices])
+        elif d == 3:
+            volume = _facet_fan_volume(unique_pts, hull)
+        if with_facets:
+            facets = hull.equations.copy()
+            facet_vertices = unique_pts[hull.simplices]
 
     flags = vertex_mask[inverse] & (counts[inverse] == 1)
     return HullSummary(

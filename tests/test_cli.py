@@ -112,6 +112,14 @@ def test_hull_ragged_input_fails(tmp_path, capsys):
     assert "ragged rows" in err
 
 
+def test_hull_overflowing_spread_fails(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("1e308,0\n-1e308,0\n0,1\n0,-1\n")
+    rc, out, err = run_cli(capsys, "hull", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "point cloud spread overflows" in err
+
+
 def test_poset_chain_command(tmp_path, capsys):
     path = tmp_path / "vals.txt"
     path.write_text("3 7 2 5 7 1 4 6\n")

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from cascade import convex_volume
@@ -36,7 +36,8 @@ def test_membership_dimension_mismatch():
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
 def test_tol_must_be_positive(tol):
-    # SQUARE runs Qhull, the collinear cloud the LP route.
+    # SQUARE is full-rank and the collinear cloud flat; both check tol
+    # before the rank test.
     collinear = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     for cloud in (SQUARE, collinear):
         with pytest.raises(ValueError, match="tol must be positive"):
@@ -58,6 +59,111 @@ def test_collinear_cloud_degenerates():
     assert s.extreme_count == 2
     assert s.volume == 0.0
     assert list(s.extreme_flags) == [True, False, True]
+
+
+def test_overflowing_spread_rejected():
+    # Every coordinate is finite, but the spread is not.
+    for cloud in (
+        [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0], [0.0, -1.0]],
+        [[0.0, 0.0], [1.5e308, 1.5e308], [0.0, 1.0]],
+    ):
+        with pytest.raises(ValueError, match="point cloud spread overflows"):
+            hull_summary(cloud)
+
+
+def test_tol_sets_the_flatness_threshold():
+    rng = np.random.default_rng(8)
+    cloud = rng.random((40, 3)) * [1.0, 1.0, 1e-7]
+    full = hull_summary(cloud)
+    assert full.volume == pytest.approx(ConvexHull(cloud).volume, rel=1e-9)
+    assert full.volume > 0.0
+    flat = hull_summary(cloud, tol=1e-6)
+    assert flat.volume == 0.0
+    assert list(flat.extreme_flags) == list(hull_summary(cloud[:, :2]).extreme_flags)
+
+
+def _oracle_flags(cloud):
+    # Point i is extreme iff the LP membership test puts it outside the
+    # hull of the other points.
+    return [
+        not in_hull(cloud[i], np.delete(cloud, i, axis=0))
+        for i in range(cloud.shape[0])
+    ]
+
+
+@st.composite
+def flat_clouds(draw):
+    # Lattice points of a k-flat mapped into d-space by an integer tilt
+    # and offset: flat, with duplicates and collinear boundary points.
+    d, k = draw(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 3)]))
+    coord = st.integers(-2, 2)
+    n = draw(st.integers(1, 10))
+    lattice = np.array(
+        draw(st.lists(st.lists(coord, min_size=k, max_size=k), min_size=n, max_size=n)),
+        dtype=float,
+    )
+    tilt = np.array(
+        draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=k, max_size=k)),
+        dtype=float,
+    )
+    assume(np.linalg.matrix_rank(tilt) == k)
+    offset = np.array(draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d)), dtype=float)
+    scale = draw(st.sampled_from([1.0, 0.25, 8.0]))
+    cloud = scale * (lattice @ tilt + offset)
+    if draw(st.booleans()):
+        # A rotation leaves the boundary points only nearly collinear.
+        seed = draw(st.integers(0, 2**32 - 1))
+        cloud = cloud @ np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    return cloud
+
+
+@given(flat_clouds())
+@settings(max_examples=150, deadline=None)
+def test_flat_cloud_flags_match_membership_oracle(cloud):
+    s = hull_summary(cloud)
+    assert list(s.extreme_flags) == _oracle_flags(cloud)
+    assert s.extreme_count == sum(s.extreme_flags)
+    if cloud.shape[1] == 4:
+        assert s.volume is None
+    else:
+        assert s.volume == 0.0 and type(s.volume) is float
+
+
+def _flat_examples():
+    rng = np.random.default_rng(9)
+    # A line in 2-D and in 3-D, a square in a tilted plane in 3-D, and
+    # a 3-flat in 4-D.
+    line = np.array([[0.0, 1.0], [3.0, 7.0], [1.0, 3.0], [2.0, 5.0], [1.0, 3.0]])
+    square = np.vstack([[0, 0], [0, 4], [4, 0], [4, 4], rng.random((20, 2)) * 4])
+    tilt = np.array([[1.0, 2.0, -1.0], [0.5, -1.0, 3.0]])
+    flat3 = rng.random((15, 3)) @ rng.standard_normal((3, 4)) + 2.0
+    return [line, line @ tilt, square @ tilt + 1.0, flat3]
+
+
+def test_flat_clouds_solve_no_lp():
+    def no_lp(*args, **kwargs):
+        raise AssertionError("hull_summary reached linprog")
+
+    clouds = _flat_examples()
+    want = [_oracle_flags(c) for c in clouds]
+    with mock.patch.object(convex_volume, "linprog", no_lp):
+        for cloud, flags in zip(clouds, want, strict=True):
+            s = hull_summary(cloud)
+            assert list(s.extreme_flags) == flags
+            assert s.volume == (None if cloud.shape[1] == 4 else 0.0)
+
+
+def test_nearly_flat_cloud_takes_the_projected_path():
+    # Qhull would accept this cloud (hull volume about 5e-11); the rank
+    # test calls it flat and hulls it in its plane.
+    rng = np.random.default_rng(0)
+    cloud = rng.random((50, 3)) * [1.0, 1.0, 1e-10]
+    unique_pts = convex_volume._unique_rows(cloud)[0]
+    rank = convex_volume._affine_rank(unique_pts - unique_pts[0], convex_volume.DEFAULT_TOL)
+    assert rank == 2
+    s = hull_summary(cloud)
+    assert s.volume == 0.0
+    assert list(s.extreme_flags) == _oracle_flags(cloud)
 
 
 def test_duplicates_never_extreme():
@@ -192,10 +298,7 @@ def test_flags_match_pointwise_membership_route():
     rng = np.random.default_rng(4)
     for d in (2, 3):
         cloud = rng.standard_normal((14, d))
-        flags = hull_summary(cloud).extreme_flags
-        for i in range(cloud.shape[0]):
-            rest = np.delete(cloud, i, axis=0)
-            assert flags[i] == (not in_hull(cloud[i], rest))
+        assert list(hull_summary(cloud).extreme_flags) == _oracle_flags(cloud)
 
 
 def test_volume_matches_library_hull():
