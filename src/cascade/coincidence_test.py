@@ -221,6 +221,16 @@ def kimura_matrix(records) -> np.ndarray:
     return out
 
 
+def _two_samples(x, y):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.size == 0 or y.size == 0:
+        raise ValueError("both samples must be nonempty")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("both samples must be finite (no NaN or inf)")
+    return x, y
+
+
 def _midrank_components(x: np.ndarray, y: np.ndarray):
     pooled = np.sort(np.concatenate([x, y]))
     z_star, counts = np.unique(pooled, return_counts=True)
@@ -247,10 +257,7 @@ def ad_two_sample(x, y) -> float:
     k - 1 = 1; see ``ad_two_sample_normalized`` for the standardized
     version.
     """
-    x = np.sort(np.asarray(x, dtype=float).reshape(-1))
-    y = np.sort(np.asarray(y, dtype=float).reshape(-1))
-    if x.size == 0 or y.size == 0:
-        raise ValueError("both samples must be nonempty")
+    x, y = (np.sort(v) for v in _two_samples(x, y))
     _, z_star, counts, n_total, b_mid = _midrank_components(x, y)
     denom = b_mid * (n_total - b_mid) - n_total * counts / 4.0
     weight = counts / n_total
@@ -271,10 +278,7 @@ def ad_two_sample_normalized(x, y) -> float:
     tables for the k-sample statistic; computed by
     ``scipy.stats.anderson_ksamp`` in its midrank form.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("both samples must be nonempty")
+    x, y = _two_samples(x, y)
     pooled = np.concatenate([x, y])
     if pooled.min() == pooled.max():
         raise ValueError("pooled sample is constant; statistic undefined")

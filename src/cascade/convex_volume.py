@@ -114,6 +114,10 @@ def in_hull(query, cloud, tol: float = DEFAULT_TOL) -> bool:
         return False
     if pts.ndim != 2 or pts.shape[1] != q.shape[0]:
         raise ValueError("query dimension does not match cloud dimension")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query coordinates must be finite")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("cloud coordinates must be finite")
     m, d = pts.shape
     # Shift so the query is the origin; improves conditioning, same LP.
     centered = (pts - q).T  # d x m

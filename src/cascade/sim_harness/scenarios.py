@@ -6,11 +6,15 @@ aggregates the squared error across replications into a
 ``BoundReportRow`` that is compared against the module's theoretical
 bound.
 
-Ground truths are exact (enumeration or closed form) except the
-ball-coverage masses of ``coincide_uniform_square`` and
-``aldous_demo``, which are Monte Carlo probe counts that report their
-probe standard errors.  The Gaussian hull scenarios take the hull's
-exact normal mass from ``gauss_mass``.
+Ground truths are exact (enumeration or closed form).  The Gaussian
+hull scenarios take the hull's exact normal mass from ``gauss_mass``,
+and ``coincide_uniform_square`` its exact disk-union area from
+``ball_mass``.  The one exception is ``aldous_demo``'s cap-union mass:
+a replication takes the midpoint of ``ball_mass``'s certified bracket
+and reports its half-width, and where that half-width exceeds
+``_BRACKET_HALFWIDTH_MAX`` (small n) it falls back to a Monte Carlo
+probe count, reports the probe standard error, and is counted in
+``probe_fallbacks``.
 
 Determinism: replication k of a cell uses the child seed
 ``child_seed(seed, tag, n, k)``, so results are independent of how
@@ -28,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.stats import ks_2samp
 
@@ -67,6 +70,7 @@ from ..unseen_species import (
     unseen_bound_finite_N,
     unseen_bound_general,
 )
+from .ball_mass import cap_union_bracket, disk_union_area
 from .gauss_mass import normal_hull_mass
 from .report import BoundReportRow
 from .samplers import equicorrelation_cholesky, sample_distribution, zipf_probabilities
@@ -152,7 +156,7 @@ _DEFAULTS = {
         family="coincide",
         n_grid=(30, 100),
         replications=1000,
-        params={"radii": (0.05, 0.1, 0.2), "probes": 100000},
+        params={"radii": (0.05, 0.1, 0.2)},
     ),
     "dna_split": dict(
         family="dna",
@@ -518,7 +522,6 @@ def _coincide_cells(cfg, params):
             "tag": cfg.scenario,
             "n": n,
             "radii": tuple(float(r) for r in params["radii"]),
-            "probes": int(params["probes"]),
         }
         for n in cfg.n_grid
     ]
@@ -529,15 +532,8 @@ def _coincide_rep(ctx, seed, k):
     rng = rng_for(seed, ctx["tag"], n, k)
     pts = rng.random((n, 2))
     dist = cdist(pts, pts)
-    probes = rng.random((ctx["probes"], 2))
-    nearest = cKDTree(pts).query(probes)[0]
-    w, truth, probe_se = [], [], []
-    for r in ctx["radii"]:
-        w.append(coverage_fraction(dist, r).value)
-        t = float((nearest <= r).mean())
-        truth.append(t)
-        probe_se.append(math.sqrt(t * (1.0 - t) / ctx["probes"]))
-    return {"w": w, "truth": truth, "probe_se": probe_se}
+    w = [coverage_fraction(dist, r).value for r in ctx["radii"]]
+    return {"w": w, "truth": disk_union_area(pts, ctx["radii"]).tolist()}
 
 
 def _coincide_finish(ctx, cfg, records):
@@ -550,9 +546,10 @@ def _coincide_finish(ctx, cfg, records):
             "r": r,
             "mean_coverage": _mean(est),
             "mean_truth": _mean(truth),
-            "probe_count": ctx["probes"],
-            "probe_se_mean": _mean([rec["probe_se"][j] for rec in records]),
-            "probe_se_max": float(max(rec["probe_se"][j] for rec in records)),
+            # The disk-union truth is exact: no probes, no probe error.
+            "probe_count": 0,
+            "probe_se_mean": 0.0,
+            "probe_se_max": 0.0,
         }
         rows.append(
             _sq_err_row(
@@ -730,6 +727,11 @@ def _coverage_finish(ctx, cfg, records):
 # ------------------------------------------------------------ aldous demo
 
 _DEMO_RADIUS = 0.5 * (1.0 + math.sqrt(2.0))
+# Ball membership on the sphere reduces to an inner-product cap.
+_DEMO_CAP = 1.0 - _DEMO_RADIUS**2 / 2.0
+# Widest certified truth bracket (half-width) a replication accepts;
+# past it (small n, where the caps overlap a lot) it counts probes.
+_BRACKET_HALFWIDTH_MAX = 1e-3
 
 
 def _aldous_cells(cfg, params):
@@ -755,22 +757,32 @@ def _aldous_rep(ctx, seed, k):
     np.fill_diagonal(dist, 0.0)
     est = coverage_fraction(dist, _DEMO_RADIUS).value
     has_origin = bool((sq == 0.0).any())
+    rec = {"est": est, "truth": 1.0, "origin": has_origin, "halfwidth": 0.0,
+           "probe_se": 0.0, "fallback": False}
     if has_origin:
         # Any fresh draw lies within the radius of the sampled origin
         # (sphere points are at distance exactly 1), so the union of
         # balls covers the whole support.
-        truth, probe_se = 1.0, 0.0
-    else:
-        m = ctx["probes"]
-        probes = rng.standard_normal((m, n))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        # Ball membership on the sphere reduces to an inner-product cap.
-        threshold = 1.0 - _DEMO_RADIUS**2 / 2.0
-        covered = (probes @ pts.T >= threshold).any(axis=1)
-        cap_mass = float(covered.mean())
-        truth = 1.0 / n + (1.0 - 1.0 / n) * cap_mass
-        probe_se = math.sqrt(max(cap_mass * (1.0 - cap_mass), 1e-12) / m)
-    return {"est": est, "truth": truth, "origin": has_origin, "probe_se": probe_se}
+        return rec
+    # A fresh draw is the origin (covered) with probability 1/n, else a
+    # uniform direction, covered when it falls in some point's cap.
+    lower, upper = cap_union_bracket(gram, _DEMO_CAP, n)
+    halfwidth = 0.5 * (1.0 - 1.0 / n) * (upper - lower)
+    if halfwidth <= _BRACKET_HALFWIDTH_MAX:
+        rec["truth"] = 1.0 / n + (1.0 - 1.0 / n) * 0.5 * (lower + upper)
+        rec["halfwidth"] = halfwidth
+        return rec
+    # The probes are the replication's last draws, so taking the
+    # bracket instead changes none of its other draws.
+    m = ctx["probes"]
+    probes = rng.standard_normal((m, n))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    covered = (probes @ pts.T >= _DEMO_CAP).any(axis=1)
+    cap_mass = float(covered.mean())
+    rec["truth"] = 1.0 / n + (1.0 - 1.0 / n) * cap_mass
+    rec["probe_se"] = math.sqrt(max(cap_mass * (1.0 - cap_mass), 1e-12) / m)
+    rec["fallback"] = True
+    return rec
 
 
 def _aldous_finish(ctx, cfg, records):
@@ -778,15 +790,24 @@ def _aldous_finish(ctx, cfg, records):
     est = [r["est"] for r in records]
     truth = [r["truth"] for r in records]
     gaps = np.abs(np.asarray(est) - np.asarray(truth))
+    halfwidths = np.array([r["halfwidth"] for r in records])
     origin_freq = _mean([r["origin"] for r in records])
     extras = {
-        "value_kind": "mse_vs_probe_truth; bound is the 0.05^2 gap envelope",
+        "value_kind": (
+            "mse_vs_truth: exact with a sampled origin, else the midpoint of a certified"
+            " cap-union bracket, or a probe count where its half-width exceeds"
+            f" {_BRACKET_HALFWIDTH_MAX:g}; bound is the 0.05^2 gap envelope"
+        ),
         "radius": _DEMO_RADIUS,
         "probe_count": ctx["probes"],
+        "probe_fallbacks": sum(r["fallback"] for r in records),
         "mode_zero_freq": 1.0 - origin_freq,
         "mode_one_freq": origin_freq,
         "mean_abs_gap": float(gaps.mean()),
         "max_probe_se": float(max(r["probe_se"] for r in records)),
+        "truth_halfwidth_max": float(halfwidths.max()),
+        # The squared error at the bracket's worst end, rep by rep.
+        "mse_upper": float(np.mean((gaps + halfwidths) ** 2)),
         "mean_truth": _mean(truth),
     }
     return [

@@ -413,6 +413,26 @@ def test_verify_config_rejects_gaussian_probe_params(tmp_path, capsys, scenario,
     assert repr(key) in err
 
 
+def test_verify_config_rejects_coincide_probe_count(tmp_path, capsys):
+    # The disk-union truth is exact, so the old probe count is an
+    # unknown key, not a silently ignored one.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "scenario": "coincide_uniform_square",
+                "n_grid": [10],
+                "replications": 2,
+                "params": {"probes": 2000},
+            }
+        )
+    )
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "'probes'" in err
+
+
 def test_verify_unknown_scenario(capsys):
     rc, _, err = run_cli(capsys, "verify", "--scenario", "nope")
     assert rc == 2

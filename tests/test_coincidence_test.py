@@ -246,6 +246,15 @@ def test_constant_pooled_sample_rejected():
         ad_two_sample([], [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_statistics_reject_non_finite_samples(bad):
+    clean = [0.2, 0.5, 0.7, 0.9]
+    for x, y in (([0.1, bad, 0.3], clean), (clean, [0.1, bad, 0.3])):
+        for stat in (ad_two_sample, ad_two_sample_normalized):
+            with pytest.raises(ValueError, match="finite"):
+                stat(x, y)
+
+
 def test_shift_increases_statistic():
     rng = np.random.default_rng(17)
     x = rng.normal(size=30)

@@ -34,6 +34,18 @@ def test_membership_dimension_mismatch():
         in_hull([0.5, 0.5, 0.5], SQUARE)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_membership_rejects_non_finite_input(bad, monkeypatch):
+    # Checked before the LP is built, and the message names the argument.
+    monkeypatch.setattr(convex_volume, "linprog", None)
+    with pytest.raises(ValueError, match="query.*finite"):
+        in_hull([bad, 0.5], SQUARE)
+    cloud = SQUARE.copy()
+    cloud[2, 1] = bad
+    with pytest.raises(ValueError, match="cloud.*finite"):
+        in_hull([0.5, 0.5], cloud)
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
 def test_tol_must_be_positive(tol):
     # SQUARE is full-rank and the collinear cloud flat; both check tol

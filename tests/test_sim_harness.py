@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
+from scipy.spatial.distance import cdist
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
@@ -32,6 +33,7 @@ from cascade.sim_harness.samplers import (
 )
 from cascade.sim_harness import scenarios
 from cascade.sim_harness import gauss_mass
+from cascade.sim_harness.ball_mass import cap_mass, cap_union_bracket, disk_union_area
 from cascade.sim_harness.gauss_mass import normal_hull_mass
 from cascade.sim_harness.scenarios import random_forest
 from cascade.sim_harness.seeding import fnv1a64, mix64
@@ -318,9 +320,7 @@ _TINY = {
     "upset_staircase": dict(n_grid=(8,), replications=4, params={}),
     "poset_convex_interval": dict(n_grid=(8,), replications=4, params={}),
     "poset_convex_forest": dict(n_grid=(8,), replications=4, params={}),
-    "coincide_uniform_square": dict(
-        n_grid=(10,), replications=3, params={"probes": 2000}
-    ),
+    "coincide_uniform_square": dict(n_grid=(10,), replications=3, params={}),
     "dna_split": dict(
         n_grid=(40,),
         replications=3,
@@ -498,6 +498,173 @@ def test_exact_gauss_defect_never_shrinks_when_a_point_is_dropped(name):
                 extreme_seen += 1
             assert rec["defect_prev"] >= rec["defect"] - 1e-12, (ctx["d"], k)
     assert extreme_seen > 0
+
+
+# ------------------------------------------ ball-coverage ground truth
+
+
+def _chord_union_area(pts, r):
+    """area(union of r-disks with the unit square), by dblquad: at each
+    x the disks' chords merge into intervals, and between consecutive
+    breakpoints (a disk's left or right end, where two circles cross,
+    where a circle crosses a side) their number and their smooth end
+    curves stay fixed, so each merged interval is one dblquad region."""
+
+    def merged(x):
+        chords = sorted(
+            (max(py - math.sqrt(r * r - (x - px) ** 2), 0.0),
+             min(py + math.sqrt(r * r - (x - px) ** 2), 1.0))
+            for px, py in pts if abs(x - px) < r
+        )
+        out = []
+        for lo, hi in chords:
+            if out and lo <= out[-1][1]:
+                out[-1][1] = max(out[-1][1], hi)
+            else:
+                out.append([lo, hi])
+        return out
+
+    breaks = {0.0, 1.0}
+    for k, (px, py) in enumerate(pts):
+        breaks.update(px + s * r for s in (-1, 1))
+        for gap in (py, 1.0 - py):
+            if gap < r:
+                breaks.update(px + s * math.sqrt(r * r - gap * gap) for s in (-1, 1))
+        for qx, qy in pts[k + 1:]:
+            d = math.hypot(qx - px, qy - py)
+            if 0.0 < d < 2.0 * r:
+                half = math.sqrt(r * r - d * d / 4.0) / d
+                breaks.update(0.5 * (px + qx) + s * half * (qy - py) for s in (-1, 1))
+    breaks = sorted(b for b in breaks if 0.0 <= b <= 1.0)
+    total = 0.0
+    for xa, xb in zip(breaks, breaks[1:]):
+        for k in range(len(merged(0.5 * (xa + xb)))):
+            total += dblquad(
+                lambda y, x: 1.0, xa, xb,
+                lambda x, k=k: merged(x)[k][0], lambda x, k=k: merged(x)[k][1],
+                epsabs=1e-13, epsrel=1e-12,
+            )[0]
+    return total
+
+
+_DISK_SITES = (
+    ((0.5, 0.5),),
+    ((0.3, 0.4), (0.45, 0.5), (0.8, 0.2)),  # two disks overlap
+    ((0.0, 0.35), (0.6, 1.0), (0.7, 0.7)),  # sites on a side: their own mirrors
+    ((0.0, 0.0), (1.0, 0.55), (0.92, 0.6)),  # a corner site
+)
+
+
+@pytest.mark.parametrize("sites", _DISK_SITES)
+@pytest.mark.parametrize("r", (0.1, 0.2))
+def test_disk_union_area_matches_dblquad(sites, r):
+    got = float(disk_union_area(np.array(sites), [r])[0])
+    assert abs(got - _chord_union_area(sites, r)) <= 1e-10, (sites, r)
+
+
+def test_disk_union_area_of_disjoint_and_covering_disks():
+    # A 3 x 3 grid on the square: corners hold a quarter disk, side
+    # midpoints a half, the centre a whole one; at r = 1/4 the disks
+    # touch but do not overlap.  Radius sqrt(2) from any site covers the
+    # square.
+    grid = np.array([(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)])
+    areas = disk_union_area(grid, [0.0, 0.1, 0.25, math.sqrt(2.0)])
+    assert np.allclose(areas[:3], [0.0, 4 * math.pi * 0.01, 4 * math.pi * 0.0625], atol=1e-14)
+    assert abs(areas[3] - 1.0) <= 1e-14
+    assert abs(disk_union_area([[0.2, 0.9]], [2.0])[0] - 1.0) <= 1e-14
+    # Duplicate sites change nothing.
+    twice = np.vstack([grid, grid[:4]])
+    assert np.array_equal(disk_union_area(twice, [0.3]), disk_union_area(grid, [0.3]))
+
+
+def test_disk_union_area_rejects_bad_input():
+    with pytest.raises(ValueError, match="unit square"):
+        disk_union_area([[0.5, 1.2]], [0.1])
+    with pytest.raises(ValueError, match="unit square"):
+        disk_union_area([[0.5, math.nan]], [0.1])
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        disk_union_area(np.zeros((0, 2)), [0.1])
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radii"):
+            disk_union_area([[0.5, 0.5]], [bad])
+
+
+@pytest.mark.parametrize("n", (30, 100))
+def test_disk_union_area_matches_brute_force_probes(n):
+    rng = np.random.default_rng(40 + n)
+    radii = (0.05, 0.1, 0.2)
+    batches = [qmc.Sobol(2, scramble=True, seed=n + b).random(8192) for b in range(16)]
+    for _ in range(3):
+        pts = rng.random((n, 2))
+        areas = disk_union_area(pts, radii)
+        nearest = [cdist(z, pts).min(axis=1) for z in batches]
+        for r, area in zip(radii, areas):
+            means = np.array([(d <= r).mean() for d in nearest])
+            se = means.std(ddof=1) / math.sqrt(len(means))
+            assert abs(area - means.mean()) <= 4.0 * se + 1e-12, (n, r, area, means.mean(), se)
+
+
+def test_cap_mass_is_archimedes_at_n_3():
+    t = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(cap_mass(t, 3), (1.0 - t) / 2.0, rtol=0, atol=1e-15)
+    assert cap_mass(1.5, 3) == 0.0
+
+
+def test_cap_union_bracket_contains_a_probe_count():
+    n, c = 200, scenarios._DEMO_CAP
+    rng = np.random.default_rng(23)
+    pts = sample_distribution({"kind": "sphere_mixture", "dim": n, "origin_prob": 0.0}, n, rng)
+    lower, upper = cap_union_bracket(pts @ pts.T, c, n)
+    assert 0.0 < upper - lower <= 1e-3
+    probes, hits = 2_000_000, 0
+    for _ in range(probes // 50_000):
+        u = rng.standard_normal((50_000, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        hits += int((u @ pts.T >= c).any(axis=1).sum())
+    p = hits / probes
+    se = math.sqrt(p * (1.0 - p) / probes)
+    assert lower - 4.0 * se <= p <= upper + 4.0 * se, (lower, upper, p, se)
+
+
+def test_cap_union_bracket_of_opposite_and_equal_vectors():
+    # Opposite vectors: disjoint caps, so the bracket closes at S1; one
+    # vector twice: the pair bound is the whole cap.
+    e = np.eye(3)[:1]
+    for pts, lower in ((np.vstack([e, -e]), 2 * 0.3), (np.vstack([e, e]), 0.3)):
+        lo, hi = cap_union_bracket(pts @ pts.T, 0.4, 3)
+        assert abs(hi - 2 * 0.3) <= 1e-15 and abs(lo - lower) <= 1e-15
+    with pytest.raises(ValueError, match="positive"):
+        cap_union_bracket(np.eye(2), 0.0, 3)
+
+
+def test_aldous_bracket_holds_at_n_200():
+    cfg = ScenarioConfig("aldous_demo", (200,), 30, seed=4)
+    row = run_scenario(cfg)[0]
+    assert row.extras["probe_fallbacks"] == 0
+    assert row.extras["max_probe_se"] == 0.0
+    assert 0.0 < row.extras["truth_halfwidth_max"] <= 1e-3
+    assert row.empirical_mse <= row.extras["mse_upper"] <= row.bound
+
+
+def test_aldous_small_n_falls_back_to_the_probe_count():
+    # At n = 30 the union bound is far too loose; such a replication
+    # counts probes exactly as before the bracket existed.
+    cfg = ScenarioConfig("aldous_demo", (30,), 6, seed=11, params={"probes": 2000})
+    (ctx,) = scenarios._aldous_cells(cfg, scenarios._merged_params(cfg))
+    recs = [scenarios._aldous_rep(ctx, cfg.seed, k) for k in range(cfg.replications)]
+    fallbacks = [k for k, rec in enumerate(recs) if not rec["origin"]]
+    assert fallbacks and all(recs[k]["fallback"] for k in fallbacks)
+    for k in fallbacks:
+        rng = rng_for(cfg.seed, "aldous_demo", 30, k)
+        pts = sample_distribution({"kind": "sphere_mixture", "dim": 30}, 30, rng)
+        probes = rng.standard_normal((2000, 30))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        mass = float((probes @ pts.T >= scenarios._DEMO_CAP).any(axis=1).mean())
+        assert recs[k]["truth"] == 1.0 / 30 + (1.0 - 1.0 / 30) * mass
+    row = run_scenario(cfg)[0]
+    assert row.extras["probe_fallbacks"] == len(fallbacks)
+    assert row.extras["truth_halfwidth_max"] == 0.0
+    assert row.extras["max_probe_se"] > 0.0
 
 
 # -------------------------------------------------- exact ground truth
