@@ -30,7 +30,7 @@ from .convex_volume import (
     in_hull,
     scaled_volume,
     volume_ci,
-    volume_interval_upper,
+    volume_interval,
 )
 from .coverage_predict import (
     OlsFit,
@@ -114,5 +114,5 @@ __all__ = [
     "upset_dominated_count",
     "upset_mse_bound",
     "volume_ci",
-    "volume_interval_upper",
+    "volume_interval",
 ]

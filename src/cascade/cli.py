@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .coincidence_test import (
     nn_loo_distances,
     nn_test_pvalue,
 )
-from .convex_volume import hull_summary, scaled_volume, volume_interval_upper
+from .convex_volume import hull_summary, volume_interval
 from .coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
 from .poset_estimators import (
     Antichain,
@@ -80,7 +81,8 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # allow_nan=False: a NaN or infinity would print as invalid JSON.
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 # ----------------------------------------------------------- subcommands
@@ -120,11 +122,10 @@ def _cmd_hull(args) -> int:
         "defect_estimate": summary.extreme_count / n,
     }
     if summary.extreme_count < n and summary.volume is not None:
-        est = scaled_volume(summary.volume, summary.extreme_count, n)
-        hi = volume_interval_upper(est, summary.extreme_count, n, d, args.alpha)
-        out["volume_estimate"] = est
-        out["ci_low"] = est
-        out["ci_high"] = hi if np.isfinite(hi) else None
+        ci = volume_interval(summary, d, args.alpha)
+        out["volume_estimate"] = ci.estimate
+        out["ci_low"] = ci.ci_low
+        out["ci_high"] = ci.ci_high if np.isfinite(ci.ci_high) else None
         out["alpha"] = args.alpha
     _emit_json(out)
     return 0
@@ -198,6 +199,8 @@ def _parse_fasta(text: str) -> list[tuple[str, str]]:
 
 
 def _cmd_coincide(args) -> int:
+    if args.radius is not None and not math.isfinite(args.radius):
+        raise ValueError("--radius must be finite")
     text = _read_text(args.input)
     stripped = text.lstrip()
     if stripped.startswith(">"):
@@ -290,8 +293,12 @@ def _cmd_coverage(args) -> int:
         "sigma_hat": fit.sigma_hat,
     }
     if args.predict_at is not None:
-        x_new = np.array([float(t) for t in args.predict_at.split(",")]) - x_shift
-        interval = predict_interval(fit, x_new, args.alpha)
+        x_new = np.array([float(t) for t in args.predict_at.split(",")])
+        if x_new.shape[0] != X.shape[1]:
+            raise ValueError(
+                f"--predict-at has {x_new.shape[0]} values but the data have {X.shape[1]} features"
+            )
+        interval = predict_interval(fit, x_new - x_shift, args.alpha)
         out["prediction_interval"] = {
             "center": interval.center + y_shift,
             "low": interval.low + y_shift,

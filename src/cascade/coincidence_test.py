@@ -286,10 +286,9 @@ def ad_two_sample_normalized(x, y) -> float:
         raise ValueError("normalization needs a pooled size of at least 4")
     with warnings.catch_warnings():
         # Only the statistic is used; scipy warns when its interpolated
-        # p-value is capped or floored, and that `midrank` is being
-        # renamed `variant` (scipy >= 1.17).
-        warnings.simplefilter("ignore", UserWarning)
-        return float(stats.anderson_ksamp([x, y], midrank=True).statistic)
+        # p-value is capped or floored.
+        warnings.filterwarnings("ignore", "p-value (capped|floored)", UserWarning)
+        return float(stats.anderson_ksamp([x, y], variant="midrank").statistic)
 
 
 def aldous_sup_statistic(D, truth) -> float:

@@ -21,6 +21,8 @@ directions (a line needs only its two ends).  ``in_hull`` decides a
 single membership by linear-programming feasibility, which works in any
 dimension and serves the tests as an independent oracle for the flags.
 Exact hull volume is provided for d <= 3 only; a flat hull has volume 0.
+``volume_interval`` turns a summary into the estimate and its interval,
+the one place that formula lives.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "hull_summary",
     "scaled_volume",
     "estimate_volume",
-    "volume_interval_upper",
+    "volume_interval",
     "volume_ci",
     "conv_mse_bound",
     "consecutive_defect_bound",
@@ -53,12 +55,13 @@ class HullSummary:
     """Extreme-point flags and exact hull volume of a point cloud.
 
     ``volume`` is None for d > 3 (exact volume unsupported there).
-    With ``with_facets=True``, ``facets`` carries the hull's facet
-    inequalities (rows [normal, offset] with normal . x + offset <= 0
-    inside) and ``facet_vertices`` each facet's d vertices (an array of
-    shape (facets, d, d), Qhull's triangulated simplices), so callers
-    can integrate over the hull facet by facet; both are None unless
-    requested, and None for a flat cloud.
+    When Qhull hulls the cloud in its full space (d >= 2, affine rank
+    d), ``facets`` carries the hull's facet inequalities (rows
+    [normal, offset] with normal . x + offset <= 0 inside) and
+    ``facet_vertices`` each facet's d vertices (an array of shape
+    (facets, d, d), Qhull's triangulated simplices), so callers can
+    integrate over the hull facet by facet.  Both are None for a flat
+    cloud and for d = 1.
     """
 
     extreme_count: int
@@ -72,14 +75,18 @@ class HullSummary:
 class VolumeEstimate:
     """Scaled-volume estimate with its one-sided interval.
 
-    The interval's left end is the estimate itself; ``ci_high`` is
-    +inf when the width formula's denominator is nonpositive.
+    ``rel_halfwidth`` is eps = sqrt((8d+9) n) / (sqrt(alpha) (n - V_n)),
+    the relative half-width that the (8d+9)/n MSE bound gives at level
+    1 - alpha by Chebyshev's inequality.  The interval is
+    [estimate, estimate / (1 - eps)]: its left end is the estimate
+    itself, and ``ci_high`` is +inf when eps >= 1.
     """
 
     estimate: float
     ci_low: float
     ci_high: float
     alpha: float
+    rel_halfwidth: float
 
 
 def _check_tol(tol) -> None:
@@ -184,7 +191,7 @@ def _unique_rows(pts: np.ndarray):
     return ordered[first], inverse, np.bincount(inverse)
 
 
-def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> HullSummary:
+def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     """Extreme-point flags, V_n, and (for d <= 3) exact hull volume.
 
     Point i is flagged extreme iff it is not in the convex hull of the
@@ -203,8 +210,9 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
     has its two ends as extremes.  Otherwise, when k = d the cloud goes
     to Qhull, and when k < d the cloud is flat: its rows are projected
     onto the top k right singular vectors and Qhull runs there.  A flat
-    cloud's volume is 0.0 for d <= 3 and None above.  A cloud whose
-    spread overflows the float range raises ``ValueError``.
+    cloud's volume is 0.0 for d <= 3 and None above, and it has no
+    facets.  A cloud whose spread overflows the float range raises
+    ``ValueError``.
     """
     _check_tol(tol)
     pts = _as_cloud(cloud)
@@ -238,9 +246,8 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL, with_facets: bool = False) -> 
             volume = _polygon_area(unique_pts[hull.vertices])
         elif d == 3:
             volume = _facet_fan_volume(unique_pts, hull)
-        if with_facets:
-            facets = hull.equations.copy()
-            facet_vertices = unique_pts[hull.simplices]
+        facets = hull.equations
+        facet_vertices = unique_pts[hull.simplices]
 
     flags = vertex_mask[inverse] & (counts[inverse] == 1)
     return HullSummary(
@@ -276,44 +283,29 @@ def estimate_volume(cloud) -> float:
     return scaled_volume(summary.volume, summary.extreme_count, pts.shape[0])
 
 
-def _relative_halfwidth(extreme_count: int, n: int, d: int, alpha: float) -> float:
-    return math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - extreme_count))
+def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimate:
+    """The volume estimate of a d-dimensional cloud's ``summary`` with
+    its level 1-alpha one-sided interval (see ``VolumeEstimate``).
 
-
-def volume_interval_upper(
-    estimate: float, extreme_count: int, n: int, d: int, alpha: float
-) -> float:
-    """Upper end of the one-sided interval; +inf if the width blows up.
-
-    The relative half-width is sqrt((8d+9) n) / (sqrt(alpha) (n - V_n));
-    when that reaches 1 the interval is unbounded above.
+    Raises ``ValueError`` when alpha is outside (0, 1), when the
+    summary has no exact volume (d > 3), or when every point is extreme.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if extreme_count >= n:
-        raise ValueError("all points extreme; estimator undefined")
-    eps = _relative_halfwidth(extreme_count, n, d, alpha)
-    if eps >= 1.0:
-        return math.inf
-    return estimate / (1.0 - eps)
+    if summary.volume is None:
+        raise ValueError("exact volume unsupported above d=3")
+    n = summary.extreme_flags.shape[0]
+    est = scaled_volume(summary.volume, summary.extreme_count, n)
+    eps = math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - summary.extreme_count))
+    hi = math.inf if eps >= 1.0 else est / (1.0 - eps)
+    return VolumeEstimate(estimate=est, ci_low=est, ci_high=hi, alpha=alpha, rel_halfwidth=eps)
 
 
 def volume_ci(cloud, alpha: float) -> VolumeEstimate:
-    """Volume estimate with its level 1-alpha one-sided interval.
-
-    The interval is [estimate, estimate / (1 - eps)] with eps as in
-    ``volume_interval_upper``; its left end is the estimate itself.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    """Volume estimate of a point cloud with its level 1-alpha
+    one-sided interval, from one ``hull_summary``."""
     pts = _as_cloud(cloud)
-    if pts.shape[1] > 3:
-        raise ValueError("exact volume unsupported above d=3")
-    summary = hull_summary(pts)
-    n, d = pts.shape
-    est = scaled_volume(summary.volume, summary.extreme_count, n)
-    hi = volume_interval_upper(est, summary.extreme_count, n, d, alpha)
-    return VolumeEstimate(estimate=est, ci_low=est, ci_high=hi, alpha=alpha)
+    return volume_interval(hull_summary(pts), pts.shape[1], alpha)
 
 
 def conv_mse_bound(n: int, d: int) -> float:

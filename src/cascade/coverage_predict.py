@@ -124,6 +124,8 @@ def predict_interval(fit: OlsFit, x_new, alpha: float) -> PredictionInterval:
     x = np.asarray(x_new, dtype=float).reshape(-1)
     if x.shape[0] != fit.beta.shape[0]:
         raise ValueError("x_new dimension does not match the fit")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x_new must be finite")
     center = float(x @ fit.beta)
     z = normal_quantile(1.0 - alpha / 2.0)
     spread = math.sqrt(1.0 + float(x @ fit.xtx_inverse @ x))

@@ -105,13 +105,15 @@ def _mass_3d(tri, normals):
 def normal_hull_mass(summary, chol=None) -> float:
     """The N(0, chol chol^T) mass of a 2-D or 3-D hull.
 
-    ``summary`` is a ``HullSummary`` computed with ``with_facets=True``;
-    ``chol`` is a lower-triangular Cholesky factor, None for N(0, I).
-    The hull is whitened by chol^-1, which maps the law to N(0, I);
-    facet normals map by chol^T.
+    ``summary`` is a ``HullSummary``; ``chol`` is a lower-triangular
+    Cholesky factor, None for N(0, I).  The hull is whitened by chol^-1,
+    which maps the law to N(0, I); facet normals map by chol^T.  A flat
+    hull (no facets, volume 0) has mass 0.
     """
     if summary.facet_vertices is None:
-        raise ValueError("summary has no facets: compute it with with_facets=True")
+        if summary.volume == 0.0:
+            return 0.0
+        raise ValueError("Gaussian hull mass needs d = 2 or 3")
     verts, normals = summary.facet_vertices, summary.facets[:, :-1]
     if chol is not None:
         verts = verts @ np.linalg.inv(chol).T

@@ -5,19 +5,12 @@ the distribution described by ``spec`` (a dict with a "kind" key).
 Supported kinds:
 
 * ``uniform_box``: uniform on a product of intervals (``bounds``).
-* ``uniform_ball``: uniform in the unit-radius ball in d dimensions
-  (``d``, optional ``radius``); d=2 is the disk.
+* ``uniform_ball``: uniform in the unit ball in d dimensions (``d``);
+  d=2 is the disk.
 * ``gauss``: centered Gaussian in d dimensions, optionally with
   constant pairwise correlation (``d``, ``corr``).
 * ``zipf``: labels 1..N with p_i proportional to 1/i^s (``N``, ``s``).
 * ``uniform_labels``: labels 1..N, equal probability (``N``).
-* ``uniform_finite``: uniform over the rows (or elements) of a
-  materialized ``population``.
-* ``dna_iid``: nucleotide sequences of a given ``length`` with i.i.d.
-  positions drawn from ``freqs`` (A, G, C, T); returned as a uint8
-  code matrix (A=0, G=1, C=2, T=3).
-* ``sphere``: uniform on the unit sphere in ``dim`` dimensions, via
-  normalized Gaussian vectors.
 * ``sphere_mixture``: the origin with probability ``origin_prob``
   (default 1/n), otherwise uniform on the unit sphere (``dim``).
 """
@@ -68,9 +61,8 @@ def sample_distribution(spec: dict, n: int, rng: np.random.Generator):
         return lo + (hi - lo) * rng.random((n, lo.size))
     if kind == "uniform_ball":
         d = int(spec["d"])
-        radius = float(spec.get("radius", 1.0))
         directions = _unit_sphere(n, d, rng)
-        radii = radius * rng.random(n) ** (1.0 / d)
+        radii = rng.random(n) ** (1.0 / d)
         return directions * radii[:, None]
     if kind == "gauss":
         d = int(spec["d"])
@@ -88,21 +80,6 @@ def sample_distribution(spec: dict, n: int, rng: np.random.Generator):
         if N < 1:
             raise ValueError("N must be a positive integer")
         return rng.integers(1, N + 1, size=n)
-    if kind == "uniform_finite":
-        population = np.asarray(spec["population"])
-        if population.shape[0] < 1:
-            raise ValueError("empty population")
-        idx = rng.integers(0, population.shape[0], size=n)
-        return population[idx]
-    if kind == "dna_iid":
-        length = int(spec["length"])
-        freqs = np.asarray(spec["freqs"], dtype=float)
-        if freqs.size != 4 or abs(freqs.sum() - 1.0) > 1e-12 or np.any(freqs < 0):
-            raise ValueError("freqs must be 4 nonnegative values summing to 1")
-        draws = rng.choice(4, size=(n, length), p=freqs)
-        return draws.astype(np.uint8)
-    if kind == "sphere":
-        return _unit_sphere(n, int(spec["dim"]), rng)
     if kind == "sphere_mixture":
         dim = int(spec["dim"])
         origin_prob = float(spec.get("origin_prob", 1.0 / n))

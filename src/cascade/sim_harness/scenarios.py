@@ -43,12 +43,10 @@ from ..coincidence_test import (
     kimura_matrix,
 )
 from ..convex_volume import (
-    _relative_halfwidth,
     consecutive_defect_bound,
     conv_mse_bound,
     hull_summary,
-    scaled_volume,
-    volume_interval_upper,
+    volume_interval,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage
 from ..poset_estimators import (
@@ -325,14 +323,14 @@ def _hull_cells(cfg, params):
     return cells
 
 
-def _drop_last(cloud, s_full, with_facets=False):
+def _drop_last(cloud, s_full):
     """The hull summary of ``cloud[:-1]``, or None when it is ``s_full``'s
     hull: a point that is not extreme lies in the hull of the others, so
     dropping it leaves the hull unchanged.
     """
     if not s_full.extreme_flags[-1]:
         return None
-    return hull_summary(cloud[:-1], with_facets=with_facets)
+    return hull_summary(cloud[:-1])
 
 
 def _hull_rep(ctx, seed, k):
@@ -341,7 +339,7 @@ def _hull_rep(ctx, seed, k):
     cloud = sample_distribution(ctx["spec"], n, rng)
     support = ctx["support_volume"]
     uniform = support is not None
-    s_full = hull_summary(cloud, with_facets=not uniform)
+    s_full = hull_summary(cloud)
     est = s_full.extreme_count / n
 
     def defect_of(summary):
@@ -350,7 +348,7 @@ def _hull_rep(ctx, seed, k):
         return 1.0 - normal_hull_mass(summary, ctx["chol"])
 
     defect = defect_of(s_full)
-    s_drop = _drop_last(cloud, s_full, with_facets=not uniform)
+    s_drop = _drop_last(cloud, s_full)
     rec = {
         "est": est,
         "defect": defect,
@@ -361,12 +359,12 @@ def _hull_rep(ctx, seed, k):
     if uniform:
         alpha = ctx["alpha"]
         if s_full.extreme_count < n:
-            vhat = scaled_volume(s_full.volume, s_full.extreme_count, n)
-            hi = volume_interval_upper(vhat, s_full.extreme_count, n, d, alpha)
-            eps = _relative_halfwidth(s_full.extreme_count, n, d, alpha)
-            rec["ratio"] = vhat / support
-            rec["ci_cover"] = bool(vhat <= support <= hi)
-            rec["ci_two_sided_cover"] = bool(vhat / (1.0 + eps) <= support <= hi)
+            ci = volume_interval(s_full, d, alpha)
+            rec["ratio"] = ci.estimate / support
+            rec["ci_cover"] = bool(ci.ci_low <= support <= ci.ci_high)
+            rec["ci_two_sided_cover"] = bool(
+                ci.estimate / (1.0 + ci.rel_halfwidth) <= support <= ci.ci_high
+            )
             rec["mse_event"] = bool(
                 abs(est - defect) <= math.sqrt((8 * d + 9) / (alpha * n))
             )

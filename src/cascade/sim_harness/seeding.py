@@ -10,8 +10,8 @@ fnv1a64 is the FNV-1a hash of the tag's UTF-8 bytes and mix64 is the
 splitmix64 finalizer.  The construction has no platform-dependent
 parts, so a run is reproducible across machines and independent of
 how replications are scheduled across workers.  Auxiliary streams
-(e.g. probe clouds for ground-truth integration) use a suffixed tag
-such as "hull_gauss:d2/probe" through the same chain.
+use a suffixed tag through the same chain: ``dna_split`` draws its
+sequence population from "dna_split/population".
 """
 
 from __future__ import annotations

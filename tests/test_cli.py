@@ -66,9 +66,9 @@ def test_hull_runs_one_hull_summary_with_the_given_tol(tmp_path, capsys, monkeyp
     tols = []
     original = cascade.convex_volume.hull_summary
 
-    def recording(cloud, tol=cascade.convex_volume.DEFAULT_TOL, with_facets=False):
+    def recording(cloud, tol=cascade.convex_volume.DEFAULT_TOL):
         tols.append(tol)
-        return original(cloud, tol=tol, with_facets=with_facets)
+        return original(cloud, tol=tol)
 
     monkeypatch.setattr(cascade.cli, "hull_summary", recording)
     monkeypatch.setattr(cascade.convex_volume, "hull_summary", recording)
@@ -293,6 +293,60 @@ def test_coverage_center_shifts_consistently(tmp_path, capsys):
     iv = obj["prediction_interval"]
     # Prediction near the feature mean should sit near the response mean.
     assert iv["center"] == pytest.approx(float(y.mean()), abs=1.5)
+
+
+@pytest.mark.parametrize(
+    "predict_at, message", [("nan,1", "x_new must be finite"), ("1", "--predict-at has 1")]
+)
+def test_coverage_bad_predict_at_fails(tmp_path, capsys, predict_at, message):
+    rng = np.random.default_rng(57)
+    data = rng.normal(size=(20, 3))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
+    rc, out, err = run_cli(capsys, "coverage", str(path), "--predict-at", predict_at)
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["unseen"], "a b a c\n"),
+        (["hull"], "0,0\n5,0\n5,2\n0,2\n1,1\n"),
+        (["hull"], "0,0,0\n1,0,0\n0,1,0\n1,1,0\n"),
+        (["poset", "--kind", "product", "--convex"], "1,1\n3,3\n2,2\n"),
+        (["coincide", "--radius", "1.0"], "0,1,3\n1,0,2\n3,2,0\n"),
+        (["coverage", "--predict-at", "0.5"], "0,1\n1,2.1\n2,2.9\n3,4.2\n4,4.8\n"),
+        (["coverage", "--predict-at", "inf"], "0,1\n1,2.1\n2,2.9\n3,4.2\n4,4.8\n"),
+    ],
+)
+def test_analysis_output_is_strict_json_or_an_error(tmp_path, capsys, argv, text):
+    # NaN and Infinity are not JSON; an input that would produce them
+    # must exit 2 with a message instead.
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    if rc == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert rc == 0
+        assert isinstance(_strict_json(out), dict)
+
+
+@pytest.mark.parametrize("radius", ["inf", "-inf", "nan"])
+def test_coincide_non_finite_radius_fails(tmp_path, capsys, radius):
+    path = tmp_path / "dist.csv"
+    path.write_text("0,1,3\n1,0,2\n3,2,0\n")
+    rc, out, err = run_cli(capsys, "coincide", str(path), f"--radius={radius}")
+    assert (rc, out) == (2, "")
+    assert "--radius must be finite" in err
 
 
 def test_coverage_too_few_columns(tmp_path, capsys):

@@ -235,7 +235,7 @@ def test_statistic_matches_reference_library():
         (np.repeat([1.0, 2.0, 3.0], 5), np.repeat([1.0, 2.0, 4.0], 4)),
     ]
     for x, y in cases:
-        ref = scipy.stats.anderson_ksamp([x, y], midrank=True)
+        ref = scipy.stats.anderson_ksamp([x, y], variant="midrank")
         assert ad_two_sample_normalized(x, y) == pytest.approx(ref.statistic, rel=1e-10)
 
 

@@ -8,6 +8,7 @@ from scipy.spatial import ConvexHull
 
 from cascade import convex_volume
 from cascade.convex_volume import (
+    HullSummary,
     _unique_rows,
     consecutive_defect_bound,
     conv_mse_bound,
@@ -16,7 +17,7 @@ from cascade.convex_volume import (
     in_hull,
     scaled_volume,
     volume_ci,
-    volume_interval_upper,
+    volume_interval,
 )
 from helpers_geometry import brute_extreme_flags_2d
 
@@ -254,20 +255,41 @@ def test_estimate_volume_rejects_high_dimension():
         estimate_volume(rng.random((10, 4)))
 
 
+def _counts_summary(volume, extreme_count, n):
+    flags = np.zeros(n, dtype=bool)
+    flags[:extreme_count] = True
+    return HullSummary(extreme_count=extreme_count, extreme_flags=flags, volume=volume)
+
+
 def test_interval_upper_infinite_when_slack_too_small():
     # n - V below sqrt((8d+9) n / alpha) gives an unbounded interval.
-    assert volume_interval_upper(1.0, 4, 5, 2, 0.05) == math.inf
+    ci = volume_interval(_counts_summary(1.0, 4, 5), 2, 0.05)
+    assert ci.rel_halfwidth >= 1.0
+    assert ci.ci_high == math.inf
 
 
 def test_interval_upper_plugin_value():
     n, v_count, d, alpha = 10000, 100, 2, 0.05
     eps = math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - v_count))
-    assert volume_interval_upper(2.0, v_count, n, d, alpha) == pytest.approx(2.0 / (1 - eps))
+    ci = volume_interval(_counts_summary(2.0 * (1 - v_count / n), v_count, n), d, alpha)
+    assert ci.estimate == pytest.approx(2.0)
+    assert ci.rel_halfwidth == eps
+    assert ci.ci_high == pytest.approx(2.0 / (1 - eps))
 
 
 def test_interval_tightens_as_alpha_grows():
-    hi = volume_interval_upper(1.0, 10, 10**7, 2, 0.999999)
-    assert 1.0 < hi < 1.01
+    n = 10**7
+    ci = volume_interval(_counts_summary(1.0 - 10 / n, 10, n), 2, 0.999999)
+    assert 1.0 < ci.ci_high < 1.01
+
+
+def test_volume_interval_rejects_what_it_cannot_bound():
+    with pytest.raises(ValueError, match="alpha"):
+        volume_interval(_counts_summary(1.0, 1, 5), 2, 1.0)
+    with pytest.raises(ValueError, match="all points extreme"):
+        volume_interval(_counts_summary(1.0, 5, 5), 2, 0.05)
+    with pytest.raises(ValueError, match="above d=3"):
+        volume_interval(_counts_summary(None, 1, 5), 4, 0.05)
 
 
 def test_volume_ci_square_case():

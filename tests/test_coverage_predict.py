@@ -108,6 +108,14 @@ def test_interval_alpha_validation():
             predict_interval(fit, np.array([1.0]), alpha=bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_interval_rejects_non_finite_x_new(bad):
+    fit = ols_fit(np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.5], [4.0, 2.0]]),
+                  np.array([1.0, 2.0, 3.1, 4.2]))
+    with pytest.raises(ValueError, match="x_new must be finite"):
+        predict_interval(fit, np.array([bad, 1.0]), alpha=0.05)
+
+
 def test_quantile_reference_values():
     assert normal_quantile(0.5) == 0.0
     assert normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-6)

@@ -97,12 +97,6 @@ def test_uniform_ball_radii():
     assert abs((r**2).mean() - 0.5) < 0.03
 
 
-def test_sphere_points_have_unit_norm():
-    rng = np.random.default_rng(2)
-    pts = sample_distribution({"kind": "sphere", "dim": 5}, 200, rng)
-    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
-
-
 def test_zipf_probabilities_and_sampling():
     p = zipf_probabilities(100, 1.0)
     assert p.sum() == pytest.approx(1.0)
@@ -132,29 +126,10 @@ def test_cholesky_factor_reconstructs_matrix():
         equicorrelation_cholesky(3, -0.6)
 
 
-def test_uniform_labels_and_finite():
+def test_uniform_labels():
     rng = np.random.default_rng(5)
     labels = sample_distribution({"kind": "uniform_labels", "N": 7}, 300, rng)
     assert labels.min() >= 1 and labels.max() <= 7
-    pop = np.array([[0.0, 0.0], [1.0, 1.0]])
-    rows = sample_distribution({"kind": "uniform_finite", "population": pop}, 50, rng)
-    assert all(tuple(r) in {(0.0, 0.0), (1.0, 1.0)} for r in rows)
-    with pytest.raises(ValueError, match="empty population"):
-        sample_distribution({"kind": "uniform_finite", "population": np.empty((0, 2))}, 3, rng)
-
-
-def test_dna_sampler_codes_and_frequencies():
-    rng = np.random.default_rng(6)
-    codes = sample_distribution(
-        {"kind": "dna_iid", "length": 2000, "freqs": (0.3, 0.2, 0.2, 0.3)}, 10, rng
-    )
-    assert codes.dtype == np.uint8
-    assert codes.shape == (10, 2000)
-    assert codes.max() <= 3
-    freq_a = (codes == 0).mean()
-    assert abs(freq_a - 0.3) < 0.02
-    with pytest.raises(ValueError, match="freqs"):
-        sample_distribution({"kind": "dna_iid", "length": 5, "freqs": (0.9, 0.2, 0.2, 0.3)}, 2, rng)
 
 
 def test_sphere_mixture_origin_frequency():
@@ -173,7 +148,7 @@ def test_sampler_validation():
     with pytest.raises(ValueError, match="unknown sampler kind"):
         sample_distribution({"kind": "moebius"}, 5, rng)
     with pytest.raises(ValueError, match="n must be positive"):
-        sample_distribution({"kind": "sphere", "dim": 2}, 0, rng)
+        sample_distribution({"kind": "gauss", "d": 2}, 0, rng)
     with pytest.raises(ValueError, match="positive extents"):
         sample_distribution({"kind": "uniform_box", "bounds": ((1.0, 1.0),)}, 5, rng)
 
@@ -421,7 +396,7 @@ def test_exact_gauss_mass_matches_brute_force_probes(d, corr, monkeypatch):
         cloud = sample_distribution(spec, n, rng)
         if k == 1:
             cloud = cloud + 1.5  # the origin lies outside the hull
-        s = hull_summary(cloud, with_facets=True)
+        s = hull_summary(cloud)
         defect = 1.0 - normal_hull_mass(s, chol)
         want, se = _brute_defect(s.facets, batches)
         assert abs(defect - want) <= 4.0 * se, (n, k, defect, want, se)
@@ -458,7 +433,7 @@ def test_exact_gauss_mass_of_a_triangle_matches_dblquad(tri):
         lower = lambda x, f=short_edge: min(f(x), long_edge(x))  # noqa: E731
         upper = lambda x, f=short_edge: max(f(x), long_edge(x))  # noqa: E731
         total += dblquad(pdf, xa, xb, lower, upper, epsabs=1e-13, epsrel=1e-12)[0]
-    mass = normal_hull_mass(hull_summary(pts, with_facets=True))
+    mass = normal_hull_mass(hull_summary(pts))
     assert abs(mass - total) <= 1e-10
 
 
@@ -473,17 +448,30 @@ def test_exact_gauss_mass_of_a_box_is_a_product(lo, hi):
     corners = np.array([[h if bit else l for l, h, bit in zip(lo, hi, bits)]
                         for bits in np.ndindex(2, 2, 2)], dtype=float)
     want = float(np.prod(ndtr(np.array(hi)) - ndtr(np.array(lo))))
-    mass = normal_hull_mass(hull_summary(corners, with_facets=True))
+    mass = normal_hull_mass(hull_summary(corners))
     assert abs(mass - want) <= 1e-13
 
 
 def test_exact_gauss_mass_rejects_a_summary_it_cannot_use():
-    square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-    with pytest.raises(ValueError, match="with_facets=True"):
-        normal_hull_mass(hull_summary(square))
+    # A flat hull has no facets and no mass.
+    flat_square = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+    assert normal_hull_mass(hull_summary(flat_square)) == 0.0
     simplex = np.vstack([np.zeros(4), np.eye(4)])
     with pytest.raises(ValueError, match="d = 2 or 3"):
-        normal_hull_mass(hull_summary(simplex, with_facets=True))
+        normal_hull_mass(hull_summary(simplex))
+    with pytest.raises(ValueError, match="d = 2 or 3"):
+        normal_hull_mass(hull_summary(np.array([[0.0], [1.0]])))
+
+
+@pytest.mark.parametrize("name", ("hull_gauss", "hull_gauss_corr"))
+def test_small_gauss_hulls_report_rows(name):
+    # Three points in 3-D span a triangle, and hull(n-1) of a triangle
+    # is a segment: flat hulls with Gaussian mass 0, i.e. defect 1.
+    rows = run_scenario(ScenarioConfig(name, (3, 4), 3, seed=11))
+    assert [(r.extras["d"], r.n) for r in rows] == [(2, 3), (2, 4), (3, 3), (3, 4)]
+    flat = rows[2].extras
+    assert flat["mean_defect"] == 1.0 and flat["mean_abs_defect_step"] == 0.0
+    assert rows[2].empirical_mse == 0.0
 
 
 @pytest.mark.parametrize("name", ("hull_gauss", "hull_gauss_corr"))
@@ -705,9 +693,7 @@ def test_skipping_the_drop_hull_leaves_exact_reports_unchanged(monkeypatch):
     monkeypatch.setattr(
         scenarios,
         "_drop_last",
-        lambda cloud, s_full, with_facets=False: hull_summary(
-            cloud[:-1], with_facets=with_facets
-        ),
+        lambda cloud, s_full: hull_summary(cloud[:-1]),
     )
     always = run()
     assert len(fast) == len(always) == 16
