@@ -12,7 +12,6 @@ from .coincidence_test import (
     SequenceRecord,
     ad_two_sample,
     ad_two_sample_normalized,
-    aldous_sup_statistic,
     coincidence_mse_bound,
     coverage_fraction,
     kimura2p,
@@ -25,7 +24,6 @@ from .convex_volume import (
     VolumeEstimate,
     consecutive_defect_bound,
     conv_mse_bound,
-    estimate_volume,
     hull_summary,
     in_hull,
     scaled_volume,
@@ -37,7 +35,6 @@ from .coverage_predict import (
     PredictionInterval,
     holdout_coverage,
     loo_coverage,
-    normal_quantile,
     ols_fit,
     predict_interval,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "VolumeEstimate",
     "ad_two_sample",
     "ad_two_sample_normalized",
-    "aldous_sup_statistic",
     "coincidence_mse_bound",
     "consecutive_defect_bound",
     "conv_mse_bound",
@@ -89,7 +85,6 @@ __all__ = [
     "coverage_fraction",
     "estimate_convex_size",
     "estimate_upset_size",
-    "estimate_volume",
     "good_turing",
     "holdout_coverage",
     "hull_summary",
@@ -102,7 +97,6 @@ __all__ = [
     "missing_mass",
     "nn_loo_distances",
     "nn_test_pvalue",
-    "normal_quantile",
     "ols_fit",
     "poset_convex_mse_bound",
     "predict_interval",

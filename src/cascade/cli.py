@@ -348,14 +348,19 @@ def _configs_from_args(args) -> list[ScenarioConfig]:
     return [default_config(name, seed=args.seed, replications=args.reps) for name in names]
 
 
-def _cmd_verify(args) -> int:
-    rows = []
-    for cfg in _configs_from_args(args):
-        rows.extend(run_scenario(cfg, workers=args.workers))
+def _write_report(rows, args) -> None:
+    """The report goes to ``--out`` when given, else to stdout."""
     if args.out:
         emit_report(rows, args.out, fmt=args.format)
     else:
         sys.stdout.write(report_text(rows, fmt=args.format))
+
+
+def _cmd_verify(args) -> int:
+    rows = []
+    for cfg in _configs_from_args(args):
+        rows.extend(run_scenario(cfg, workers=args.workers))
+    _write_report(rows, args)
     if args.plot_out:
         emit_plot_data(rows, args.plot_out)
     passed = sum(1 for r in rows if r.passed)
@@ -367,10 +372,7 @@ def _cmd_demo_aldous(args) -> int:
     cfg = default_config("aldous_demo", seed=args.seed, replications=args.reps)
     cfg.n_grid = (args.n,)
     rows = run_scenario(cfg, workers=args.workers)
-    if args.out:
-        emit_report(rows, args.out, fmt=args.format)
-    else:
-        sys.stdout.write(report_text(rows, fmt=args.format))
+    _write_report(rows, args)
     row = rows[0]
     print(
         "coverage concentrates at {:.4f} of replications near one and {:.4f} near zero; "
@@ -430,7 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="flag pairs at or below this percentile of distances",
     )
     p.add_argument("--mask-ambiguous", action="store_true")
-    p.add_argument("--dist-out", default=None, help="write the distance matrix as CSV")
+    p.add_argument(
+        "--dist-out",
+        default=None,
+        help="write the nearest-neighbor distance distributions as CSV",
+    )
     p.set_defaults(fn=_cmd_coincide)
 
     p = sub.add_parser("coverage", help="leave-one-out prediction-interval coverage")

@@ -33,7 +33,6 @@ __all__ = [
     "kimura_matrix",
     "ad_two_sample",
     "ad_two_sample_normalized",
-    "aldous_sup_statistic",
 ]
 
 
@@ -231,17 +230,6 @@ def _two_samples(x, y):
     return x, y
 
 
-def _midrank_components(x: np.ndarray, y: np.ndarray):
-    pooled = np.sort(np.concatenate([x, y]))
-    z_star, counts = np.unique(pooled, return_counts=True)
-    if z_star.size < 2:
-        raise ValueError("pooled sample is constant; statistic undefined")
-    n_total = pooled.size
-    left = np.searchsorted(pooled, z_star, side="left")
-    b_mid = left + counts / 2.0
-    return pooled, z_star, counts, n_total, b_mid
-
-
 def ad_two_sample(x, y) -> float:
     """Two-sample Anderson-Darling statistic, midrank form.
 
@@ -258,7 +246,12 @@ def ad_two_sample(x, y) -> float:
     version.
     """
     x, y = (np.sort(v) for v in _two_samples(x, y))
-    _, z_star, counts, n_total, b_mid = _midrank_components(x, y)
+    pooled = np.sort(np.concatenate([x, y]))
+    z_star, counts = np.unique(pooled, return_counts=True)
+    if z_star.size < 2:
+        raise ValueError("pooled sample is constant; statistic undefined")
+    n_total = pooled.size
+    b_mid = np.searchsorted(pooled, z_star, side="left") + counts / 2.0
     denom = b_mid * (n_total - b_mid) - n_total * counts / 4.0
     weight = counts / n_total
     total = 0.0
@@ -289,30 +282,3 @@ def ad_two_sample_normalized(x, y) -> float:
         # p-value is capped or floored.
         warnings.filterwarnings("ignore", "p-value (capped|floored)", UserWarning)
         return float(stats.anderson_ksamp([x, y], variant="midrank").statistic)
-
-
-def aldous_sup_statistic(D, truth) -> float:
-    """sup over r of (W_n(r)/n - truth(r))^2, exploratory.
-
-    The step function W_n(r)/n only changes at the observed
-    nearest-neighbor distances, so the supremum is attained on the
-    candidate set {0}, the distances themselves, and the midpoints
-    between consecutive distinct distances.  ``truth`` maps r to the
-    mass of the union of r-balls; no bound is asserted for this
-    quantity.
-    """
-    nn = nn_loo_distances(D)
-    n = nn.size
-    distinct = np.unique(nn)
-    candidates = [0.0]
-    candidates.extend(float(v) for v in distinct)
-    candidates.extend(
-        float(0.5 * (distinct[i] + distinct[i + 1])) for i in range(distinct.size - 1)
-    )
-    best = 0.0
-    for r in candidates:
-        w = float(np.sum(nn <= r)) / n
-        gap = (w - truth(r)) ** 2
-        if gap > best:
-            best = gap
-    return best

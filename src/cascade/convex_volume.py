@@ -40,7 +40,6 @@ __all__ = [
     "in_hull",
     "hull_summary",
     "scaled_volume",
-    "estimate_volume",
     "volume_interval",
     "volume_ci",
     "conv_mse_bound",
@@ -268,19 +267,6 @@ def scaled_volume(hull_volume: float, extreme_count: int, n: int) -> float:
     if extreme_count < 0:
         raise ValueError("extreme_count must be nonnegative")
     return hull_volume / (1.0 - extreme_count / n)
-
-
-def estimate_volume(cloud) -> float:
-    """Estimate the volume of the sampled body from one point cloud.
-
-    Requires d <= 3 (exact hull volume) and at least one non-extreme
-    point.  Always at least the observed hull volume.
-    """
-    pts = _as_cloud(cloud)
-    if pts.shape[1] > 3:
-        raise ValueError("exact volume unsupported above d=3")
-    summary = hull_summary(pts)
-    return scaled_volume(summary.volume, summary.extreme_count, pts.shape[0])
 
 
 def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimate:

@@ -32,7 +32,6 @@ __all__ = [
     "PredictionInterval",
     "ols_fit",
     "predict_interval",
-    "normal_quantile",
     "loo_coverage",
     "holdout_coverage",
 ]
@@ -119,24 +118,27 @@ def _qr_fit(X, y):
 
 def predict_interval(fit: OlsFit, x_new, alpha: float) -> PredictionInterval:
     """Level 1-alpha prediction interval at design point x_new."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    z = _critical_value(alpha)
     x = np.asarray(x_new, dtype=float).reshape(-1)
     if x.shape[0] != fit.beta.shape[0]:
         raise ValueError("x_new dimension does not match the fit")
     if not np.all(np.isfinite(x)):
         raise ValueError("x_new must be finite")
-    center = float(x @ fit.beta)
-    z = normal_quantile(1.0 - alpha / 2.0)
-    spread = math.sqrt(1.0 + float(x @ fit.xtx_inverse @ x))
-    return PredictionInterval(center=center, halfwidth=z * fit.sigma_hat * spread, alpha=alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = float(x @ fit.beta)
+        quad = float(x @ fit.xtx_inverse @ x)
+    spread = math.sqrt(1.0 + quad) if math.isfinite(quad) else math.inf
+    halfwidth = z * fit.sigma_hat * spread
+    if not (math.isfinite(center) and math.isfinite(halfwidth)):
+        raise ValueError("x_new is too large: its prediction interval is not finite")
+    return PredictionInterval(center=center, halfwidth=halfwidth, alpha=alpha)
 
 
-def normal_quantile(a: float) -> float:
-    """Inverse of the standard normal CDF on (0, 1)."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("quantile level must lie strictly between 0 and 1")
-    return float(ndtri(a))
+def _critical_value(alpha: float) -> float:
+    """z_{1-alpha/2}, the two-sided normal critical value at level alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 def _loo_flags_refit(X, y, alpha):
@@ -171,7 +173,7 @@ def _loo_flags_downdate(X, y, alpha):
     # x_i under the deleted fit collapses to 1/(1-h_i).
     sub_rss = np.maximum(rss - resid**2 / slack, 0.0)
     sub_sigma = np.sqrt(sub_rss / (n - 1 - p))
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = _critical_value(alpha)
     halfwidth = z * sub_sigma / np.sqrt(slack)
     return np.abs(loo_resid) <= halfwidth
 
@@ -186,8 +188,7 @@ def loo_coverage(X, y, alpha: float, method: str = "refit") -> LooEstimate:
     ``method`` selects literal refitting or the algebraically
     equivalent leverage downdate (much faster, same contract).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _critical_value(alpha)  # rejects a bad alpha before the design checks
     X, y, n, p = _check_design(X, y)
     if n < p + 2:
         raise ValueError("need n >= p + 2 for leave-one-out fits")
@@ -206,6 +207,7 @@ def holdout_coverage(fit_X, fit_y, test_X, test_y, alpha: float) -> float:
     The Monte Carlo stand-in for the interval's true conditional
     coverage, given a large fresh test set.
     """
+    z = _critical_value(alpha)
     fit = ols_fit(fit_X, fit_y)
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float).reshape(-1)
@@ -215,7 +217,6 @@ def holdout_coverage(fit_X, fit_y, test_X, test_y, alpha: float) -> float:
         raise ValueError("empty test set")
     if test_y.shape[0] != test_X.shape[0]:
         raise ValueError("test response length does not match test rows")
-    z = normal_quantile(1.0 - alpha / 2.0)
     centers = test_X @ fit.beta
     quad = np.einsum("ij,jk,ik->i", test_X, fit.xtx_inverse, test_X)
     halfwidth = z * fit.sigma_hat * np.sqrt(1.0 + quad)

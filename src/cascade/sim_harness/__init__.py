@@ -8,13 +8,7 @@ from .report import (
     report_text,
     strip_comment_lines,
 )
-from .scenarios import (
-    SCENARIO_NAMES,
-    ScenarioConfig,
-    default_config,
-    run_scenario,
-    run_suite,
-)
+from .scenarios import SCENARIO_NAMES, ScenarioConfig, default_config, run_scenario
 from .seeding import child_seed, rng_for
 
 __all__ = [
@@ -29,6 +23,5 @@ __all__ = [
     "report_text",
     "rng_for",
     "run_scenario",
-    "run_suite",
     "strip_comment_lines",
 ]

@@ -139,13 +139,8 @@ def strip_comment_lines(text: str) -> str:
     )
 
 
-def parse_report_csv(path_or_text, from_text: bool = False) -> list[BoundReportRow]:
-    """Read a CSV report back into rows (inverse of the csv format)."""
-    if from_text:
-        text = path_or_text
-    else:
-        with open(path_or_text, encoding="utf-8") as fh:
-            text = fh.read()
+def parse_report_csv(text: str) -> list[BoundReportRow]:
+    """Read the text of a CSV report back into rows (inverse of the csv format)."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     reader = csv.reader(lines)
     header = next(reader)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -79,7 +80,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "default_config",
     "run_scenario",
-    "run_suite",
 ]
 
 @dataclass
@@ -239,6 +239,8 @@ def _mean(values) -> float:
 
 def _unseen_cells(cfg, params):
     N = int(params["N"])
+    if N < 1:
+        raise ValueError(f"params 'N' must be at least 1, got {params['N']!r}")
     if "s" in params:
         spec = {"kind": "zipf", "N": N, "s": float(params["s"])}
         probs = zipf_probabilities(N, float(params["s"]))
@@ -292,12 +294,19 @@ def _unseen_finish(ctx, cfg, records):
 
 def _hull_cells(cfg, params):
     cells = []
-    dims = tuple(int(d) for d in params["dims"])
-    for d in dims:
+    dims = params["dims"]
+    if not isinstance(dims, (list, tuple)) or not dims or any(d not in (2, 3) for d in dims):
+        raise ValueError(f"params 'dims' must be a nonempty list from {{2, 3}}, got {dims!r}")
+    if cfg.scenario == "hull_rect":
+        if not isinstance(params["boxes"], dict):
+            raise ValueError("params 'boxes' must map each d to its intervals")
+        boxes = {int(kk): v for kk, v in params["boxes"].items()}
+    for d in (int(d) for d in dims):
         chol = None
         if cfg.scenario == "hull_rect":
-            boxes = {int(kk): v for kk, v in params["boxes"].items()}
-            bounds = boxes[d]
+            bounds = boxes.get(d)
+            if np.shape(bounds) != (d, 2):
+                raise ValueError(f"params 'boxes' must give {d} (low, high) intervals for d = {d}")
             spec = {"kind": "uniform_box", "bounds": bounds}
             support = float(np.prod([b[1] - b[0] for b in bounds]))
         elif cfg.scenario == "hull_disk":
@@ -584,8 +593,20 @@ def _mutate_population(ancestor: np.ndarray, count: int, mutation: float, rng) -
 
 
 def _dna_cells(cfg, params):
+    split = tuple(int(s) for s in params["split"])
+    if len(split) != 2:
+        raise ValueError(f"params 'split' must be two sizes, got {params['split']!r}")
+    if tuple(cfg.n_grid) != split[:1]:
+        raise ValueError(
+            f"n_grid must be [{split[0]}], the first 'split' size, got {list(cfg.n_grid)}"
+        )
     pop = int(params["population"])
+    if split[0] + split[1] > pop:
+        raise ValueError(f"params 'split' sizes {list(split)} exceed the population {pop}")
     null_pop = int(params["null_population"])
+    drawn = 2 * split[0] + split[1]  # reference, first and second null samples
+    if drawn > null_pop:
+        raise ValueError(f"params 'null_population' must be at least {drawn}, got {null_pop}")
     length = int(params["length"])
     freqs = np.asarray(params["freqs"], dtype=float)
     rng = rng_for(cfg.seed, cfg.scenario + "/population", 0, 0)
@@ -593,9 +614,6 @@ def _dna_cells(cfg, params):
     codes = _mutate_population(ancestor, pop + null_pop, float(params["mutation"]), rng)
     records = _codes_to_records(codes, "seq")
     matrix = kimura_matrix(records)
-    split = tuple(int(s) for s in params["split"])
-    if split[0] + split[1] > pop:
-        raise ValueError("split sizes exceed the observed population")
     return [
         {
             "tag": cfg.scenario,
@@ -670,6 +688,8 @@ def _dna_finish(ctx, cfg, records):
 # ------------------------------------------------------------- coverage
 
 def _coverage_cells(cfg, params):
+    if np.shape(params["beta"]) != (2,):
+        raise ValueError(f"params 'beta' must be two coefficients, got {params['beta']!r}")
     return [
         {
             "tag": cfg.scenario,
@@ -733,6 +753,8 @@ _BRACKET_HALFWIDTH_MAX = 1e-3
 
 
 def _aldous_cells(cfg, params):
+    if int(params["probes"]) < 1:
+        raise ValueError(f"params 'probes' must be at least 1, got {params['probes']!r}")
     return [
         {
             "tag": cfg.scenario,
@@ -859,27 +881,32 @@ def _validate(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     """Run one scenario; returns its BoundReportRow list.
 
-    With ``workers`` > 1, each cell's replications are cut into up to
-    ``2 * workers`` contiguous chunks, and every chunk of every cell is
-    queued on one process pool before any result is read, so a worker
-    that is done with one cell moves on to the next instead of waiting
-    for the other workers.  The result is byte-identical
-    for any worker count because replication k's seed depends only on
-    (seed, tag, n, k) and aggregation runs in replication order.
+    ``workers`` must be a positive integer.  With ``workers`` > 1, each
+    cell's replications are cut into up to ``2 * workers`` contiguous
+    chunks, and every chunk of every cell is queued on one process pool
+    before any result is read, so a worker that is done with one cell
+    moves on to the next instead of waiting for the other workers.  The
+    pool holds at most one process per chunk and per CPU.  The result is
+    byte-identical for any worker count because replication k's seed
+    depends only on (seed, tag, n, k) and aggregation runs in
+    replication order.
     """
     _validate(cfg)
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     family = _DEFAULTS[cfg.scenario]["family"]
     cells = _FAMILIES[family].cells(cfg, _merged_params(cfg))
     reps = cfg.replications
     finish = _FAMILIES[family].finish
     rows = []
-    if workers <= 1:
+    if workers == 1:
         for cell in cells:
             rows.extend(finish(cell, cfg, _run_chunk((family, cell, cfg.seed, 0, reps))))
         return rows
     bounds = np.linspace(0, reps, min(2 * workers, reps) + 1).astype(int)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         queued = [
             (cell, [pool.submit(_run_chunk, (family, cell, cfg.seed, lo, hi)) for lo, hi in chunks])
             for cell in cells
@@ -888,15 +915,4 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
             # submission order == replication order
             records = [rec for fut in futures for rec in fut.result()]
             rows.extend(finish(cell, cfg, records))
-    return rows
-
-
-def run_suite(
-    names=None, seed: int = 42, replications: int | None = None, workers: int = 1
-) -> list:
-    """Run the default suite (or a subset) and concatenate the rows."""
-    rows = []
-    for name in names or SCENARIO_NAMES:
-        cfg = default_config(name, seed=seed, replications=replications)
-        rows.extend(run_scenario(cfg, workers=workers))
     return rows

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cascade.cli import main as cli_main
-from cascade.convex_volume import estimate_volume, hull_summary, in_hull, scaled_volume
+from cascade.convex_volume import hull_summary, in_hull, scaled_volume
 from cascade.loo_core import loo_estimate
 from cascade.poset_estimators import (
     Antichain,
@@ -300,7 +300,7 @@ def test_criterion_11_reports_are_deterministic(tmp_path, capsys):
     assert texts[0] == texts[1]
     assert texts[0] == texts[2]
     # The stripped report parses and covers the whole catalog.
-    rows = parse_report_csv(texts[0], from_text=True)
+    rows = parse_report_csv(texts[0])
     assert len({r.scenario for r in rows}) == 16
 
 

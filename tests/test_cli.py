@@ -296,7 +296,8 @@ def test_coverage_center_shifts_consistently(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "predict_at, message", [("nan,1", "x_new must be finite"), ("1", "--predict-at has 1")]
+    "predict_at, message",
+    [("nan,1", "x_new must be finite"), ("1", "--predict-at has 1"), ("1e308,1e308", "x_new")],
 )
 def test_coverage_bad_predict_at_fails(tmp_path, capsys, predict_at, message):
     rng = np.random.default_rng(57)
@@ -376,7 +377,7 @@ def test_verify_single_scenario(tmp_path, capsys):
     )
     assert rc == 0
     assert "2/2 rows within bounds" in err
-    rows = parse_report_csv(out_path)
+    rows = parse_report_csv(out_path.read_text(encoding="utf-8"))
     assert [r.n for r in rows] == [30, 100]
     assert all(r.passed for r in rows)
     assert plot_path.read_text().startswith("scenario,n,inv_n")
@@ -485,6 +486,40 @@ def test_verify_config_rejects_coincide_probe_count(tmp_path, capsys):
     assert rc == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "'probes'" in err
+
+
+@pytest.mark.parametrize(
+    "entry, key",
+    [
+        ({"scenario": "hull_disk", "params": {"dims": [4]}}, "dims"),
+        ({"scenario": "hull_disk", "params": {"dims": [1]}}, "dims"),
+        ({"scenario": "hull_rect", "params": {"dims": [4]}}, "dims"),
+        ({"scenario": "hull_gauss", "params": {"dims": []}}, "dims"),
+        ({"scenario": "hull_rect", "params": {"boxes": {"2": [[0, 1]]}}}, "boxes"),
+        ({"scenario": "unseen_uniform", "params": {"N": 0}}, "'N'"),
+        ({"scenario": "dna_split", "n_grid": [5, 7]}, "n_grid"),
+        ({"scenario": "dna_split", "n_grid": [40], "params": {"split": [40]}}, "split"),
+        ({"scenario": "dna_split", "n_grid": [40], "params": {"split": [40, 161]}}, "split"),
+        ({"scenario": "dna_split", "n_grid": [40], "params": {"null_population": 239}}, "null_"),
+        ({"scenario": "coverage_linear", "params": {"beta": [1, 2, 3]}}, "beta"),
+        ({"scenario": "coverage_linear", "params": {"beta": 5}}, "beta"),
+        ({"scenario": "aldous_demo", "n_grid": [30], "params": {"probes": 0}}, "probes"),
+    ],
+)
+def test_verify_config_bad_scenario_params_fail(tmp_path, capsys, entry, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_grid": [20], "replications": 2, **entry}))
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert key in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_verify_rejects_a_bad_worker_count(capsys, workers):
+    rc, out, err = run_cli(capsys, "verify", "--scenario", "upset_chain", "--workers", workers)
+    assert (rc, out) == (2, "")
+    assert "workers" in err
 
 
 def test_verify_unknown_scenario(capsys):

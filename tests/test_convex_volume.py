@@ -12,7 +12,6 @@ from cascade.convex_volume import (
     _unique_rows,
     consecutive_defect_bound,
     conv_mse_bound,
-    estimate_volume,
     hull_summary,
     in_hull,
     scaled_volume,
@@ -246,13 +245,13 @@ def test_scaled_volume_all_extreme_rejected():
 
 def test_estimate_volume_matches_components():
     cloud = np.vstack([SQUARE, [0.5, 0.5]])
-    assert estimate_volume(cloud) == pytest.approx(5.0)
+    assert volume_ci(cloud, 0.05).estimate == pytest.approx(5.0)
 
 
 def test_estimate_volume_rejects_high_dimension():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="above d=3"):
-        estimate_volume(rng.random((10, 4)))
+        volume_ci(rng.random((10, 4)), 0.05)
 
 
 def _counts_summary(volume, extreme_count, n):
@@ -380,6 +379,6 @@ def test_estimate_approaches_hull_volume_for_dense_clouds():
     rng = np.random.default_rng(12)
     cloud = rng.random((4000, 2))
     s = hull_summary(cloud)
-    est = estimate_volume(cloud)
+    est = volume_ci(cloud, 0.05).estimate
     assert est >= s.volume
     assert est == pytest.approx(s.volume, rel=0.02)

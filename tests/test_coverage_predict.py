@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from cascade.coverage_predict import (
     holdout_coverage,
     loo_coverage,
-    normal_quantile,
     ols_fit,
     predict_interval,
 )
@@ -85,7 +84,7 @@ def test_interval_at_origin_is_pure_noise_term():
     iv = predict_interval(fit, np.array([0.0]), alpha=0.05)
     assert iv.center == pytest.approx(0.0, abs=1e-12)
     assert iv.halfwidth == pytest.approx(
-        normal_quantile(0.975) * fit.sigma_hat, rel=1e-12
+        scipy.stats.norm.ppf(0.975) * fit.sigma_hat, rel=1e-12
     )
     assert iv.low == pytest.approx(-iv.halfwidth)
     assert iv.high == pytest.approx(iv.halfwidth)
@@ -116,30 +115,11 @@ def test_interval_rejects_non_finite_x_new(bad):
         predict_interval(fit, np.array([bad, 1.0]), alpha=0.05)
 
 
-def test_quantile_reference_values():
-    assert normal_quantile(0.5) == 0.0
-    assert normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-6)
-    assert normal_quantile(0.025) == pytest.approx(-1.959963985, abs=1e-6)
-    for a in (0.01, 0.1, 0.3, 0.7, 0.9, 0.99):
-        assert normal_quantile(a) == pytest.approx(-normal_quantile(1 - a), abs=1e-12)
-    with pytest.raises(ValueError, match="strictly between"):
-        normal_quantile(0.0)
-    with pytest.raises(ValueError, match="strictly between"):
-        normal_quantile(1.0)
-
-
-def test_quantile_matches_reference_library():
-    grid = np.concatenate(
-        [
-            np.linspace(1e-12, 1e-3, 40),
-            np.linspace(0.001, 0.999, 500),
-            1.0 - np.linspace(1e-12, 1e-3, 40),
-        ]
-    )
-    ref = scipy.stats.norm.ppf(grid)
-    ours = np.array([normal_quantile(a) for a in grid])
-    scale = np.maximum(1.0, np.abs(ref))
-    assert np.max(np.abs(ours - ref) / scale) <= 1e-9
+def test_interval_rejects_x_new_whose_interval_overflows():
+    fit = ols_fit(np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]),
+                  np.array([1.1, 1.9, 3.2, 3.9, 5.1]))
+    with pytest.raises(ValueError, match="x_new"):
+        predict_interval(fit, np.array([1e308]), alpha=0.05)
 
 
 # ------------------------------------------------------------ loo coverage
@@ -158,7 +138,7 @@ def test_loo_coverage_hand_computed_three_points():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 0.0])
     alpha = 0.05
-    z = normal_quantile(1 - alpha / 2)
+    z = scipy.stats.norm.ppf(1 - alpha / 2)
     hits = 0
     for i in range(3):
         keep = [j for j in range(3) if j != i]
@@ -245,6 +225,14 @@ def test_holdout_coverage_of_exact_relationship():
     y = 2.0 * X[:, 0]
     Xt = np.array([[5.0], [6.0]])
     assert holdout_coverage(X, y, Xt, 2.0 * Xt[:, 0], alpha=0.05) == 1.0
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, -0.5])
+def test_holdout_alpha_validation(bad):
+    X = np.array([[1.0], [2.0], [3.0]])
+    y = np.array([1.0, 2.0, 3.1])
+    with pytest.raises(ValueError, match="alpha"):
+        holdout_coverage(X, y, X, y, alpha=bad)
 
 
 def test_holdout_empty_test_set_rejected():

@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from cascade.sim_harness import (
     report_text,
     rng_for,
     run_scenario,
-    run_suite,
     strip_comment_lines,
 )
 from cascade.sim_harness.samplers import (
@@ -184,7 +184,7 @@ def test_csv_round_trip_is_exact():
     rows = _sample_rows()
     text = report_text(rows, fmt="csv")
     assert text.startswith("# generated ")
-    back = parse_report_csv(text, from_text=True)
+    back = parse_report_csv(text)
     assert [r.as_record() for r in back] == [r.as_record() for r in rows]
 
 
@@ -224,20 +224,20 @@ def test_numpy_scalars_become_builtin_in_extras():
     assert type(row.extras["b"]) is int
     assert row.extras["c"] in (True,)
     text = report_text([row], fmt="csv", timestamp=False)
-    back = parse_report_csv(text, from_text=True)[0]
+    back = parse_report_csv(text)[0]
     assert back.extras == {"a": 1.5, "b": 3, "c": True}
 
 
 def test_header_mismatch_rejected():
     with pytest.raises(ValueError, match="unexpected report header"):
-        parse_report_csv("a,b,c\n1,2,3\n", from_text=True)
+        parse_report_csv("a,b,c\n1,2,3\n")
 
 
 def test_emit_report_and_plot_data(tmp_path):
     rows = _sample_rows()
     out = tmp_path / "report.csv"
     emit_report(rows, out)
-    back = parse_report_csv(out)
+    back = parse_report_csv(out.read_text(encoding="utf-8"))
     assert [r.as_record() for r in back] == [r.as_record() for r in rows]
 
     plot = tmp_path / "plot.csv"
@@ -297,7 +297,7 @@ _TINY = {
     "poset_convex_forest": dict(n_grid=(8,), replications=4, params={}),
     "coincide_uniform_square": dict(n_grid=(10,), replications=3, params={}),
     "dna_split": dict(
-        n_grid=(40,),
+        n_grid=(12,),
         replications=3,
         params={
             "population": 60,
@@ -357,6 +357,49 @@ def test_worker_count_does_not_change_results():
     seq3 = report_text(run_scenario(cfg3, workers=1), timestamp=False)
     par3 = report_text(run_scenario(cfg3, workers=2), timestamp=False)
     assert seq3 == par3
+
+
+@pytest.mark.parametrize("workers", [0, -4, 1.5])
+def test_run_scenario_rejects_a_bad_worker_count(workers):
+    cfg = ScenarioConfig("upset_chain", (12,), 4, seed=5)
+    with pytest.raises(ValueError, match="workers"):
+        run_scenario(cfg, workers=workers)
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    every submitted chunk in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize(
+    "workers, reps, cpus, size", [(5000, 10, 4, 4), (3, 2, 4, 2), (5000, 10, None, 1)]
+)
+def test_pool_holds_at_most_one_process_per_chunk_and_cpu(
+    monkeypatch, workers, reps, cpus, size
+):
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = ScenarioConfig("upset_chain", (12, 20), reps, seed=5)
+    par = report_text(run_scenario(cfg, workers=workers), timestamp=False)
+    assert _InlinePool.sizes == [size]
+    assert par == report_text(run_scenario(cfg, workers=1), timestamp=False)
 
 
 # ----------------------------------------------- Gaussian ground truth
@@ -704,12 +747,6 @@ def test_skipping_the_drop_hull_leaves_exact_reports_unchanged(monkeypatch):
             step_b = b.extras.pop("mean_abs_defect_step")
             assert abs(step_a - step_b) <= 1e-15
         assert report_text([a], timestamp=False) == report_text([b], timestamp=False)
-
-
-def test_run_suite_combines_scenarios():
-    rows = run_suite(["upset_chain", "upset_antichain"], seed=5, replications=4)
-    names = {r.scenario for r in rows}
-    assert names == {"upset_chain", "upset_antichain"}
 
 
 def test_random_forest_paths_form_a_convex_forest():
