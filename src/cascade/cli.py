@@ -34,8 +34,6 @@ from .poset_estimators import (
     TreeAncestor,
     convex_closure_size,
     convex_sandwiched_count,
-    estimate_convex_size,
-    estimate_upset_size,
     poset_convex_mse_bound,
     upset_closure_size,
     upset_dominated_count,
@@ -164,16 +162,17 @@ def _cmd_poset(args) -> int:
     out = {"n": n, "kind": args.kind}
     if args.convex:
         count = convex_sandwiched_count(sample, oracle)
+        closure = convex_closure_size(sample, oracle)
         out["sandwiched_count"] = count
-        out["closure_size"] = convex_closure_size(sample, oracle)
-        out["estimate"] = estimate_convex_size(sample, oracle) if count else None
         out["mse_bound"] = poset_convex_mse_bound(n) if n >= 3 else None
     else:
         count = upset_dominated_count(sample, oracle)
+        closure = upset_closure_size(sample, oracle)
         out["dominated_count"] = count
-        out["closure_size"] = upset_closure_size(sample, oracle)
-        out["estimate"] = estimate_upset_size(sample, oracle) if count else None
         out["mse_bound"] = upset_mse_bound(n) if n >= 3 else None
+    out["closure_size"] = closure
+    # estimate_convex_size / estimate_upset_size, from the counts in hand.
+    out["estimate"] = n * closure / count if count else None
     _emit_json(out)
     return 0
 

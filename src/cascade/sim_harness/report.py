@@ -122,9 +122,9 @@ def report_text(rows, fmt: str = "csv", timestamp: bool = True) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def emit_report(rows, path, fmt: str = "csv", timestamp: bool = True) -> None:
+def emit_report(rows, path, fmt: str = "csv") -> None:
     """Write rows to ``path``.  Raises with the path on I/O failure."""
-    text = report_text(rows, fmt=fmt, timestamp=timestamp)
+    text = report_text(rows, fmt=fmt)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -16,11 +16,12 @@ and reports its half-width, and where that half-width exceeds
 probe count, reports the probe standard error, and is counted in
 ``probe_fallbacks``.
 
-Determinism: replication k of a cell uses the child seed
-``child_seed(seed, tag, n, k)``, so results are independent of how
-replications are scheduled; aggregation always happens in replication
-order.  Populations get their own sub-seeded stream (tag suffix
-"/population").
+A family supplies base cell contexts, one replication drawn from a
+given generator, and its rows.  The runner expands the n grid, cuts the
+same chunks at any worker count and hands replication k the generator
+``rng_for(seed, tag, n, k)``, so results do not depend on scheduling;
+aggregation runs in replication order.  ``dna_split``'s population has
+its own stream (tag suffix "/population").
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -204,13 +207,40 @@ def default_config(name: str, seed: int = 42, replications: int | None = None) -
     )
 
 
+def _fits(default, value) -> bool:
+    """Whether ``value`` has the shape of the param default ``default``.
+
+    Every integer param is a size or a count, so it must be at least 1.
+    """
+    if isinstance(default, dict):
+        return isinstance(value, dict)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(default[0], v) for v in value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral) and value >= 1
+    # Also false for NaN, and for an integer too large to be a float.
+    return abs(value) <= sys.float_info.max
+
+
+def _shape(default) -> str:
+    if isinstance(default, dict):
+        return "a mapping"
+    if isinstance(default, tuple):
+        return "a list of " + ("integers >= 1" if isinstance(default[0], int) else "finite numbers")
+    return "an integer >= 1" if isinstance(default, int) else "a finite number"
+
+
 def _merged_params(cfg: ScenarioConfig) -> dict:
     params = dict(_DEFAULTS[cfg.scenario]["params"])
     if not isinstance(cfg.params, dict):
         raise ValueError(f"params must be a mapping, got {cfg.params!r}")
-    for key in cfg.params:
+    for key, value in cfg.params.items():
         if key not in params:
             raise ValueError(f"unknown params key {key!r} for scenario {cfg.scenario!r}")
+        if not _fits(params[key], value):
+            raise ValueError(f"params {key!r} must be {_shape(params[key])}, got {value!r}")
     params.update(cfg.params)
     return params
 
@@ -239,29 +269,16 @@ def _mean(values) -> float:
 
 def _unseen_cells(cfg, params):
     N = int(params["N"])
-    if N < 1:
-        raise ValueError(f"params 'N' must be at least 1, got {params['N']!r}")
     if "s" in params:
         spec = {"kind": "zipf", "N": N, "s": float(params["s"])}
         probs = zipf_probabilities(N, float(params["s"]))
     else:
         spec = {"kind": "uniform_labels", "N": N}
         probs = np.full(N, 1.0 / N)
-    return [
-        {
-            "tag": cfg.scenario,
-            "n": n,
-            "N": N,
-            "spec": spec,
-            "probs": probs,
-            "uniform": "s" not in params,
-        }
-        for n in cfg.n_grid
-    ]
+    return [{"N": N, "spec": spec, "probs": probs, "uniform": "s" not in params}]
 
 
-def _unseen_rep(ctx, seed, k):
-    rng = rng_for(seed, ctx["tag"], ctx["n"], k)
+def _unseen_rep(ctx, rng):
     labels = sample_distribution(ctx["spec"], ctx["n"], rng)
     est = good_turing(labels.tolist()).value
     truth = missing_mass(ctx["probs"], labels)
@@ -273,7 +290,6 @@ def _unseen_finish(ctx, cfg, records):
     est = [r["est"] for r in records]
     truth = [r["truth"] for r in records]
     three_term, cap = unseen_bound(n)
-    mse = float(np.mean((np.asarray(est) - np.asarray(truth)) ** 2))
     extras = {
         "bound_three_term": three_term,
         "bound_cap": cap,
@@ -282,12 +298,13 @@ def _unseen_finish(ctx, cfg, records):
         "mean_truth": _mean(truth),
         "N": N,
     }
+    row = _sq_err_row(cfg.scenario, n, cfg.replications, est, truth, three_term, extras)
     if ctx["uniform"]:
         finite = unseen_bound_finite_N(n, N)
-        extras["bound_finite_N"] = finite
-        extras["finite_N_applicable"] = bool(n <= N * math.log(N))
-        extras["finite_N_pass"] = bool(mse <= finite)
-    return [_sq_err_row(cfg.scenario, n, cfg.replications, est, truth, three_term, extras)]
+        row.extras["bound_finite_N"] = finite
+        row.extras["finite_N_applicable"] = bool(n <= N * math.log(N))
+        row.extras["finite_N_pass"] = bool(row.empirical_mse <= finite)
+    return [row]
 
 
 # ------------------------------------------------------------------ hull
@@ -295,18 +312,18 @@ def _unseen_finish(ctx, cfg, records):
 def _hull_cells(cfg, params):
     cells = []
     dims = params["dims"]
-    if not isinstance(dims, (list, tuple)) or not dims or any(d not in (2, 3) for d in dims):
+    if not dims or any(d not in (2, 3) for d in dims):
         raise ValueError(f"params 'dims' must be a nonempty list from {{2, 3}}, got {dims!r}")
     if cfg.scenario == "hull_rect":
-        if not isinstance(params["boxes"], dict):
-            raise ValueError("params 'boxes' must map each d to its intervals")
         boxes = {int(kk): v for kk, v in params["boxes"].items()}
     for d in (int(d) for d in dims):
         chol = None
         if cfg.scenario == "hull_rect":
             bounds = boxes.get(d)
-            if np.shape(bounds) != (d, 2):
-                raise ValueError(f"params 'boxes' must give {d} (low, high) intervals for d = {d}")
+            if np.shape(bounds) != (d, 2) or any(
+                not _fits((0.0,), b) or b[0] >= b[1] for b in bounds
+            ):
+                raise ValueError(f"params 'boxes' must give {d} intervals (low < high) for d = {d}")
             spec = {"kind": "uniform_box", "bounds": bounds}
             support = float(np.prod([b[1] - b[0] for b in bounds]))
         elif cfg.scenario == "hull_disk":
@@ -317,18 +334,16 @@ def _hull_cells(cfg, params):
             spec = {"kind": "gauss", "d": d, "corr": corr}
             support = None
             chol = equicorrelation_cholesky(d, corr) if corr != 0.0 else None
-        for n in cfg.n_grid:
-            cells.append(
-                {
-                    "tag": f"{cfg.scenario}:d{d}",
-                    "n": n,
-                    "d": d,
-                    "spec": spec,
-                    "support_volume": support,
-                    "chol": chol,
-                    "alpha": float(params.get("alpha", 0.05)),
-                }
-            )
+        cells.append(
+            {
+                "tag": f"{cfg.scenario}:d{d}",
+                "d": d,
+                "spec": spec,
+                "support_volume": support,
+                "chol": chol,
+                "alpha": float(params.get("alpha", 0.05)),
+            }
+        )
     return cells
 
 
@@ -342,9 +357,8 @@ def _drop_last(cloud, s_full):
     return hull_summary(cloud[:-1])
 
 
-def _hull_rep(ctx, seed, k):
+def _hull_rep(ctx, rng):
     n, d = ctx["n"], ctx["d"]
-    rng = rng_for(seed, ctx["tag"], n, k)
     cloud = sample_distribution(ctx["spec"], n, rng)
     support = ctx["support_volume"]
     uniform = support is not None
@@ -388,14 +402,15 @@ def _hull_finish(ctx, cfg, records):
     defect = [r["defect"] for r in records]
     prev = [r["defect_prev"] for r in records]
     steps = np.abs(np.asarray(defect) - np.asarray(prev))
+    step_bound = consecutive_defect_bound(n, d)
     extras = {
         "d": d,
         "mean_extreme_count": _mean([r["extreme"] for r in records]),
         "mean_hull_volume": _mean([r["hull_volume"] for r in records]),
         "mean_defect": _mean(defect),
         "mean_abs_defect_step": float(steps.mean()),
-        "defect_step_bound": consecutive_defect_bound(n, d),
-        "defect_step_pass": bool(steps.mean() <= consecutive_defect_bound(n, d)),
+        "defect_step_bound": step_bound,
+        "defect_step_pass": bool(steps.mean() <= step_bound),
         "mse_vs_prev_defect": _mean(
             (np.asarray(est) - np.asarray(prev)) ** 2
         ),
@@ -431,7 +446,7 @@ _POSET_VARIANTS = {
 
 def _poset_cells(cfg, params):
     variant, order, convex = _POSET_VARIANTS[cfg.scenario]
-    ctx = {"tag": cfg.scenario, "variant": variant, "order": order, "convex": convex}
+    ctx = {"variant": variant, "order": order, "convex": convex}
     if variant == "staircase":
         parts = int(params["parts"])
         ctx["cells"] = np.array(
@@ -442,9 +457,11 @@ def _poset_cells(cfg, params):
     elif variant == "forest":
         ctx["min_nodes"] = int(params["min_nodes"])
         ctx["max_nodes"] = int(params["max_nodes"])
+        if ctx["min_nodes"] > ctx["max_nodes"]:
+            raise ValueError("params 'min_nodes' must not exceed params 'max_nodes'")
     else:
         ctx["ground"] = int(params["labels" if variant == "antichain" else "size"])
-    return [{**ctx, "n": n} for n in cfg.n_grid]
+    return [ctx]
 
 
 def random_forest(rng, min_nodes: int, max_nodes: int) -> list:
@@ -475,9 +492,8 @@ def random_forest(rng, min_nodes: int, max_nodes: int) -> list:
     return paths
 
 
-def _poset_rep(ctx, seed, k):
+def _poset_rep(ctx, rng):
     n = ctx["n"]
-    rng = rng_for(seed, ctx["tag"], n, k)
     if ctx["variant"] == "forest":
         paths = random_forest(rng, ctx["min_nodes"], ctx["max_nodes"])
         ground = len(paths)
@@ -524,19 +540,14 @@ def _poset_finish(ctx, cfg, records):
 # ------------------------------------------------------------- coincide
 
 def _coincide_cells(cfg, params):
-    return [
-        {
-            "tag": cfg.scenario,
-            "n": n,
-            "radii": tuple(float(r) for r in params["radii"]),
-        }
-        for n in cfg.n_grid
-    ]
+    radii = tuple(float(r) for r in params["radii"])
+    if not radii or min(radii) < 0.0:
+        raise ValueError(f"params 'radii' must be a nonempty list of numbers >= 0, got {radii!r}")
+    return [{"radii": radii}]
 
 
-def _coincide_rep(ctx, seed, k):
+def _coincide_rep(ctx, rng):
     n = ctx["n"]
-    rng = rng_for(seed, ctx["tag"], n, k)
     pts = rng.random((n, 2))
     dist = cdist(pts, pts)
     w = [coverage_fraction(dist, r).value for r in ctx["radii"]]
@@ -609,6 +620,8 @@ def _dna_cells(cfg, params):
         raise ValueError(f"params 'null_population' must be at least {drawn}, got {null_pop}")
     length = int(params["length"])
     freqs = np.asarray(params["freqs"], dtype=float)
+    if freqs.shape != (4,) or freqs.min() < 0.0 or abs(freqs.sum() - 1.0) > 1e-8:
+        raise ValueError(f"params 'freqs' must be four probabilities summing to 1, got {freqs}")
     rng = rng_for(cfg.seed, cfg.scenario + "/population", 0, 0)
     ancestor = rng.choice(4, size=length, p=freqs).astype(np.uint8)
     codes = _mutate_population(ancestor, pop + null_pop, float(params["mutation"]), rng)
@@ -616,8 +629,6 @@ def _dna_cells(cfg, params):
     matrix = kimura_matrix(records)
     return [
         {
-            "tag": cfg.scenario,
-            "n": split[0],
             "split": split,
             "population": pop,
             "null_population": null_pop,
@@ -631,9 +642,8 @@ def _dna_cells(cfg, params):
     ]
 
 
-def _dna_rep(ctx, seed, k):
+def _dna_rep(ctx, rng):
     m, rest_size = ctx["split"]
-    rng = rng_for(seed, ctx["tag"], ctx["n"], k)
     obs = ctx["matrix_obs"]
     perm = rng.permutation(obs.shape[0])
     inner, outer = perm[:m], perm[m:m + rest_size]
@@ -692,15 +702,12 @@ def _coverage_cells(cfg, params):
         raise ValueError(f"params 'beta' must be two coefficients, got {params['beta']!r}")
     return [
         {
-            "tag": cfg.scenario,
-            "n": n,
             "alpha": float(params["alpha"]),
             "x_scale": float(params["x_scale"]),
             "holdout": int(params["holdout"]),
             "beta": tuple(float(b) for b in params["beta"]),
             "misspec": cfg.scenario == "coverage_quadratic_misspec",
         }
-        for n in cfg.n_grid
     ]
 
 
@@ -715,10 +722,8 @@ def _coverage_draw(ctx, rng, count):
     return x, y
 
 
-def _coverage_rep(ctx, seed, k):
-    n = ctx["n"]
-    rng = rng_for(seed, ctx["tag"], n, k)
-    x, y = _coverage_draw(ctx, rng, n)
+def _coverage_rep(ctx, rng):
+    x, y = _coverage_draw(ctx, rng, ctx["n"])
     est = loo_coverage(x, y, ctx["alpha"], method="downdate").value
     x_hold, y_hold = _coverage_draw(ctx, rng, ctx["holdout"])
     truth = holdout_coverage(x, y, x_hold, y_hold, ctx["alpha"])
@@ -753,21 +758,11 @@ _BRACKET_HALFWIDTH_MAX = 1e-3
 
 
 def _aldous_cells(cfg, params):
-    if int(params["probes"]) < 1:
-        raise ValueError(f"params 'probes' must be at least 1, got {params['probes']!r}")
-    return [
-        {
-            "tag": cfg.scenario,
-            "n": n,
-            "probes": int(params["probes"]),
-        }
-        for n in cfg.n_grid
-    ]
+    return [{"probes": int(params["probes"])}]
 
 
-def _aldous_rep(ctx, seed, k):
+def _aldous_rep(ctx, rng):
     n = ctx["n"]
-    rng = rng_for(seed, ctx["tag"], n, k)
     pts = sample_distribution({"kind": "sphere_mixture", "dim": n}, n, rng)
     gram = pts @ pts.T
     sq = np.diag(gram).copy()
@@ -838,8 +833,8 @@ def _aldous_finish(ctx, cfg, records):
 # ------------------------------------------------------------ the runner
 
 class _Family(NamedTuple):
-    cells: Callable  # (cfg, params) -> cell contexts
-    rep: Callable  # (ctx, seed, k) -> replication k's record
+    cells: Callable  # (cfg, params) -> base contexts: one per hull d, else one
+    rep: Callable  # (ctx, rng) -> one replication's record
     finish: Callable  # (ctx, cfg, records) -> report rows
 
 
@@ -854,10 +849,21 @@ _FAMILIES = {
 }
 
 
+def _cells(cfg: ScenarioConfig) -> list:
+    """The config's cell contexts: each base context once per n of the
+    grid, n inner (so hull cells run d by d)."""
+    family = _FAMILIES[_DEFAULTS[cfg.scenario]["family"]]
+    return [
+        {"tag": cfg.scenario, **base, "n": n}
+        for base in family.cells(cfg, _merged_params(cfg))
+        for n in cfg.n_grid
+    ]
+
+
 def _run_chunk(args):
     family, ctx, seed, lo, hi = args
     rep = _FAMILIES[family].rep
-    return [rep(ctx, seed, k) for k in range(lo, hi)]
+    return [rep(ctx, rng_for(seed, ctx["tag"], ctx["n"], k)) for k in range(lo, hi)]
 
 
 def _validate(cfg: ScenarioConfig):
@@ -881,38 +887,30 @@ def _validate(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     """Run one scenario; returns its BoundReportRow list.
 
-    ``workers`` must be a positive integer.  With ``workers`` > 1, each
-    cell's replications are cut into up to ``2 * workers`` contiguous
-    chunks, and every chunk of every cell is queued on one process pool
-    before any result is read, so a worker that is done with one cell
-    moves on to the next instead of waiting for the other workers.  The
-    pool holds at most one process per chunk and per CPU.  The result is
-    byte-identical for any worker count because replication k's seed
-    depends only on (seed, tag, n, k) and aggregation runs in
-    replication order.
+    ``workers`` must be a positive integer.  Each cell's replications
+    are cut into up to ``2 * workers`` contiguous chunks.  One worker
+    runs the chunks in this process; more queue every chunk of every
+    cell on one process pool before any result is read, so a worker
+    that is done with one cell moves on to the next instead of waiting
+    for the other workers.  The pool holds at most one process per chunk
+    and per CPU.  The result is byte-identical for any worker count
+    because replication k draws from ``rng_for(seed, tag, n, k)`` and
+    aggregation runs in replication order.
     """
     _validate(cfg)
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     family = _DEFAULTS[cfg.scenario]["family"]
-    cells = _FAMILIES[family].cells(cfg, _merged_params(cfg))
-    reps = cfg.replications
+    cells = _cells(cfg)
+    bounds = np.linspace(0, cfg.replications, min(2 * workers, cfg.replications) + 1).astype(int)
+    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    jobs = [(family, cell, cfg.seed, lo, hi) for cell in cells for lo, hi in chunks]
+    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
     finish = _FAMILIES[family].finish
     rows = []
-    if workers == 1:
+    with ProcessPoolExecutor(max_workers=pool_size) if workers > 1 else nullcontext() as pool:
+        # Both maps yield in job order, which is replication order.
+        results = (map if pool is None else pool.map)(_run_chunk, jobs)
         for cell in cells:
-            rows.extend(finish(cell, cfg, _run_chunk((family, cell, cfg.seed, 0, reps))))
-        return rows
-    bounds = np.linspace(0, reps, min(2 * workers, reps) + 1).astype(int)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        queued = [
-            (cell, [pool.submit(_run_chunk, (family, cell, cfg.seed, lo, hi)) for lo, hi in chunks])
-            for cell in cells
-        ]
-        for cell, futures in queued:
-            # submission order == replication order
-            records = [rec for fut in futures for rec in fut.result()]
-            rows.extend(finish(cell, cfg, records))
+            rows.extend(finish(cell, cfg, [rec for _ in chunks for rec in next(results)]))
     return rows

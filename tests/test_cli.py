@@ -6,8 +6,11 @@ import pytest
 
 import cascade.cli
 import cascade.convex_volume
+import cascade.poset_estimators
+import cascade.sim_harness.scenarios
 from cascade.cli import main
 from cascade.convex_volume import scaled_volume, volume_ci
+from cascade.poset_estimators import ProductOrder
 from cascade.sim_harness import parse_report_csv
 
 
@@ -144,6 +147,39 @@ def test_poset_product_convex_command(tmp_path, capsys):
     assert obj["sandwiched_count"] == 1
     assert obj["closure_size"] == 9
     assert obj["estimate"] == pytest.approx(3 * 9 / 1)
+
+
+@pytest.mark.parametrize(
+    "mode, names, estimator",
+    [
+        ([], ("upset_dominated_count", "upset_closure_size"), "estimate_upset_size"),
+        (
+            ["--convex"],
+            ("convex_sandwiched_count", "convex_closure_size"),
+            "estimate_convex_size",
+        ),
+    ],
+)
+def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, names, estimator):
+    path = tmp_path / "pts.txt"
+    path.write_text("1,1\n3,3\n2,2\n2,3\n")
+    calls = []
+    for name in names:
+        real = getattr(cascade.poset_estimators, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cascade.poset_estimators, name, spy)
+        monkeypatch.setattr(cascade.cli, name, spy)
+    rc, out, _ = run_cli(capsys, "poset", str(path), "--kind", "product", *mode)
+    assert rc == 0
+    assert sorted(calls) == sorted(names)
+    monkeypatch.undo()
+    sample = [(1, 1), (3, 3), (2, 2), (2, 3)]
+    want = getattr(cascade.poset_estimators, estimator)(sample, ProductOrder(2))
+    assert json.loads(out)["estimate"] == want
 
 
 def test_poset_product_width_mismatch(tmp_path, capsys):
@@ -509,6 +545,55 @@ def test_verify_config_rejects_coincide_probe_count(tmp_path, capsys):
 def test_verify_config_bad_scenario_params_fail(tmp_path, capsys, entry, key):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_grid": [20], "replications": 2, **entry}))
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "scenario, params, key",
+    [
+        # Wrongly typed values.
+        ("unseen_uniform", {"N": None}, "'N'"),
+        ("unseen_zipf", {"s": None}, "'s'"),
+        ("upset_staircase", {"parts": [3]}, "'parts'"),
+        ("hull_disk", {"alpha": None}, "'alpha'"),
+        ("hull_gauss_corr", {"corr": None}, "'corr'"),
+        ("coverage_linear", {"x_scale": None}, "'x_scale'"),
+        ("coverage_linear", {"x_scale": 10**400}, "'x_scale'"),
+        ("aldous_demo", {"probes": None}, "'probes'"),
+        ("coincide_uniform_square", {"radii": 0.1}, "'radii'"),
+        ("coincide_uniform_square", {"radii": [None]}, "'radii'"),
+        ("upset_chain", {"size": True}, "'size'"),
+        ("hull_rect", {"boxes": [[0, 1], [0, 1]]}, "'boxes'"),
+        ("hull_rect", {"boxes": {"2": [[0, None], [0, 1]]}}, "'boxes'"),
+        # Out-of-range values.
+        ("upset_staircase", {"parts": 0}, "'parts'"),
+        ("upset_chain", {"size": 0}, "'size'"),
+        ("upset_antichain", {"labels": 0}, "'labels'"),
+        ("poset_convex_interval", {"size": -3}, "'size'"),
+        ("poset_convex_forest", {"min_nodes": 30, "max_nodes": 20}, "'min_nodes'"),
+        ("coincide_uniform_square", {"radii": []}, "'radii'"),
+        ("coincide_uniform_square", {"radii": [0.1, -0.2]}, "'radii'"),
+        ("hull_rect", {"boxes": {"2": [[0, 1], [2, 2]]}}, "'boxes'"),
+        ("dna_split", {"freqs": [0.5, 0.5]}, "'freqs'"),
+        ("dna_split", {"freqs": [0.5, 0.5, 0.5, -0.5]}, "'freqs'"),
+        ("dna_split", {"split": [40, 0]}, "'split'"),
+    ],
+)
+def test_verify_config_wrong_param_shape_or_range_fails(
+    tmp_path, capsys, monkeypatch, scenario, params, key
+):
+    def no_draws(*args):
+        raise AssertionError("a replication started before the params were checked")
+
+    monkeypatch.setattr(cascade.sim_harness.scenarios, "rng_for", no_draws)
+    cfg_path = tmp_path / "cfg.json"
+    n_grid = [40] if scenario == "dna_split" else [20]
+    cfg_path.write_text(
+        json.dumps({"scenario": scenario, "n_grid": n_grid, "replications": 2, "params": params})
+    )
     rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
     assert rc == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -1,6 +1,5 @@
 import json
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -327,18 +326,21 @@ def tiny_config(name, seed=11):
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_every_scenario_produces_valid_rows(name):
-    rows = run_scenario(tiny_config(name))
-    assert rows, name
-    for row in rows:
-        assert isinstance(row, BoundReportRow)
-        assert row.scenario == name
-        assert row.replications == _TINY[name]["replications"]
-        assert row.empirical_mse >= 0.0
-        assert row.std_err >= 0.0
-        assert math.isfinite(row.bound)
-        # Construction enforces passed == (mse <= bound); re-encode to
-        # confirm the rows serialize.
-        report_text([row], timestamp=False)
+    texts = []
+    for workers in (1, 2):
+        rows = run_scenario(tiny_config(name), workers=workers)
+        assert rows, name
+        for row in rows:
+            assert isinstance(row, BoundReportRow)
+            assert row.scenario == name
+            assert row.replications == _TINY[name]["replications"]
+            assert row.empirical_mse >= 0.0
+            assert row.std_err >= 0.0
+            assert math.isfinite(row.bound)
+        # Construction enforces passed == (mse <= bound); encoding the
+        # report confirms the rows serialize.
+        texts.append(report_text(rows, timestamp=False))
+    assert texts[0] == texts[1], name
 
 
 def test_worker_count_does_not_change_results():
@@ -368,7 +370,7 @@ def test_run_scenario_rejects_a_bad_worker_count(workers):
 
 class _InlinePool:
     """A stand-in for ProcessPoolExecutor that records its size and runs
-    every submitted chunk in this process."""
+    every chunk in this process."""
 
     sizes: list = []
 
@@ -381,10 +383,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -522,9 +522,9 @@ def test_exact_gauss_defect_never_shrinks_when_a_point_is_dropped(name):
     # hull(n-1) lies in hull(n), so its mass cannot be larger.
     cfg = ScenarioConfig(name, (20,), 40, seed=6)
     extreme_seen = 0
-    for ctx in scenarios._hull_cells(cfg, scenarios._merged_params(cfg)):
+    for ctx in scenarios._cells(cfg):
         for k in range(cfg.replications):
-            rec = scenarios._hull_rep(ctx, cfg.seed, k)
+            rec = scenarios._hull_rep(ctx, rng_for(cfg.seed, ctx["tag"], ctx["n"], k))
             if rec["defect_prev"] != rec["defect"]:
                 extreme_seen += 1
             assert rec["defect_prev"] >= rec["defect"] - 1e-12, (ctx["d"], k)
@@ -681,8 +681,11 @@ def test_aldous_small_n_falls_back_to_the_probe_count():
     # At n = 30 the union bound is far too loose; such a replication
     # counts probes exactly as before the bracket existed.
     cfg = ScenarioConfig("aldous_demo", (30,), 6, seed=11, params={"probes": 2000})
-    (ctx,) = scenarios._aldous_cells(cfg, scenarios._merged_params(cfg))
-    recs = [scenarios._aldous_rep(ctx, cfg.seed, k) for k in range(cfg.replications)]
+    (ctx,) = scenarios._cells(cfg)
+    recs = [
+        scenarios._aldous_rep(ctx, rng_for(cfg.seed, "aldous_demo", 30, k))
+        for k in range(cfg.replications)
+    ]
     fallbacks = [k for k, rec in enumerate(recs) if not rec["origin"]]
     assert fallbacks and all(recs[k]["fallback"] for k in fallbacks)
     for k in fallbacks:
@@ -712,11 +715,11 @@ def test_exact_hull_rep_rebuilds_the_drop_hull_only_for_an_extreme_point(monkeyp
     seen = set()
     for name in ("hull_rect", "hull_disk"):
         cfg = ScenarioConfig(name, (12,), 12, seed=8)
-        for ctx in scenarios._hull_cells(cfg, scenarios._merged_params(cfg)):
+        for ctx in scenarios._cells(cfg):
             n = ctx["n"]
             for k in range(cfg.replications):
                 calls.clear()
-                rec = scenarios._hull_rep(ctx, cfg.seed, k)
+                rec = scenarios._hull_rep(ctx, rng_for(cfg.seed, ctx["tag"], n, k))
                 cloud = sample_distribution(ctx["spec"], n, rng_for(cfg.seed, ctx["tag"], n, k))
                 extreme = bool(hull_summary(cloud).extreme_flags[-1])
                 assert calls == ([n, n - 1] if extreme else [n])
