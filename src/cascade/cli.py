@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -355,7 +356,19 @@ def _write_report(rows, args) -> None:
         sys.stdout.write(report_text(rows, fmt=args.format))
 
 
+def _check_out_paths(paths: dict) -> None:
+    """Reject an output path (by flag) that cannot be a file, before any scenario runs."""
+    for flag, path in paths.items():
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path!r}: its directory does not exist")
+
+
 def _cmd_verify(args) -> int:
+    _check_out_paths({"--out": args.out, "--plot-out": args.plot_out})
     rows = []
     for cfg in _configs_from_args(args):
         rows.extend(run_scenario(cfg, workers=args.workers))
@@ -368,6 +381,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo_aldous(args) -> int:
+    _check_out_paths({"--out": args.out})
     cfg = default_config("aldous_demo", seed=args.seed, replications=args.reps)
     cfg.n_grid = (args.n,)
     rows = run_scenario(cfg, workers=args.workers)

@@ -19,7 +19,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import stats
 
 from .loo_core import LooEstimate
 
@@ -271,6 +270,8 @@ def ad_two_sample_normalized(x, y) -> float:
     tables for the k-sample statistic; computed by
     ``scipy.stats.anderson_ksamp`` in its midrank form.
     """
+    from scipy import stats
+
     x, y = _two_samples(x, y)
     pooled = np.concatenate([x, y])
     if pooled.min() == pooled.max():

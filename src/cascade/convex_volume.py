@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 __all__ = [
@@ -113,6 +112,8 @@ def in_hull(query, cloud, tol: float = DEFAULT_TOL) -> bool:
     so boundary points within tol count as inside.  An empty cloud has
     an empty hull.
     """
+    from scipy.optimize import linprog
+
     _check_tol(tol)
     q = np.asarray(query, dtype=float).reshape(-1)
     pts = np.asarray(cloud, dtype=float)

@@ -37,7 +37,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import ks_2samp
 
 from ..coincidence_test import (
     SequenceRecord,
@@ -315,13 +314,18 @@ def _hull_cells(cfg, params):
     if not dims or any(d not in (2, 3) for d in dims):
         raise ValueError(f"params 'dims' must be a nonempty list from {{2, 3}}, got {dims!r}")
     if cfg.scenario == "hull_rect":
-        boxes = {int(kk): v for kk, v in params["boxes"].items()}
+        try:
+            boxes = {int(kk): v for kk, v in params["boxes"].items()}
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"params 'boxes' keys must be dimensions, got {list(params['boxes'])!r}"
+            ) from None
     for d in (int(d) for d in dims):
         chol = None
         if cfg.scenario == "hull_rect":
             bounds = boxes.get(d)
-            if np.shape(bounds) != (d, 2) or any(
-                not _fits((0.0,), b) or b[0] >= b[1] for b in bounds
+            if not (_fits(((0.0,),), bounds) and len(bounds) == d) or any(
+                len(b) != 2 or b[0] >= b[1] for b in bounds
             ):
                 raise ValueError(f"params 'boxes' must give {d} intervals (low < high) for d = {d}")
             spec = {"kind": "uniform_box", "bounds": bounds}
@@ -604,6 +608,8 @@ def _mutate_population(ancestor: np.ndarray, count: int, mutation: float, rng) -
 
 
 def _dna_cells(cfg, params):
+    import scipy.stats  # noqa: F401 -- loaded before the pool forks, so workers inherit it
+
     split = tuple(int(s) for s in params["split"])
     if len(split) != 2:
         raise ValueError(f"params 'split' must be two sizes, got {params['split']!r}")
@@ -663,6 +669,8 @@ def _dna_rep(ctx, rng):
 
 
 def _dna_finish(ctx, cfg, records):
+    from scipy.stats import ks_2samp
+
     obs = np.array([r["ad_obs"] for r in records])
     null = np.array([r["ad_null"] for r in records])
     ks = float(ks_2samp(obs, null).statistic)

@@ -580,6 +580,9 @@ def test_verify_config_bad_scenario_params_fail(tmp_path, capsys, entry, key):
         ("dna_split", {"freqs": [0.5, 0.5]}, "'freqs'"),
         ("dna_split", {"freqs": [0.5, 0.5, 0.5, -0.5]}, "'freqs'"),
         ("dna_split", {"split": [40, 0]}, "'split'"),
+        # Ragged boxes and a key that is not a dimension.
+        ("hull_rect", {"boxes": {"2": [[0, 1], [0]]}}, "'boxes'"),
+        ("hull_rect", {"boxes": {"x": [[0, 1], [0, 1]]}}, "'boxes'"),
     ],
 )
 def test_verify_config_wrong_param_shape_or_range_fails(
@@ -598,6 +601,29 @@ def test_verify_config_wrong_param_shape_or_range_fails(
     assert rc == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--scenario", "upset_chain", "--out", "{missing}"], "--out"),
+        (["verify", "--scenario", "upset_chain", "--out", "{dir}"], "--out"),
+        (["verify", "--scenario", "upset_chain", "--plot-out", "{missing}"], "--plot-out"),
+        (["verify", "--scenario", "upset_chain", "--plot-out", "{dir}"], "--plot-out"),
+        (["demo-aldous", "--n", "30", "--out", "{missing}"], "--out"),
+        (["demo-aldous", "--n", "30", "--out", "{dir}"], "--out"),
+    ],
+)
+def test_bad_output_path_fails_before_any_scenario(tmp_path, capsys, monkeypatch, argv, flag):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scenario ran before the output paths were checked")
+
+    monkeypatch.setattr(cascade.cli, "run_scenario", no_run)
+    paths = {"missing": str(tmp_path / "absent" / "o.csv"), "dir": str(tmp_path)}
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + flag + " ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
@@ -37,7 +38,7 @@ def test_membership_dimension_mismatch():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_membership_rejects_non_finite_input(bad, monkeypatch):
     # Checked before the LP is built, and the message names the argument.
-    monkeypatch.setattr(convex_volume, "linprog", None)
+    monkeypatch.setattr(scipy.optimize, "linprog", None)
     with pytest.raises(ValueError, match="query.*finite"):
         in_hull([bad, 0.5], SQUARE)
     cloud = SQUARE.copy()
@@ -158,7 +159,7 @@ def test_flat_clouds_solve_no_lp():
 
     clouds = _flat_examples()
     want = [_oracle_flags(c) for c in clouds]
-    with mock.patch.object(convex_volume, "linprog", no_lp):
+    with mock.patch.object(scipy.optimize, "linprog", no_lp):
         for cloud, flags in zip(clouds, want, strict=True):
             s = hull_summary(cloud)
             assert list(s.extreme_flags) == flags
