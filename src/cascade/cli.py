@@ -248,15 +248,13 @@ def _cmd_coincide(args) -> int:
 
     off = dist[~np.eye(n, dtype=bool)]
     cutoff = float(np.percentile(off, args.threshold_percentile))
-    flagged = [
-        [ids[i], ids[j], float(dist[i, j])]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if dist[i, j] <= cutoff
-    ]
-    flagged.sort(key=lambda t: t[2])
+    # Pairs i < j in row order, then stably by distance.
+    rows, cols = np.triu_indices(n, 1)
+    pair_dist = dist[rows, cols]
+    picked = np.flatnonzero(pair_dist <= cutoff)
+    picked = picked[np.argsort(pair_dist[picked], kind="stable")]
     out["flag_threshold"] = cutoff
-    out["flagged_pairs"] = flagged
+    out["flagged_pairs"] = [[ids[rows[k]], ids[cols[k]], float(pair_dist[k])] for k in picked]
 
     if args.dist_out:
         with open(args.dist_out, "w", encoding="utf-8") as fh:

@@ -206,15 +206,17 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
 
     ``tol`` is the flatness threshold: the distinct rows, shifted so
     the first is the origin, have affine rank k, the number of their
-    singular values above ``tol`` times the largest.  A line (k = 1)
-    has its two ends as extremes.  Otherwise, when k = d the cloud goes
-    to Qhull, and when k < d the cloud is flat: its rows are projected
-    onto the top k right singular vectors and Qhull runs there.  A flat
-    cloud's volume is 0.0 for d <= 3 and None above, and it has no
-    facets.  A cloud whose spread overflows the float range raises
-    ``ValueError``.
+    singular values above ``tol`` times the largest, so ``tol`` must lie
+    in (0, 1).  A line (k = 1) has its two ends as extremes.  Otherwise,
+    when k = d the cloud goes to Qhull, and when k < d the cloud is flat:
+    its rows are projected onto the top k right singular vectors and
+    Qhull runs there.  A flat cloud's volume is 0.0 for d <= 3 and None
+    above, and it has no facets.  A cloud whose spread overflows the
+    float range raises ``ValueError``.
     """
     _check_tol(tol)
+    if not tol < 1:
+        raise ValueError("tol must be below 1: it is relative to the largest singular value")
     pts = _as_cloud(cloud)
     n, d = pts.shape
     unique_pts, inverse, counts = _unique_rows(pts)

@@ -14,16 +14,20 @@ Two related estimators over an abstract order oracle:
   closure is the order-convex hull.
 
 Both counts are leave-one-out estimators: point i is a member of the
-region built from the others exactly when a witness (one for up-sets,
-a pair for convex sets) exists among the remaining points.
+region built from the others exactly when a witness (one below it for
+up-sets, one below and one above for convex sets) exists among the
+remaining points.
 
 The built-in posets cover the classical specializations: equality only
 (label collision counting, the birthday regime), reversed naturals
 (sample-maximum estimation, the serial-number regime), the reversed
 componentwise product order (staircase shapes), and ancestry in the
-infinite rooted tree (subtrees and subforests).  Each counts and
-closes a sample with numpy or hash tables; any other order, given by
-its ``leq`` alone, is counted by the O(n^2) pair scan.
+infinite rooted tree (subtrees and subforests).  Each finds a sample's
+witnesses and closes it with numpy or hash tables.  Any order may
+supply ``witnesses(sample) -> (below, above)``, two boolean arrays
+saying whether some other sample point lies below, and above, each
+point; an order without it, or a bare ``leq`` callable, has its
+witnesses found by the O(n^2) pair scan.
 """
 
 from __future__ import annotations
@@ -52,9 +56,12 @@ _GRID_CELL_CAP = 2_000_000
 
 
 def _positive_integers(values, ndim: int) -> np.ndarray:
+    # Python ints of 2**63 or more make a float or object array; a uint64
+    # array may hold them, but its arithmetic with int64 turns to float.
     arr = np.asarray(values)
-    if arr.ndim != ndim or not np.issubdtype(arr.dtype, np.integer) or arr.min() < 1:
-        raise ValueError("elements must be positive integers")
+    ok = arr.ndim == ndim and arr.dtype.kind in "iu"  # signed or unsigned integers
+    if not ok or arr.min() < 1 or (arr.dtype == np.uint64 and arr.max() >= 2**63):
+        raise ValueError("elements must be positive integers below 2**63")
     return arr
 
 
@@ -66,10 +73,13 @@ class Antichain:
         return x == y
 
     @staticmethod
-    def upset_dominated_count(sample) -> int:
-        # A point is dominated exactly when its label repeats; a repeat
-        # also supplies both witnesses of the convex count.
-        return sum(c for c in Counter(sample).values() if c > 1)
+    def witnesses(sample):
+        # A repeated label is its own witness on both sides.  Python
+        # ints hash faster than numpy scalars.
+        labels = sample.tolist() if isinstance(sample, np.ndarray) else sample
+        counts = Counter(labels)
+        repeats = np.array([counts[x] > 1 for x in labels], dtype=bool)
+        return repeats, repeats
 
     @staticmethod
     def upset_closure_size(sample) -> int:
@@ -77,7 +87,6 @@ class Antichain:
         # sample's distinct values too.
         return len(set(sample))
 
-    convex_sandwiched_count = upset_dominated_count
     convex_closure_size = upset_closure_size
 
 
@@ -93,23 +102,16 @@ class ReversedNaturals:
         return y <= x
 
     @staticmethod
-    def upset_dominated_count(sample) -> int:
-        # Only a unique maximum has nothing above it.
+    def witnesses(sample):
+        # Only a unique maximum has nothing below it, and only a unique
+        # minimum nothing above it.
         x = _positive_integers(sample, 1)
-        return x.size - int((x == x.max()).sum() == 1)
+        hi, lo = x == x.max(), x == x.min()
+        return ~hi | (np.count_nonzero(hi) > 1), ~lo | (np.count_nonzero(lo) > 1)
 
     @staticmethod
     def upset_closure_size(sample) -> int:
         return int(_positive_integers(sample, 1).max())
-
-    @staticmethod
-    def convex_sandwiched_count(sample) -> int:
-        # A unique maximum or minimum lacks one witness.
-        x = _positive_integers(sample, 1)
-        hi, lo = x == x.max(), x == x.min()
-        below = ~hi | (hi.sum() > 1)
-        above = ~lo | (lo.sum() > 1)
-        return int((below & above).sum())
 
     @staticmethod
     def convex_closure_size(sample) -> int:
@@ -156,12 +158,9 @@ class ProductOrder:
         np.fill_diagonal(below, False)
         return below
 
-    def upset_dominated_count(self, sample) -> int:
-        return int(self._below(self._points(sample)).any(axis=1).sum())
-
-    def convex_sandwiched_count(self, sample) -> int:
+    def witnesses(self, sample):
         below = self._below(self._points(sample))
-        return int((below.any(axis=1) & below.any(axis=0)).sum())
+        return below.any(axis=1), below.any(axis=0)
 
     def upset_closure_size(self, sample) -> int:
         pts = self._points(sample)
@@ -222,33 +221,26 @@ class TreeAncestor:
 
     @staticmethod
     def _hull(points, ancestors) -> set:
-        # The order-convex hull: prefixes of sampled nodes that have a
-        # sampled prefix themselves, settled shallowest first.
-        hull = set()
-        for z in sorted(ancestors | points, key=len):
-            if z in points or (z and z[:-1] in hull):
+        # The order-convex hull: the sampled nodes, and the ancestors that
+        # have a sampled prefix themselves, settled shallowest first.
+        hull = set(points)
+        for z in sorted(ancestors, key=len):
+            if z and z[:-1] in hull:
                 hull.add(z)
         return hull
 
     @staticmethod
-    def upset_dominated_count(sample) -> int:
-        # Dominated: a duplicate, or an ancestor of another sampled node.
-        counts = Counter(map(tuple, sample))
-        ancestors = TreeAncestor._ancestors(counts)
-        return sum(c for x, c in counts.items() if c > 1 or x in ancestors)
-
-    @staticmethod
-    def convex_sandwiched_count(sample) -> int:
-        # Sandwiched: a duplicate, or an ancestor of one sampled node and
-        # a descendant of another (its parent is then in the hull).
-        counts = Counter(map(tuple, sample))
+    def witnesses(sample):
+        # Below: a duplicate, or an ancestor of another sampled node.
+        # Above: a duplicate, or a descendant of another sampled node,
+        # that is a non-root node whose parent is in the hull.
+        points = list(map(tuple, sample))
+        counts = Counter(points)
         ancestors = TreeAncestor._ancestors(counts)
         hull = TreeAncestor._hull(counts.keys(), ancestors)
-        return sum(
-            c
-            for x, c in counts.items()
-            if c > 1 or (x in ancestors and x and x[:-1] in hull)
-        )
+        below = [counts[x] > 1 or x in ancestors for x in points]
+        above = [counts[x] > 1 or (x != () and x[:-1] in hull) for x in points]
+        return np.array(below, dtype=bool), np.array(above, dtype=bool)
 
     @staticmethod
     def upset_closure_size(sample) -> int:
@@ -262,46 +254,52 @@ class TreeAncestor:
 
 
 def _as_sample(sample):
-    # Arrays pass straight to the numpy counts; other iterables are listed.
+    # Arrays pass straight to the numpy witnesses; other iterables are listed.
     return sample if isinstance(sample, np.ndarray) else list(sample)
 
 
-def _leq_fn(oracle):
+def _witnesses(sample, oracle):
+    """(below, above): whether some other sample point lies below, and
+    above, each point.  The oracle's own ``witnesses`` answers when it
+    has one; otherwise every pair is compared once each way by ``leq``.
+    """
+    sample = _as_sample(sample)
+    fn = getattr(oracle, "witnesses", None)
+    if fn is not None and len(sample):
+        return fn(sample)
     leq = getattr(oracle, "leq", oracle)
     if not callable(leq):
         raise TypeError("order oracle must be callable or expose a leq method")
-    return leq
+    n = len(sample)
+    below, above = [False] * n, [False] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (below[i] and above[j]) and leq(sample[j], sample[i]):
+                below[i] = above[j] = True
+            if not (below[j] and above[i]) and leq(sample[i], sample[j]):
+                below[j] = above[i] = True
+    return np.array(below, dtype=bool), np.array(above, dtype=bool)
+
+
+def _closure_size(sample, oracle, method: str, region: str) -> int:
+    sample = _as_sample(sample)
+    if len(sample) == 0:
+        raise ValueError("empty sample")
+    fn = getattr(oracle, method, None)
+    if fn is None:
+        raise TypeError(f"oracle does not support {region} enumeration")
+    return int(fn(sample))
 
 
 def upset_dominated_count(sample, oracle) -> int:
-    """#{i : some other sample point is below sample[i]}.
-
-    The built-in orders count in numpy or with hash tables; any other
-    oracle, or a bare ``leq`` callable, takes the O(n^2) pair scan.
-    """
-    sample = _as_sample(sample)
-    fn = getattr(oracle, "upset_dominated_count", None)
-    if fn is not None and len(sample):
-        return int(fn(sample))
-    leq = _leq_fn(oracle)
-    count = 0
-    for i, x in enumerate(sample):
-        for j, y in enumerate(sample):
-            if j != i and leq(y, x):
-                count += 1
-                break
-    return count
+    """N_n = #{i : some other sample point is below sample[i]}."""
+    below, _ = _witnesses(sample, oracle)
+    return int(np.count_nonzero(below))
 
 
 def upset_closure_size(sample, oracle) -> int:
     """Size of the union of everything above some sample point."""
-    sample = _as_sample(sample)
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    fn = getattr(oracle, "upset_closure_size", None)
-    if fn is None:
-        raise TypeError("oracle does not support up-closure enumeration")
-    return int(fn(sample))
+    return _closure_size(sample, oracle, "upset_closure_size", "up-closure")
 
 
 def estimate_upset_size(sample, oracle) -> float:
@@ -332,34 +330,15 @@ def convex_sandwiched_count(sample, oracle) -> int:
 
     The two witnesses are quantified independently over the other
     indices, so a single duplicate supplies both at once (equality
-    chains count).  Dispatched like ``upset_dominated_count``.
+    chains count).
     """
-    sample = _as_sample(sample)
-    fn = getattr(oracle, "convex_sandwiched_count", None)
-    if fn is not None and len(sample):
-        return int(fn(sample))
-    leq = _leq_fn(oracle)
-    n = len(sample)
-    count = 0
-    for i, x in enumerate(sample):
-        below = any(leq(sample[j], x) for j in range(n) if j != i)
-        if not below:
-            continue
-        above = any(leq(x, sample[k]) for k in range(n) if k != i)
-        if above:
-            count += 1
-    return count
+    below, above = _witnesses(sample, oracle)
+    return int(np.count_nonzero(below & above))
 
 
 def convex_closure_size(sample, oracle) -> int:
     """Size of the order-convex hull of the sample."""
-    sample = _as_sample(sample)
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    fn = getattr(oracle, "convex_closure_size", None)
-    if fn is None:
-        raise TypeError("oracle does not support convex-closure enumeration")
-    return int(fn(sample))
+    return _closure_size(sample, oracle, "convex_closure_size", "convex-closure")
 
 
 def estimate_convex_size(sample, oracle) -> float:

@@ -874,22 +874,31 @@ def _run_chunk(args):
     return [rep(ctx, rng_for(seed, ctx["tag"], ctx["n"], k)) for k in range(lo, hi)]
 
 
+def _is_int(value) -> bool:
+    # JSON's true and false are Python bools, which are Integral too.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _validate(cfg: ScenarioConfig):
     if cfg.scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     if not cfg.n_grid:
         raise ValueError("empty n grid")
     for n in cfg.n_grid:
-        if not isinstance(n, numbers.Integral):
+        if not _is_int(n):
             raise ValueError(f"n_grid entries must be integers, got {n!r}")
         if n < 3:
             raise ValueError("every n in the grid must be at least 3")
-    if not isinstance(cfg.replications, numbers.Integral):
+    if not _is_int(cfg.replications):
         raise ValueError(f"replications must be an integer, got {cfg.replications!r}")
     if cfg.replications < 1:
         raise ValueError("replications must be at least 1")
-    if not isinstance(cfg.seed, numbers.Integral):
+    if not _is_int(cfg.seed):
         raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
+    # child_seed reads the seed modulo 2**64, so a seed outside that range
+    # would alias one inside it.
+    if not 0 <= cfg.seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {cfg.seed}")
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:

@@ -82,6 +82,15 @@ def test_hull_runs_one_hull_summary_with_the_given_tol(tmp_path, capsys, monkeyp
     assert tols == [1e-6]
 
 
+@pytest.mark.parametrize("tol", ["1", "2", "inf"])
+def test_hull_tol_of_one_or_more_fails(tmp_path, capsys, tol):
+    path = tmp_path / "cloud.csv"
+    path.write_text("1,2\n3,4\n5,7\n")
+    rc, out, err = run_cli(capsys, "hull", str(path), "--tol", tol)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "tol must be below 1" in err
+
+
 def test_hull_interval_matches_volume_ci(tmp_path, capsys):
     cloud = np.random.default_rng(8).random((1500, 2)) * [3.0, 2.0]
     path = tmp_path / "cloud.csv"
@@ -201,6 +210,18 @@ def test_poset_non_positive_elements_fail(tmp_path, capsys, kind, text, mode):
     rc, out, err = run_cli(capsys, "poset", str(path), "--kind", kind, *mode)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "positive integers" in err
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [("chain", "100000000000000000000000 3\n"), ("product", "1 9223372036854775808\n2 3\n")],
+)
+def test_poset_integers_past_int64_fail(tmp_path, capsys, kind, text):
+    path = tmp_path / "vals.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "poset", str(path), "--kind", kind)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "positive integers below 2**63" in err
 
 
 def test_poset_tree_command(tmp_path, capsys):
@@ -462,6 +483,17 @@ def test_verify_config_non_integer_n_fails(tmp_path, capsys, bad):
     assert err.startswith("error:") and "n_grid" in err
 
 
+@pytest.mark.parametrize("key, value", [("replications", True), ("n_grid", [True, 20])])
+def test_verify_config_bool_counts_fail(tmp_path, capsys, key, value):
+    # JSON true is a Python bool, which would pass as the integer 1.
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"scenario": "upset_chain", "n_grid": [20], "replications": 3, key: value}
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{key} " in err and "integer" in err
+
+
 def test_verify_config_non_integer_replications_fails(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -474,7 +506,14 @@ def test_verify_config_non_integer_replications_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra, key",
-    [({"params": {"sise": 5}}, "sise"), ({"params": [1]}, "params"), ({"seed": 2.7}, "seed")],
+    [
+        ({"params": {"sise": 5}}, "sise"),
+        ({"params": [1]}, "params"),
+        ({"seed": 2.7}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+        ({"seed": True}, "seed"),
+    ],
 )
 def test_verify_config_bad_params_or_seed_fails(tmp_path, capsys, extra, key):
     cfg_path = tmp_path / "cfg.json"

@@ -59,6 +59,16 @@ def test_tol_must_be_positive(tol):
         in_hull([0.5, 0.5], SQUARE, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [1.0, 2.0, float("inf")])
+def test_hull_tol_must_be_below_one(tol):
+    # A relative tolerance of 1 or more would give every cloud rank 0.
+    for cloud in (SQUARE, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])):
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            hull_summary(cloud, tol=tol)
+    # in_hull's tol is an absolute LP slack, so large values stay valid.
+    assert in_hull([0.5, 0.5], SQUARE, tol=tol)
+
+
 def test_square_plus_center():
     cloud = np.vstack([SQUARE, [0.5, 0.5]])
     s = hull_summary(cloud)

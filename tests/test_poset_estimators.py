@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -242,8 +243,6 @@ def test_proof_kernel_maximization():
     # Note the peak VALUE exceeds 1/(e (n-1)), so only evaluating the
     # kernel with the exponent raised to n-1 lands below that constant;
     # both true statements are checked here.
-    import numpy as np
-
     zs = np.linspace(0.0, 1.0, 4001)
     for n in range(4, 51):
         assert (zs ** (n - 2) * (1 - zs)).max() <= 1 / (math.e * (n - 2)) + 1e-12
@@ -338,7 +337,12 @@ def _scan_closure(sample, leq, ground, convex):
 
 
 def _check_against_scan(order, ground_of, sample):
-    # order.leq passed bare has no fast count, so it takes the pair scan.
+    # Each point's witnesses, against leq over the other points.
+    below, above = order.witnesses(sample)
+    others = [sample[:i] + sample[i + 1 :] for i in range(len(sample))]
+    assert below.tolist() == [any(order.leq(y, x) for y in o) for x, o in zip(sample, others)]
+    assert above.tolist() == [any(order.leq(x, y) for y in o) for x, o in zip(sample, others)]
+    # order.leq passed bare has no witnesses method, so it takes the pair scan.
     ground = ground_of(sample)
     assert upset_dominated_count(sample, order) == upset_dominated_count(sample, order.leq)
     assert convex_sandwiched_count(sample, order) == convex_sandwiched_count(sample, order.leq)
@@ -366,8 +370,6 @@ def test_fast_counts_on_small_and_tied_samples(kind):
 
 
 def test_chain_counts_on_numpy_samples():
-    import numpy as np
-
     sample = np.array([4, 9, 9, 1, 4])
     assert upset_dominated_count(sample, ReversedNaturals()) == 5
     assert convex_sandwiched_count(sample, ReversedNaturals()) == 4
@@ -392,6 +394,21 @@ def test_chain_counts_on_numpy_samples():
 def test_non_positive_elements_rejected(order, sample, fn):
     with pytest.raises(ValueError, match="positive integers"):
         fn(sample, order)
+
+
+@pytest.mark.parametrize(
+    "order, sample",
+    [
+        (ReversedNaturals(), [10**23, 3]),
+        (ReversedNaturals(), np.array([2**63 + 5, 3], dtype=np.uint64)),
+        (ProductOrder(2), np.array([(1, 2**63 + 5), (2, 3)], dtype=np.uint64)),
+    ],
+)
+def test_integers_of_2_63_or_more_rejected(order, sample):
+    # A uint64 array would turn the product closure's sum to float.
+    for fn in (upset_dominated_count, upset_closure_size, convex_closure_size):
+        with pytest.raises(ValueError, match=r"positive integers below 2\*\*63"):
+            fn(sample, order)
 
 
 def test_non_integer_chain_elements_rejected():

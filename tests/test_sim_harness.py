@@ -10,7 +10,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from cascade.convex_volume import hull_summary
-from cascade.poset_estimators import TreeAncestor
+from cascade.poset_estimators import TreeAncestor, convex_sandwiched_count
 from cascade.sim_harness import (
     BoundReportRow,
     SCENARIO_NAMES,
@@ -805,7 +805,7 @@ def test_poset_rows_match_library_counts():
     rng = rng_for(seed, "poset_convex_forest", n, 0)
     paths = random_forest(rng, 15, 40)
     sample = [paths[i] for i in rng.integers(0, len(paths), size=n)]
-    hits = TreeAncestor.convex_sandwiched_count(sample)
+    hits = convex_sandwiched_count(sample, TreeAncestor())
     closure = TreeAncestor.convex_closure_size(sample)
     assert row.empirical_mse == (hits / n - closure / len(paths)) ** 2
     assert row.extras["mean_forest_size"] == len(paths)
