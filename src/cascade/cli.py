@@ -120,7 +120,7 @@ def _cmd_hull(args) -> int:
         "hull_volume": summary.volume,
         "defect_estimate": summary.extreme_count / n,
     }
-    if summary.extreme_count < n and summary.volume is not None:
+    if summary.extreme_count < n:
         ci = volume_interval(summary, d, args.alpha)
         out["volume_estimate"] = ci.estimate
         out["ci_low"] = ci.ci_low

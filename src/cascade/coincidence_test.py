@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .loo_core import LooEstimate
+from .loo_core import LooEstimate, _check_bound_n
 
 __all__ = [
     "SequenceRecord",
@@ -75,8 +75,7 @@ def coverage_fraction(D, r: float) -> LooEstimate:
 
 def coincidence_mse_bound(n: int) -> float:
     """9/n: distribution-free MSE bound for W_n(r)/n, any metric."""
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     return 9.0 / n
 
 

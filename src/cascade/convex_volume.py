@@ -20,7 +20,7 @@ Qhull in its own affine span, after projecting onto the top k singular
 directions (a line needs only its two ends).  ``in_hull`` decides a
 single membership by linear-programming feasibility, which works in any
 dimension and serves the tests as an independent oracle for the flags.
-Exact hull volume is provided for d <= 3 only; a flat hull has volume 0.
+The hull volume is Qhull's in every dimension; a flat hull has volume 0.
 ``volume_interval`` turns a summary into the estimate and its interval,
 the one place that formula lives.
 """
@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull
+
+from .loo_core import _check_bound_n
 
 __all__ = [
     "HullSummary",
@@ -50,21 +52,22 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HullSummary:
-    """Extreme-point flags and exact hull volume of a point cloud.
+    """Extreme-point flags and hull volume of a point cloud.
 
-    ``volume`` is None for d > 3 (exact volume unsupported there).
-    When Qhull hulls the cloud in its full space (d >= 2, affine rank
-    d), ``facets`` carries the hull's facet inequalities (rows
-    [normal, offset] with normal . x + offset <= 0 inside) and
-    ``facet_vertices`` each facet's d vertices (an array of shape
-    (facets, d, d), Qhull's triangulated simplices), so callers can
-    integrate over the hull facet by facet.  Both are None for a flat
+    ``volume`` is the hull's d-dimensional volume, computed by Qhull in
+    every dimension d >= 2; it is the range length for d = 1 and 0.0
+    for a flat cloud.  When Qhull hulls the cloud in its full space
+    (d >= 2, affine rank d), ``facets`` carries the hull's facet
+    inequalities (rows [normal, offset] with normal . x + offset <= 0
+    inside) and ``facet_vertices`` each facet's d vertices (an array of
+    shape (facets, d, d), Qhull's triangulated simplices), so callers
+    can integrate over the hull facet by facet.  Both are None for a flat
     cloud and for d = 1.
     """
 
     extreme_count: int
     extreme_flags: np.ndarray
-    volume: float | None
+    volume: float
     facets: np.ndarray | None = field(default=None, repr=False)
     facet_vertices: np.ndarray | None = field(default=None, repr=False)
 
@@ -151,26 +154,6 @@ def _affine_rank(centered: np.ndarray, tol: float) -> int:
     raise ValueError("point cloud spread overflows the float range")
 
 
-def _polygon_area(vertices: np.ndarray) -> float:
-    # Shoelace over an ordered polygon; the next vertex after the last
-    # is the first.
-    x, y = vertices[:, 0], vertices[:, 1]
-    x_next = np.concatenate((x[1:], x[:1]))
-    y_next = np.concatenate((y[1:], y[:1]))
-    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
-
-
-def _facet_fan_volume(points: np.ndarray, hull: ConvexHull) -> float:
-    # Tetrahedron fan from an interior point over the triangulated
-    # facets; every tetrahedron is nondegenerate toward the interior,
-    # so summing absolute determinants is exact for a convex hull.
-    interior = points[hull.vertices].mean(axis=0)
-    simplex_pts = points[hull.simplices]  # (f, 3, 3)
-    edges = simplex_pts - interior
-    dets = np.linalg.det(edges)
-    return float(np.abs(dets).sum()) / 6.0
-
-
 def _unique_rows(pts: np.ndarray):
     """Distinct rows in lexicographic order, each row's index among them,
     and each distinct row's multiplicity.
@@ -192,13 +175,12 @@ def _unique_rows(pts: np.ndarray):
 
 
 def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
-    """Extreme-point flags, V_n, and (for d <= 3) exact hull volume.
+    """Extreme-point flags, V_n, and hull volume.
 
     Point i is flagged extreme iff it is not in the convex hull of the
     other n - 1 points; a position occurring more than once is never
-    extreme.  Volume: d=1 interval length, d=2 shoelace area over the
-    ordered hull polygon, d=3 summed tetrahedra over triangulated
-    facets; None for d > 3.
+    extreme.  Volume: d=1 interval length, and for d >= 2 the volume
+    Qhull computes for the hull it builds.
 
     Duplicates are found by sorting the rows lexicographically (one
     ``np.lexsort``) and comparing each sorted row with the one before
@@ -210,9 +192,9 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     in (0, 1).  A line (k = 1) has its two ends as extremes.  Otherwise,
     when k = d the cloud goes to Qhull, and when k < d the cloud is flat:
     its rows are projected onto the top k right singular vectors and
-    Qhull runs there.  A flat cloud's volume is 0.0 for d <= 3 and None
-    above, and it has no facets.  A cloud whose spread overflows the
-    float range raises ``ValueError``.
+    Qhull runs there.  A flat cloud's volume is 0.0 in every dimension,
+    and it has no facets.  A cloud whose spread overflows the float
+    range raises ``ValueError``.
     """
     _check_tol(tol)
     if not tol < 1:
@@ -225,7 +207,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     k = _affine_rank(centered, tol)
 
     vertex_mask = np.zeros(unique_pts.shape[0], dtype=bool)
-    volume: float | None = 0.0 if d <= 3 else None
+    volume = 0.0
     facets = facet_vertices = None
 
     if k == 0:
@@ -244,10 +226,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     else:
         hull = ConvexHull(unique_pts)
         vertex_mask[hull.vertices] = True
-        if d == 2:
-            volume = _polygon_area(unique_pts[hull.vertices])
-        elif d == 3:
-            volume = _facet_fan_volume(unique_pts, hull)
+        volume = float(hull.volume)
         facets = hull.equations
         facet_vertices = unique_pts[hull.simplices]
 
@@ -276,13 +255,11 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
     """The volume estimate of a d-dimensional cloud's ``summary`` with
     its level 1-alpha one-sided interval (see ``VolumeEstimate``).
 
-    Raises ``ValueError`` when alpha is outside (0, 1), when the
-    summary has no exact volume (d > 3), or when every point is extreme.
+    Raises ``ValueError`` when alpha is outside (0, 1) or when every
+    point is extreme.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if summary.volume is None:
-        raise ValueError("exact volume unsupported above d=3")
     n = summary.extreme_flags.shape[0]
     est = scaled_volume(summary.volume, summary.extreme_count, n)
     eps = math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - summary.extreme_count))
@@ -299,8 +276,7 @@ def volume_ci(cloud, alpha: float) -> VolumeEstimate:
 
 def conv_mse_bound(n: int, d: int) -> float:
     """(8d+9)/n: MSE bound for V_n/n against the hull defect."""
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     if d < 1:
         raise ValueError("d must be a positive integer")
     return (8 * d + 9) / n
@@ -308,8 +284,7 @@ def conv_mse_bound(n: int, d: int) -> float:
 
 def consecutive_defect_bound(n: int, d: int) -> float:
     """(d+1)/n: bound on E|defect(n) - defect(n-1)|."""
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     if d < 1:
         raise ValueError("d must be a positive integer")
     return (d + 1) / n

@@ -17,6 +17,8 @@ membership rule.  The accompanying mean-squared-error bound is
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["LooEstimate", "BoundInputs", "loo_estimate", "loo_mse_bound"]
@@ -81,10 +83,19 @@ class BoundInputs:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 0.25:
             raise ValueError("theta must lie in [0, 1/4]")
-        if self.delta_prime < 0 or self.delta_double_prime < 0:
-            raise ValueError("delta terms must be nonnegative")
-        if self.n < 3:
-            raise ValueError("bound requires n >= 3")
+        for delta in (self.delta_prime, self.delta_double_prime):
+            if not (math.isfinite(delta) and delta >= 0):
+                raise ValueError("delta terms must be finite and nonnegative")
+        _check_bound_n(self.n)
+
+
+def _check_bound_n(n) -> None:
+    """Every MSE bound's sample-size precondition: n is an integer
+    (not a bool) of at least 3."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"bound requires n to be an integer, got {n!r}")
+    if n < 3:
+        raise ValueError("bound requires n >= 3")
 
 
 def _member_fn(oracle):

@@ -37,6 +37,8 @@ from collections import Counter
 
 import numpy as np
 
+from .loo_core import _check_bound_n
+
 __all__ = [
     "Antichain",
     "ReversedNaturals",
@@ -320,8 +322,7 @@ def estimate_upset_size(sample, oracle) -> float:
 
 def upset_mse_bound(n: int) -> float:
     """(8/e + 1/2)/n: MSE bound for N_n/n against the up-closure mass."""
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     return (8.0 / math.e + 0.5) / n
 
 
@@ -353,6 +354,5 @@ def estimate_convex_size(sample, oracle) -> float:
 
 def poset_convex_mse_bound(n: int) -> float:
     """(16/e + 1/2)/n: MSE bound for the sandwiched fraction."""
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     return (16.0 / math.e + 0.5) / n

@@ -381,7 +381,7 @@ def _hull_rep(ctx, rng):
         "defect": defect,
         "defect_prev": defect if s_drop is None else defect_of(s_drop),
         "extreme": s_full.extreme_count,
-        "hull_volume": s_full.volume if s_full.volume is not None else math.nan,
+        "hull_volume": s_full.volume,
     }
     if uniform:
         alpha = ctx["alpha"]

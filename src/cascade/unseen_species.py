@@ -19,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 
-from .loo_core import LooEstimate
+from .loo_core import LooEstimate, _check_bound_n
 
 __all__ = [
     "good_turing",
@@ -59,17 +59,21 @@ def missing_mass(probabilities, sample) -> float:
     """Exact unseen mass: sum of p_i over labels i not in the sample.
 
     ``probabilities`` lists p_1, ..., p_N; sample labels are 1-based
-    indices into it.  This is the simulation ground truth; the
-    estimator itself never needs the distribution.
+    indices into it, of an integer dtype (a bool, float or string label
+    is rejected, not converted).  This is the simulation ground truth;
+    the estimator itself never needs the distribution.
     """
     p = _check_probabilities(probabilities)
     n_species = p.size
+    labels = np.asarray(sample)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, not {labels.dtype.name} values")
+    out_of_range = (labels < 1) | (labels > n_species)
+    if out_of_range.any():
+        label = labels[out_of_range][0].item()
+        raise ValueError(f"label {label!r} out of range 1..{n_species}")
     seen = np.zeros(n_species, dtype=bool)
-    for label in sample:
-        idx = int(label)
-        if idx < 1 or idx > n_species:
-            raise ValueError(f"label {label!r} out of range 1..{n_species}")
-        seen[idx - 1] = True
+    seen[labels.astype(np.intp) - 1] = True
     return float(p[~seen].sum())
 
 
@@ -80,8 +84,7 @@ def unseen_bound(n: int) -> tuple[float, float]:
         4/(e(n-1)) + 4(n-1)/(e n (n-2)) + 2/n
     and never exceeds the cap.  Requires n >= 3.
     """
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     e = math.e
     three_term = 4.0 / (e * (n - 1)) + 4.0 * (n - 1) / (e * n * (n - 2)) + 2.0 / n
     cap = 5.0 / (n - 2)
@@ -95,8 +98,7 @@ def unseen_bound_finite_N(n: int, N: int) -> float:
     Useful in the oversampled regime n >> N, where the distribution-free
     bound is far too pessimistic.
     """
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     if N < 1:
         raise ValueError("N must be a positive integer")
     return (8.0 / N + 2.0 / n) * math.exp(-(n - 2) / N)
@@ -112,8 +114,7 @@ def unseen_bound_general(probabilities, n: int) -> float:
 
     Always at most the distribution-free three-term bound.
     """
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    _check_bound_n(n)
     p = _check_probabilities(probabilities)
     q = 1.0 - p
     s1 = float(np.sum(p * p * q ** (n - 1)))

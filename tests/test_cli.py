@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -103,6 +104,22 @@ def test_hull_interval_matches_volume_ci(tmp_path, capsys):
     assert obj["volume_estimate"] == ci.estimate
     assert obj["ci_low"] == ci.ci_low
     assert obj["ci_high"] == ci.ci_high
+
+
+def test_hull_estimates_a_4d_cloud(tmp_path, capsys):
+    # The unit 4-cube's 16 corners plus 500 points strictly inside.
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=4)))
+    inside = 0.05 + 0.9 * np.random.default_rng(3).random((500, 4))
+    path = tmp_path / "cube4.csv"
+    rows = np.vstack([corners, inside])
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n")
+    rc, out, _ = run_cli(capsys, "hull", str(path))
+    assert rc == 0
+    obj = json.loads(out)
+    assert (obj["d"], obj["extreme_count"]) == (4, 16)
+    assert obj["hull_volume"] == pytest.approx(1.0, rel=1e-12)
+    assert math.isfinite(obj["volume_estimate"])
+    assert obj["volume_estimate"] == pytest.approx(516 / 500, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", ["5", "0", "-0.1", "1", "nan"])

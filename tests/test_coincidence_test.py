@@ -83,8 +83,9 @@ def test_bound_values():
     assert coincidence_mse_bound(9) == pytest.approx(1.0)
     assert coincidence_mse_bound(900) == pytest.approx(0.01)
     assert coincidence_mse_bound(3) == pytest.approx(3.0)
-    with pytest.raises(ValueError, match="requires n"):
-        coincidence_mse_bound(2)
+    for bad_n in (2, float("nan"), 5.5, True):
+        with pytest.raises(ValueError, match="requires n"):
+            coincidence_mse_bound(bad_n)
 
 
 def test_pvalue_examples():

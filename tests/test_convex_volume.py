@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -146,10 +147,7 @@ def test_flat_cloud_flags_match_membership_oracle(cloud):
     s = hull_summary(cloud)
     assert list(s.extreme_flags) == _oracle_flags(cloud)
     assert s.extreme_count == sum(s.extreme_flags)
-    if cloud.shape[1] == 4:
-        assert s.volume is None
-    else:
-        assert s.volume == 0.0 and type(s.volume) is float
+    assert s.volume == 0.0 and type(s.volume) is float
 
 
 def _flat_examples():
@@ -173,7 +171,7 @@ def test_flat_clouds_solve_no_lp():
         for cloud, flags in zip(clouds, want, strict=True):
             s = hull_summary(cloud)
             assert list(s.extreme_flags) == flags
-            assert s.volume == (None if cloud.shape[1] == 4 else 0.0)
+            assert s.volume == 0.0
 
 
 def test_nearly_flat_cloud_takes_the_projected_path():
@@ -259,10 +257,41 @@ def test_estimate_volume_matches_components():
     assert volume_ci(cloud, 0.05).estimate == pytest.approx(5.0)
 
 
-def test_estimate_volume_rejects_high_dimension():
+def _box_corners(d):
+    return np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+
+
+def test_volume_ci_estimates_a_4d_cloud():
+    # The unit 4-cube's 16 corners plus 500 points strictly inside.
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="above d=3"):
-        volume_ci(rng.random((10, 4)), 0.05)
+    cloud = np.vstack([_box_corners(4), 0.05 + 0.9 * rng.random((500, 4))])
+    ci = volume_ci(cloud, 0.05)
+    assert ci.estimate == pytest.approx(1.0 / (1.0 - 16 / 516), rel=1e-12)
+    assert ci.ci_low == ci.estimate < ci.ci_high
+
+
+@st.composite
+def moved_boxes(draw):
+    # A box with random extents, its 2**d corners and points strictly
+    # inside it, rotated, translated and scaled at random.
+    d = draw(st.integers(2, 5))
+    extents = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+    n_inside = draw(st.integers(0, 30))
+    scale = draw(st.floats(0.01, 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    box = np.vstack([_box_corners(d), 0.05 + 0.9 * rng.random((n_inside, d))]) * extents
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    cloud = scale * (box @ rotation + rng.uniform(-10.0, 10.0, d))
+    return cloud, float(np.prod(scale * extents))
+
+
+@given(moved_boxes())
+@settings(max_examples=80, deadline=None)
+def test_hull_volume_of_a_moved_box_in_any_dimension(box):
+    cloud, volume = box
+    s = hull_summary(cloud)
+    assert s.volume == pytest.approx(volume, rel=1e-10)
+    assert s.extreme_count == 2 ** cloud.shape[1]
 
 
 def _counts_summary(volume, extreme_count, n):
@@ -298,8 +327,8 @@ def test_volume_interval_rejects_what_it_cannot_bound():
         volume_interval(_counts_summary(1.0, 1, 5), 2, 1.0)
     with pytest.raises(ValueError, match="all points extreme"):
         volume_interval(_counts_summary(1.0, 5, 5), 2, 0.05)
-    with pytest.raises(ValueError, match="above d=3"):
-        volume_interval(_counts_summary(None, 1, 5), 4, 0.05)
+    # No dimension is out of reach: a 4-D summary has an estimate.
+    assert volume_interval(_counts_summary(1.0, 1, 5), 4, 0.05).estimate == 1.25
 
 
 def test_volume_ci_square_case():
@@ -317,10 +346,11 @@ def test_bound_values():
     assert consecutive_defect_bound(3, 2) == pytest.approx(1.0)
     assert consecutive_defect_bound(300, 2) == pytest.approx(0.01)
     assert consecutive_defect_bound(40, 3) == pytest.approx(0.1)
-    with pytest.raises(ValueError, match="requires n"):
-        conv_mse_bound(2, 2)
-    with pytest.raises(ValueError, match="requires n"):
-        consecutive_defect_bound(2, 2)
+    for bad_n in (2, float("nan"), 5.5, True):
+        with pytest.raises(ValueError, match="requires n"):
+            conv_mse_bound(bad_n, 2)
+        with pytest.raises(ValueError, match="requires n"):
+            consecutive_defect_bound(bad_n, 2)
 
 
 @given(

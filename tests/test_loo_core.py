@@ -66,12 +66,18 @@ def test_bound_full_plugin():
 
 
 def test_bound_input_validation():
-    with pytest.raises(ValueError, match="requires n"):
-        BoundInputs(theta=0.1, delta_prime=0, delta_double_prime=0, n=2)
+    for bad_n in (2, float("nan"), 5.5, True):
+        with pytest.raises(ValueError, match="requires n"):
+            BoundInputs(theta=0.1, delta_prime=0, delta_double_prime=0, n=bad_n)
     with pytest.raises(ValueError, match="theta"):
         BoundInputs(theta=0.3, delta_prime=0, delta_double_prime=0, n=5)
     with pytest.raises(ValueError, match="delta"):
         BoundInputs(theta=0.1, delta_prime=-1e-9, delta_double_prime=0, n=5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta"):
+            BoundInputs(theta=0.1, delta_prime=bad, delta_double_prime=0, n=5)
+        with pytest.raises(ValueError, match="delta"):
+            BoundInputs(theta=0.1, delta_prime=0, delta_double_prime=bad, n=5)
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.randoms(use_true_random=False))

@@ -224,8 +224,9 @@ def test_upset_bound_value_and_cap():
     for n in range(3, 300):
         assert upset_mse_bound(n) < 3.5 / n
     assert upset_mse_bound(3) < 7 / 6
-    with pytest.raises(ValueError, match="requires n"):
-        upset_mse_bound(2)
+    for bad_n in (2, float("nan"), 5.5, True):
+        with pytest.raises(ValueError, match="requires n"):
+            upset_mse_bound(bad_n)
 
 
 def test_convex_bound_value_and_cap():
@@ -233,8 +234,9 @@ def test_convex_bound_value_and_cap():
     assert poset_convex_mse_bound(100) == pytest.approx((16 / math.e + 0.5) / 100, rel=1e-12)
     for n in range(3, 300):
         assert poset_convex_mse_bound(n) < 7 / n
-    with pytest.raises(ValueError, match="requires n"):
-        poset_convex_mse_bound(2)
+    for bad_n in (2, float("nan"), 5.5, True):
+        with pytest.raises(ValueError, match="requires n"):
+            poset_convex_mse_bound(bad_n)
 
 
 def test_proof_kernel_maximization():

@@ -42,6 +42,15 @@ def test_missing_mass_label_range():
         missing_mass([0.5, 0.5], [0])
     with pytest.raises(ValueError, match="out of range"):
         missing_mass([0.5, 0.5], [3])
+    with pytest.raises(ValueError, match="label 3 out of range"):
+        missing_mass([0.5, 0.5], np.array([1, 3], dtype=np.uint8))
+
+
+def test_missing_mass_rejects_non_integer_labels():
+    # Labels are indices: none is truncated or parsed into one.
+    for bad, dtype in (([1.9], "float64"), (["2"], "str"), ([True], "bool")):
+        with pytest.raises(ValueError, match=f"labels must be integers, not {dtype}"):
+            missing_mass([0.5, 0.5], bad)
 
 
 def test_bad_distribution_rejected():
@@ -66,10 +75,14 @@ def test_three_term_below_cap_everywhere():
 
 
 def test_bound_requires_n_at_least_3():
-    with pytest.raises(ValueError, match="requires n"):
-        unseen_bound(2)
-    with pytest.raises(ValueError, match="requires n"):
-        unseen_bound_finite_N(2, 10)
+    # A NaN, fractional or bool n is rejected too, not computed with.
+    for bad_n in (2, float("nan"), 5.5, True):
+        with pytest.raises(ValueError, match="requires n"):
+            unseen_bound(bad_n)
+        with pytest.raises(ValueError, match="requires n"):
+            unseen_bound_finite_N(bad_n, 10)
+        with pytest.raises(ValueError, match="requires n"):
+            unseen_bound_general([0.5, 0.5], bad_n)
 
 
 def test_finite_population_bound_examples():
