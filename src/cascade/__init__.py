@@ -46,6 +46,7 @@ from .poset_estimators import (
     TreeAncestor,
     convex_closure_size,
     convex_sandwiched_count,
+    count_and_closure,
     estimate_convex_size,
     estimate_upset_size,
     poset_convex_mse_bound,
@@ -82,6 +83,7 @@ __all__ = [
     "conv_mse_bound",
     "convex_closure_size",
     "convex_sandwiched_count",
+    "count_and_closure",
     "coverage_fraction",
     "estimate_convex_size",
     "estimate_upset_size",

@@ -174,10 +174,22 @@ def kimura2p(a: SequenceRecord, b: SequenceRecord) -> float:
     return _kimura_from_fractions(p, q)
 
 
+def _bit_plane(bits) -> np.ndarray:
+    """Rows of booleans packed 64 to a uint64 word, zero-padded."""
+    packed = np.packbits(bits, axis=1)
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
+
 def kimura_matrix(records) -> np.ndarray:
     """Pairwise two-parameter distances for equal-length records.
 
-    Raises on the first saturated pair, identifying it.
+    Raises on the first pair (in row order) with no comparable
+    positions or a saturated distance, identifying it.  Each row counts
+    its comparable positions, differences and transitions against the
+    later rows with ``np.bitwise_count`` (numpy >= 2.0) on three bit
+    planes: unmasked, high code bit and low code bit.  A difference in
+    the high bit is a transversion; one in the low bit alone is a
+    transition.
     """
     records = list(records)
     m = len(records)
@@ -188,21 +200,24 @@ def kimura_matrix(records) -> np.ndarray:
         raise ValueError("sequence lengths differ")
     codes = np.stack([r.codes() for r in records])
     valid = codes != 255
+    valid_w = _bit_plane(valid)
+    high_w = _bit_plane(valid & (codes >> 1 & 1).astype(bool))
+    low_w = _bit_plane(valid & (codes & 1).astype(bool))
     out = np.zeros((m, m))
     for i in range(m - 1):
-        a = codes[i]
-        rest = codes[i + 1:]
-        both = valid[i] & valid[i + 1:]
-        totals = both.sum(axis=1)
+        both = valid_w[i] & valid_w[i + 1:]
+        totals = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
         if np.any(totals == 0):
             j = int(np.argmax(totals == 0)) + i + 1
             raise ValueError(
                 f"no comparable positions for pair ({records[i].id}, {records[j].id})"
             )
-        diff = (rest != a) & both
-        transition = diff & ((rest >> 1) == (a >> 1))
-        p = transition.sum(axis=1) / totals
-        q = (diff.sum(axis=1) - transition.sum(axis=1)) / totals
+        high_diff = (high_w[i] ^ high_w[i + 1:]) & both
+        low_diff = (low_w[i] ^ low_w[i + 1:]) & both
+        transitions = np.bitwise_count(low_diff & ~high_diff).sum(axis=1, dtype=np.int64)
+        transversions = np.bitwise_count(high_diff).sum(axis=1, dtype=np.int64)
+        p = transitions / totals
+        q = transversions / totals
         w1 = 1.0 - 2.0 * p - q
         w2 = 1.0 - 2.0 * q
         bad = (w1 <= 0) | (w2 <= 0)

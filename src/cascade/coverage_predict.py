@@ -142,13 +142,17 @@ def _critical_value(alpha: float) -> float:
 
 
 def _loo_flags_refit(X, y, alpha):
+    # One buffer holds the n - 1 kept rows in np.delete's order: going
+    # from excluding row i - 1 to excluding row i puts row i - 1 back in
+    # slot i - 1, the only slot that changes.  Each row is a full QR refit.
     n = X.shape[0]
     flags = np.zeros(n, dtype=bool)
+    sub_x, sub_y = X[1:].copy(), y[1:].copy()
     for i in range(n):
-        sub_x = np.delete(X, i, axis=0)
-        sub_y = np.delete(y, i)
+        if i:
+            sub_x[i - 1], sub_y[i - 1] = X[i - 1], y[i - 1]
         try:
-            fit = ols_fit(sub_x, sub_y)
+            fit = _qr_fit(sub_x, sub_y)[0]
         except ValueError as exc:
             raise ValueError(f"leave-one-out fit failed excluding row {i}: {exc}") from exc
         flags[i] = predict_interval(fit, X[i], alpha).contains(y[i])

@@ -27,7 +27,9 @@ witnesses and closes it with numpy or hash tables.  Any order may
 supply ``witnesses(sample) -> (below, above)``, two boolean arrays
 saying whether some other sample point lies below, and above, each
 point; an order without it, or a bare ``leq`` callable, has its
-witnesses found by the O(n^2) pair scan.
+witnesses found by the O(n^2) pair scan.  ``count_and_closure`` gives a
+sample's count and closure size together, from one pass where the order
+supplies ``count_and_closure(sample, convex)``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "convex_sandwiched_count",
     "convex_closure_size",
     "estimate_convex_size",
+    "count_and_closure",
     "poset_convex_mse_bound",
 ]
 
@@ -232,17 +235,31 @@ class TreeAncestor:
         return hull
 
     @staticmethod
-    def witnesses(sample):
-        # Below: a duplicate, or an ancestor of another sampled node.
-        # Above: a duplicate, or a descendant of another sampled node,
-        # that is a non-root node whose parent is in the hull.
+    def _scan(sample, convex: bool):
+        # (below, above, closure size) from one ancestor walk.  Below: a
+        # duplicate, or an ancestor of another sampled node.  For convex
+        # sets, above: a duplicate, or a descendant of another sampled
+        # node, that is a non-root node whose parent is in the hull.
+        # Up-sets need neither ``above`` nor the hull.
         points = list(map(tuple, sample))
         counts = Counter(points)
         ancestors = TreeAncestor._ancestors(counts)
+        below = np.array([counts[x] > 1 or x in ancestors for x in points], dtype=bool)
+        if not convex:
+            return below, None, len(ancestors.union(counts))
         hull = TreeAncestor._hull(counts.keys(), ancestors)
-        below = [counts[x] > 1 or x in ancestors for x in points]
         above = [counts[x] > 1 or (x != () and x[:-1] in hull) for x in points]
-        return np.array(below, dtype=bool), np.array(above, dtype=bool)
+        return below, np.array(above, dtype=bool), len(hull)
+
+    @staticmethod
+    def witnesses(sample):
+        below, above, _ = TreeAncestor._scan(sample, convex=True)
+        return below, above
+
+    @staticmethod
+    def count_and_closure(sample, convex: bool) -> tuple:
+        below, above, closure = TreeAncestor._scan(sample, convex)
+        return int(np.count_nonzero(below & above if convex else below)), closure
 
     @staticmethod
     def upset_closure_size(sample) -> int:
@@ -350,6 +367,24 @@ def estimate_convex_size(sample, oracle) -> float:
     if sandwiched == 0:
         raise ValueError("no sandwiched points; estimate undefined")
     return n * convex_closure_size(sample, oracle) / sandwiched
+
+
+def count_and_closure(sample, oracle, convex: bool) -> tuple:
+    """(count, closure size) of one sample.
+
+    With ``convex`` these are ``convex_sandwiched_count`` and
+    ``convex_closure_size``, else ``upset_dominated_count`` and
+    ``upset_closure_size``.  An order with a ``count_and_closure(sample,
+    convex)`` method answers both from one pass (``TreeAncestor`` walks
+    the sample's ancestors once); any other order gets the two calls.
+    """
+    sample = _as_sample(sample)
+    fn = getattr(oracle, "count_and_closure", None)
+    if fn is not None and len(sample):
+        return fn(sample, convex)
+    if convex:
+        return convex_sandwiched_count(sample, oracle), convex_closure_size(sample, oracle)
+    return upset_dominated_count(sample, oracle), upset_closure_size(sample, oracle)
 
 
 def poset_convex_mse_bound(n: int) -> float:

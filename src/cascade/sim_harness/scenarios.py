@@ -57,11 +57,8 @@ from ..poset_estimators import (
     ProductOrder,
     ReversedNaturals,
     TreeAncestor,
-    convex_closure_size,
-    convex_sandwiched_count,
+    count_and_closure,
     poset_convex_mse_bound,
-    upset_closure_size,
-    upset_dominated_count,
     upset_mse_bound,
 )
 from ..unseen_species import (
@@ -489,9 +486,11 @@ def random_forest(rng, min_nodes: int, max_nodes: int) -> list:
     sizes[-1] += total - sizes.sum()
     paths = []
     for c, size in enumerate(sizes):
+        # One call draws every parent: node t's from [0, t), the same
+        # stream as one draw per node.
         comp = [(c,)]
-        for t in range(1, int(size)):
-            comp.append(comp[int(rng.integers(0, t))] + (t,))
+        for t, parent in enumerate(rng.integers(0, np.arange(1, size)).tolist(), start=1):
+            comp.append(comp[parent] + (t,))
         paths.extend(comp)
     return paths
 
@@ -508,12 +507,7 @@ def _poset_rep(ctx, rng):
     else:
         ground = ctx["ground"]
         sample = rng.integers(1, ground + 1, size=n)
-    if ctx["convex"]:
-        hits = convex_sandwiched_count(sample, ctx["order"])
-        closure = convex_closure_size(sample, ctx["order"])
-    else:
-        hits = upset_dominated_count(sample, ctx["order"])
-        closure = upset_closure_size(sample, ctx["order"])
+    hits, closure = count_and_closure(sample, ctx["order"], ctx["convex"])
     return {
         "est": hits / n,
         "truth": closure / ground,

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cascade.cli import main
 from cascade.convex_volume import scaled_volume, volume_ci
 from cascade.poset_estimators import ProductOrder
 from cascade.sim_harness import parse_report_csv
+from cascade.unseen_species import good_turing
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +50,65 @@ def test_unseen_empty_input_fails(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "unseen", str(path))
     assert rc == 2
     assert "no labels" in err
+
+
+def test_unseen_splits_labels_on_commas_and_whitespace(monkeypatch, tmp_path, capsys):
+    # One split over commas and whitespace gives the tokens of splitting
+    # on whitespace, then each chunk on commas, dropping empty pieces.
+    text = "a,b  c,,d\n,e\tf,\r\n\n g,,\x0bh ,i, \u2003j\n,,\n"
+    want = [t for chunk in text.split() for t in chunk.split(",") if t]
+    seen = []
+
+    def spy(tokens):
+        seen.append(list(tokens))
+        return good_turing(tokens)
+
+    monkeypatch.setattr(cascade.cli, "good_turing", spy)
+    path = tmp_path / "labels.txt"
+    path.write_text(text, newline="")
+    rc, out, _ = run_cli(capsys, "unseen", str(path))
+    assert rc == 0 and seen == [want]
+    assert want == list("abcdefghij")
+    assert json.loads(out)["distinct"] == 10
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # Comments, blank and whitespace-only lines are skipped; CRLF
+        # and lone CR end lines; each line picks its own separator.
+        ("# x y\r\n1 2\r\n\r\n  \t\n3,4\r5\t6\n  # 7 8\n7 ,8\n", [[1, 2], [3, 4], [5, 6], [7, 8]]),
+        # Anything float() reads, including underscores, inf and nan.
+        ("1_0, -inf\nnan,+1e3\n", [[10.0, -math.inf], [math.nan, 1000.0]]),
+        ("Infinity 1.5E-3 -0\n", [[math.inf, 1.5e-3, -0.0]]),
+        ("7\n", [[7.0]]),
+    ],
+)
+def test_matrix_parser_semantics(text, want):
+    got = cascade.cli._matrix_from_text(text)
+    want = np.array(want, dtype=float)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "no numeric rows"),
+        ("# only a comment\n\n   \n", "no numeric rows"),
+        ("1,2\n3\n", "ragged rows"),
+        ("1 2\n3,4,5\n", "ragged rows"),
+        # A bad token anywhere is reported before ragged rows, even
+        # after them.
+        ("1,2\n3\n4,x\n", "could not convert string to float: 'x'"),
+        ("1,2,\n", "could not convert string to float: ''"),
+        ("1,,2\n", "could not convert string to float: ''"),
+    ],
+)
+def test_matrix_parser_errors(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cascade.cli._matrix_from_text(text)
 
 
 def test_hull_command(tmp_path, capsys):
@@ -198,7 +259,6 @@ def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, names
             return _real(*args)
 
         monkeypatch.setattr(cascade.poset_estimators, name, spy)
-        monkeypatch.setattr(cascade.cli, name, spy)
     rc, out, _ = run_cli(capsys, "poset", str(path), "--kind", "product", *mode)
     assert rc == 0
     assert sorted(calls) == sorted(names)

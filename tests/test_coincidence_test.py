@@ -182,6 +182,79 @@ def test_matrix_error_names_pair():
         kimura_matrix([a, b])
 
 
+def _mutants(rng, count, length, rate, mask_rate):
+    """Mutated copies of one ancestor, with some positions masked as N."""
+    letters = np.array(list("ACGT"))
+    ancestor = rng.choice(letters, size=length)
+    records = []
+    for i in range(count):
+        seq = ancestor.copy()
+        mutate = rng.random(length) < rate
+        seq[mutate] = rng.choice(letters, size=int(mutate.sum()))
+        seq[rng.random(length) < mask_rate] = rng.choice(list("NRY-"))
+        records.append(SequenceRecord(f"s{i}", "".join(seq), mask_ambiguous=True))
+    return records
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 1000])
+def test_packed_matrix_equals_pairwise_calls_exactly(length):
+    # Lengths on either side of a 64-position word, masked positions
+    # included: the packed counts give the same floats as kimura2p.
+    rng = np.random.default_rng(length)
+    count = 40 if length == 1 else 12
+    rate, mask_rate = (0.0, 0.0) if length == 1 else (0.1, 0.08)
+    records = _mutants(rng, count, length, rate, mask_rate)
+    m = kimura_matrix(records)
+    for i in range(count):
+        assert m[i, i] == 0.0
+        for j in range(count):
+            if i != j:
+                assert m[i, j] == kimura2p(records[i], records[j])
+
+
+def _first_failing_pair(records):
+    # Row order, then column order, as kimura_matrix scans.
+    for i in range(len(records)):
+        for j in range(i + 1, len(records)):
+            try:
+                kimura2p(records[i], records[j])
+            except ValueError as exc:
+                return records[i].id, records[j].id, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("length", [64, 65, 130])
+def test_packed_matrix_names_the_first_saturated_pair(length):
+    rng = np.random.default_rng(7)
+    records = _mutants(rng, 8, length, 0.05, 0.0)
+    # Two far-diverged rows: all transversions against the ancestor.
+    flip = str.maketrans("ACGT", "CATG")
+    for k in (3, 6):
+        bases = records[k].bases.translate(flip)
+        records[k] = SequenceRecord(f"s{k}", bases)
+    left, right, message = _first_failing_pair(records)
+    assert "saturated" in message
+    with pytest.raises(ValueError, match=rf"saturated\) for pair \({left}, {right}\)"):
+        kimura_matrix(records)
+
+
+@pytest.mark.parametrize("length", [1, 64, 65])
+def test_packed_matrix_names_the_first_pair_without_comparable_positions(length):
+    rng = np.random.default_rng(11)
+    records = _mutants(rng, 6, length, 0.0, 0.0)
+    # Row 2 is masked on the first half, row 4 on the second, so only
+    # the pair (s2, s4) has nothing left to compare (at length 1, row 2
+    # is masked everywhere and pairs with s0 first).
+    half = (length + 1) // 2
+    records[2] = SequenceRecord("s2", "N" * half + records[2].bases[half:], mask_ambiguous=True)
+    records[4] = SequenceRecord("s4", records[4].bases[:half] + "N" * (length - half),
+                                mask_ambiguous=True)
+    left, right, message = _first_failing_pair(records)
+    assert "no comparable positions" in message
+    with pytest.raises(ValueError, match=rf"no comparable positions for pair \({left}, {right}\)"):
+        kimura_matrix(records)
+
+
 # --------------------------------------------- two-sample rank statistic
 
 def brute_rank_statistic(x, y):

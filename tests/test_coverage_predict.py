@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+import cascade.coverage_predict
 from cascade.coverage_predict import (
     holdout_coverage,
     loo_coverage,
@@ -189,6 +190,47 @@ def test_loo_coverage_matches_generic_loo():
     assert loo_coverage(X, y, alpha=alpha).value == pytest.approx(
         loo_estimate(interval_oracle, rows).value
     )
+
+
+def _refit_oracle_flags(X, y, alpha):
+    # The literal definition: delete row i, fit the rest, test row i.
+    return np.array([
+        predict_interval(ols_fit(np.delete(X, i, axis=0), np.delete(y, i)), X[i], alpha)
+        .contains(y[i])
+        for i in range(X.shape[0])
+    ])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refit_flags_equal_the_delete_and_fit_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(4, 40)), int(rng.integers(1, 4))
+    n = max(n, p + 2)
+    X = rng.normal(size=(n, p)) * rng.uniform(0.01, 100.0, size=p)
+    y = X @ rng.normal(size=p) + rng.normal(size=n)
+    for alpha in (0.05, 0.3, 0.9):
+        got = cascade.coverage_predict._loo_flags_refit(X, y, alpha)
+        assert got.tolist() == _refit_oracle_flags(X, y, alpha).tolist()
+
+
+def test_refit_names_the_row_whose_deletion_is_singular():
+    # Column 2 is nonzero only in row 3: the fit without row 3 is singular.
+    X = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    X[3, 1] = 1.0
+    y = np.arange(6.0) ** 2
+    with pytest.raises(ValueError, match="excluding row 3: singular design"):
+        loo_coverage(X, y, alpha=0.1, method="refit")
+
+
+def test_refit_keeps_the_non_finite_interval_error():
+    X = np.column_stack([np.ones(6), np.arange(6.0)])
+    X[0] = [1.0, 1e300]
+    y = np.arange(6.0)
+    with pytest.raises(ValueError, match="too large") as oracle:
+        _refit_oracle_flags(X, y, 0.1)
+    with pytest.raises(ValueError, match="too large") as got:
+        loo_coverage(X, y, alpha=0.1, method="refit")
+    assert str(got.value) == str(oracle.value)
 
 
 def test_loo_coverage_sample_size_guard():

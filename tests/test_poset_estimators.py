@@ -15,6 +15,7 @@ from cascade.poset_estimators import (
     TreeAncestor,
     convex_closure_size,
     convex_sandwiched_count,
+    count_and_closure,
     estimate_convex_size,
     estimate_upset_size,
     poset_convex_mse_bound,
@@ -350,6 +351,9 @@ def _check_against_scan(order, ground_of, sample):
     assert convex_sandwiched_count(sample, order) == convex_sandwiched_count(sample, order.leq)
     assert upset_closure_size(sample, order) == _scan_closure(sample, order.leq, ground, False)
     assert convex_closure_size(sample, order) == _scan_closure(sample, order.leq, ground, True)
+    for convex, count in ((False, upset_dominated_count), (True, convex_sandwiched_count)):
+        want = (count(sample, order.leq), _scan_closure(sample, order.leq, ground, convex))
+        assert count_and_closure(sample, order, convex) == want
 
 
 @pytest.mark.parametrize("kind", ORDERS)
@@ -369,6 +373,42 @@ def test_fast_counts_on_small_and_tied_samples(kind):
         _check_against_scan(order, ground_of, sample)
     assert convex_sandwiched_count([a], order) == 0
     assert upset_dominated_count([a], order) == 0
+
+
+@pytest.mark.parametrize("convex", [False, True])
+def test_tree_count_and_closure_walks_ancestors_once(monkeypatch, convex):
+    # One ancestor walk, and one hull only for convex sets, serve both
+    # the count and the closure.
+    calls = Counter()
+    for name in ("_ancestors", "_hull"):
+        real = getattr(TreeAncestor, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(TreeAncestor, name, staticmethod(spy))
+    sample = [(0,), (0, 0), (0, 1, 0), (0, 0, 0, 0), (1, 0), (0, 0)]
+    got = count_and_closure(sample, TreeAncestor(), convex)
+    assert (calls["_ancestors"], calls["_hull"]) == (1, int(convex))
+    monkeypatch.undo()
+    # Up-closure: the five nodes and (), (1,), (0, 1), (0, 0, 0); the
+    # convex hull drops () and (1,).
+    if convex:
+        want = (convex_sandwiched_count(sample, TreeAncestor()), 7)
+    else:
+        want = (upset_dominated_count(sample, TreeAncestor()), 9)
+    assert got == want
+    assert want[1] == (convex_closure_size if convex else upset_closure_size)(
+        sample, TreeAncestor()
+    )
+
+
+@pytest.mark.parametrize("order", [TreeAncestor(), ReversedNaturals()])
+@pytest.mark.parametrize("convex", [False, True])
+def test_count_and_closure_rejects_an_empty_sample(order, convex):
+    with pytest.raises(ValueError, match="empty sample"):
+        count_and_closure([], order, convex)
 
 
 def test_chain_counts_on_numpy_samples():

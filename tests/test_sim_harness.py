@@ -787,6 +787,38 @@ def test_random_forest_draws_exactly_its_node_count(seed, lo, extra):
     assert TreeAncestor.convex_closure_size(paths) == len(paths)
 
 
+def _scalar_draw_forest(rng, min_nodes, max_nodes):
+    # random_forest with one rng.integers(0, t) call per node.
+    total = int(rng.integers(min_nodes, max_nodes + 1))
+    n_comp = min(int(rng.integers(1, 4)), total)
+    weights = rng.dirichlet(np.ones(n_comp))
+    sizes = 1 + np.floor(weights * (total - n_comp)).astype(int)
+    sizes[-1] += total - sizes.sum()
+    paths = []
+    for c, size in enumerate(sizes):
+        comp = [(c,)]
+        for t in range(1, int(size)):
+            comp.append(comp[int(rng.integers(0, t))] + (t,))
+        paths.extend(comp)
+    return paths, [int(s) for s in sizes]
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 4), (2, 3), (3, 3), (15, 40), (200, 300)])
+def test_random_forest_matches_one_draw_per_node(lo, hi):
+    # Drawing every parent of a component in one call consumes the
+    # stream exactly as one draw per node, size-1 components included:
+    # the same forest, then the same next draw.
+    single = 0
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, sizes = _scalar_draw_forest(ref, lo, hi)
+        assert random_forest(rng, lo, hi) == want
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+        single += sizes.count(1)
+    if hi <= 4:
+        assert single > 0
+
+
 def test_random_forest_rejects_an_empty_range():
     rng = np.random.default_rng(0)
     for lo, hi in ((0, 5), (5, 4)):
