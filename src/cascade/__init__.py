@@ -26,7 +26,6 @@ from .convex_volume import (
     conv_mse_bound,
     hull_summary,
     in_hull,
-    scaled_volume,
     volume_ci,
     volume_interval,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ols_fit",
     "poset_convex_mse_bound",
     "predict_interval",
-    "scaled_volume",
     "unseen_bound",
     "unseen_bound_finite_N",
     "unseen_bound_general",

@@ -226,21 +226,19 @@ def _cmd_coincide(args) -> int:
     n = dist.shape[0]
     out: dict = {"n": n, "ids_preview": ids[:5]}
 
+    # Checks the whole matrix, the query's row and column included.
+    nn = nn_loo_distances(dist)
     if args.query_id is not None:
         if args.query_id not in ids:
             raise ValueError(f"query id {args.query_id!r} not found")
         q = ids.index(args.query_id)
         keep = [i for i in range(n) if i != q]
-        ref = dist[np.ix_(keep, keep)]
-        ref_nn = nn_loo_distances(ref)
-        query_nn = float(dist[q, keep].min())
+        ref_nn = nn_loo_distances(dist[np.ix_(keep, keep)])
+        query_nn = float(nn[q])
         out["query_id"] = args.query_id
         out["query_nn_distance"] = query_nn
         out["p_value"] = nn_test_pvalue(ref_nn, query_nn)
-        nn = np.empty(n)
-        nn[keep], nn[q] = ref_nn, query_nn
-    else:
-        nn = nn_loo_distances(dist)
+        nn[keep] = ref_nn
     out["nn_distance"] = {
         "min": float(nn.min()),
         "median": float(np.median(nn)),

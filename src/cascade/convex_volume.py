@@ -21,6 +21,8 @@ directions (a line needs only its two ends).  ``in_hull`` decides a
 single membership by linear-programming feasibility, which works in any
 dimension and serves the tests as an independent oracle for the flags.
 The hull volume is Qhull's in every dimension; a flat hull has volume 0.
+A full-dimensional summary keeps the hull Qhull built, and a caller
+that integrates over the facets reads them from it.
 ``volume_interval`` turns a summary into the estimate and its interval,
 the one place that formula lives.
 """
@@ -40,7 +42,6 @@ __all__ = [
     "VolumeEstimate",
     "in_hull",
     "hull_summary",
-    "scaled_volume",
     "volume_interval",
     "volume_ci",
     "conv_mse_bound",
@@ -57,19 +58,18 @@ class HullSummary:
     ``volume`` is the hull's d-dimensional volume, computed by Qhull in
     every dimension d >= 2; it is the range length for d = 1 and 0.0
     for a flat cloud.  When Qhull hulls the cloud in its full space
-    (d >= 2, affine rank d), ``facets`` carries the hull's facet
+    (d >= 2, affine rank d), ``hull`` is the ``scipy.spatial.ConvexHull``
+    it built over the distinct rows: ``hull.equations`` holds the facet
     inequalities (rows [normal, offset] with normal . x + offset <= 0
-    inside) and ``facet_vertices`` each facet's d vertices (an array of
-    shape (facets, d, d), Qhull's triangulated simplices), so callers
-    can integrate over the hull facet by facet.  Both are None for a flat
-    cloud and for d = 1.
+    inside) and ``hull.points[hull.simplices]`` each triangulated facet's
+    d vertices, so callers can integrate over the hull facet by facet.
+    It is None for a flat cloud and for d = 1.
     """
 
     extreme_count: int
     extreme_flags: np.ndarray
     volume: float
-    facets: np.ndarray | None = field(default=None, repr=False)
-    facet_vertices: np.ndarray | None = field(default=None, repr=False)
+    hull: ConvexHull | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     Point i is flagged extreme iff it is not in the convex hull of the
     other n - 1 points; a position occurring more than once is never
     extreme.  Volume: d=1 interval length, and for d >= 2 the volume
-    Qhull computes for the hull it builds.
+    Qhull computes for the hull it builds, which the summary keeps.
 
     Duplicates are found by sorting the rows lexicographically (one
     ``np.lexsort``) and comparing each sorted row with the one before
@@ -193,8 +193,8 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     when k = d the cloud goes to Qhull, and when k < d the cloud is flat:
     its rows are projected onto the top k right singular vectors and
     Qhull runs there.  A flat cloud's volume is 0.0 in every dimension,
-    and it has no facets.  A cloud whose spread overflows the float
-    range raises ``ValueError``.
+    and its summary keeps no hull.  A cloud whose spread overflows the
+    float range raises ``ValueError``.
     """
     _check_tol(tol)
     if not tol < 1:
@@ -208,7 +208,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
 
     vertex_mask = np.zeros(unique_pts.shape[0], dtype=bool)
     volume = 0.0
-    facets = facet_vertices = None
+    hull = None
 
     if k == 0:
         # One distinct position: extreme iff it is the only point.
@@ -227,28 +227,14 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
         hull = ConvexHull(unique_pts)
         vertex_mask[hull.vertices] = True
         volume = float(hull.volume)
-        facets = hull.equations
-        facet_vertices = unique_pts[hull.simplices]
 
     flags = vertex_mask[inverse] & (counts[inverse] == 1)
     return HullSummary(
         extreme_count=int(flags.sum()),
         extreme_flags=flags,
         volume=volume,
-        facets=facets,
-        facet_vertices=facet_vertices,
+        hull=hull,
     )
-
-
-def scaled_volume(hull_volume: float, extreme_count: int, n: int) -> float:
-    """The estimator formula: hull_volume / (1 - extreme_count/n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if extreme_count >= n:
-        raise ValueError("all points extreme; estimator undefined")
-    if extreme_count < 0:
-        raise ValueError("extreme_count must be nonnegative")
-    return hull_volume / (1.0 - extreme_count / n)
 
 
 def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimate:
@@ -261,7 +247,9 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n = summary.extreme_flags.shape[0]
-    est = scaled_volume(summary.volume, summary.extreme_count, n)
+    if summary.extreme_count >= n:
+        raise ValueError("all points extreme; estimator undefined")
+    est = summary.volume / (1.0 - summary.extreme_count / n)
     eps = math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - summary.extreme_count))
     hi = math.inf if eps >= 1.0 else est / (1.0 - eps)
     return VolumeEstimate(estimate=est, ci_low=est, ci_high=hi, alpha=alpha, rel_halfwidth=eps)

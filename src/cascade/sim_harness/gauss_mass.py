@@ -32,6 +32,9 @@ The substitution theta = gd(v), the point e sinh(v) along the edge,
 gives dtheta = dv / cosh(v) and R^2 = h^2 + e^2 cosh^2(v).  The
 integrand is smooth in v even for a tiny e, and Gauss-Legendre
 quadrature in v converges fast.
+
+The facets are read from the Qhull hull that a ``HullSummary`` keeps,
+and the array of their vertices is built here, where it is used.
 """
 
 from __future__ import annotations
@@ -106,20 +109,18 @@ def normal_hull_mass(summary, chol=None) -> float:
     """The N(0, chol chol^T) mass of a 2-D or 3-D hull.
 
     ``summary`` is a ``HullSummary``; ``chol`` is a lower-triangular
-    Cholesky factor, None for N(0, I).  The hull is whitened by chol^-1,
+    Cholesky factor, None for N(0, I).  The facets are read from the
+    Qhull hull the summary keeps.  The hull is whitened by chol^-1,
     which maps the law to N(0, I); facet normals map by chol^T.  A flat
-    hull (no facets, volume 0) has mass 0.
+    hull (no Qhull hull, volume 0) has mass 0.
     """
-    if summary.facet_vertices is None:
-        if summary.volume == 0.0:
-            return 0.0
+    hull = summary.hull
+    if hull is None and summary.volume == 0.0:
+        return 0.0
+    if hull is None or hull.ndim not in (2, 3):
         raise ValueError("Gaussian hull mass needs d = 2 or 3")
-    verts, normals = summary.facet_vertices, summary.facets[:, :-1]
+    verts, normals = hull.points[hull.simplices], hull.equations[:, :-1]
     if chol is not None:
         verts = verts @ np.linalg.inv(chol).T
         normals = normals @ chol
-    if verts.shape[-1] == 2:
-        return _mass_2d(verts, normals)
-    if verts.shape[-1] == 3:
-        return _mass_3d(verts, normals)
-    raise ValueError("Gaussian hull mass needs d = 2 or 3")
+    return (_mass_2d if hull.ndim == 2 else _mass_3d)(verts, normals)

@@ -11,8 +11,8 @@ Supported kinds:
   constant pairwise correlation (``d``, ``corr``).
 * ``zipf``: labels 1..N with p_i proportional to 1/i^s (``N``, ``s``).
 * ``uniform_labels``: labels 1..N, equal probability (``N``).
-* ``sphere_mixture``: the origin with probability ``origin_prob``
-  (default 1/n), otherwise uniform on the unit sphere (``dim``).
+* ``sphere_mixture``: the origin with probability 1/n, otherwise
+  uniform on the unit sphere (``dim``).
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ def sample_distribution(spec: dict, n: int, rng: np.random.Generator):
         return rng.integers(1, N + 1, size=n)
     if kind == "sphere_mixture":
         dim = int(spec["dim"])
-        origin_prob = float(spec.get("origin_prob", 1.0 / n))
         pts = _unit_sphere(n, dim, rng)
-        at_origin = rng.random(n) < origin_prob
+        at_origin = rng.random(n) < 1.0 / n
         pts[at_origin] = 0.0
         return pts
     raise ValueError(f"unknown sampler kind {kind!r}")

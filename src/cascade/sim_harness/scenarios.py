@@ -44,6 +44,7 @@ from ..coincidence_test import (
     coincidence_mse_bound,
     coverage_fraction,
     kimura_matrix,
+    nn_loo_distances,
 )
 from ..convex_volume import (
     consecutive_defect_bound,
@@ -329,7 +330,7 @@ def _hull_cells(cfg, params):
             support = float(np.prod([b[1] - b[0] for b in bounds]))
         elif cfg.scenario == "hull_disk":
             spec = {"kind": "uniform_ball", "d": d}
-            support = math.pi if d == 2 else 4.0 * math.pi / 3.0
+            support = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
         else:
             corr = float(params.get("corr", 0.0))
             spec = {"kind": "gauss", "d": d, "corr": corr}
@@ -626,7 +627,6 @@ def _dna_cells(cfg, params):
     ancestor = rng.choice(4, size=length, p=freqs).astype(np.uint8)
     codes = _mutate_population(ancestor, pop + null_pop, float(params["mutation"]), rng)
     records = _codes_to_records(codes, "seq")
-    matrix = kimura_matrix(records)
     return [
         {
             "split": split,
@@ -636,8 +636,8 @@ def _dna_cells(cfg, params):
             "mutation": float(params["mutation"]),
             "freqs": tuple(float(f) for f in freqs),
             "ks_threshold": float(params["ks_threshold"]),
-            "matrix_obs": matrix[:pop, :pop],
-            "matrix_null": matrix[pop:, pop:],
+            "matrix_obs": kimura_matrix(records[:pop]),
+            "matrix_null": kimura_matrix(records[pop:]),
         }
     ]
 
@@ -647,9 +647,7 @@ def _dna_rep(ctx, rng):
     obs = ctx["matrix_obs"]
     perm = rng.permutation(obs.shape[0])
     inner, outer = perm[:m], perm[m:m + rest_size]
-    block = obs[np.ix_(inner, inner)].copy()
-    np.fill_diagonal(block, np.inf)
-    within = block.min(axis=1)
+    within = nn_loo_distances(obs[np.ix_(inner, inner)])
     to_sample = obs[np.ix_(outer, inner)].min(axis=1)
     ad_obs = ad_two_sample_normalized(within, to_sample)
 

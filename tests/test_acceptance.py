@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cascade.cli import main as cli_main
-from cascade.convex_volume import hull_summary, in_hull, scaled_volume
+from cascade.convex_volume import HullSummary, hull_summary, in_hull, volume_interval
 from cascade.loo_core import loo_estimate
 from cascade.poset_estimators import (
     Antichain,
@@ -101,7 +101,8 @@ def test_criterion_03_rectangle_snapshot_reproduction():
         "mean_extreme_count"
     ]
     # Single-instance formula check on the published numbers.
-    assert scaled_volume(7.266, 15, 100) == pytest.approx(8.548, abs=1e-3)
+    summary = HullSummary(extreme_count=15, extreme_flags=np.arange(100) < 15, volume=7.266)
+    assert volume_interval(summary, 2, 0.05).estimate == pytest.approx(8.548, abs=1e-3)
 
 
 # ------------------------------------------------------------ criterion 4

@@ -11,7 +11,7 @@ import cascade.convex_volume
 import cascade.poset_estimators
 import cascade.sim_harness.scenarios
 from cascade.cli import main
-from cascade.convex_volume import scaled_volume, volume_ci
+from cascade.convex_volume import volume_ci
 from cascade.poset_estimators import ProductOrder
 from cascade.sim_harness import parse_report_csv
 from cascade.unseen_species import good_turing
@@ -122,7 +122,7 @@ def test_hull_command(tmp_path, capsys):
     assert obj["extreme_count"] == 4
     assert obj["hull_volume"] == pytest.approx(10.0)
     assert obj["defect_estimate"] == pytest.approx(4 / 7)
-    assert obj["volume_estimate"] == pytest.approx(scaled_volume(10.0, 4, 7))
+    assert obj["volume_estimate"] == pytest.approx(10.0 / (1.0 - 4 / 7))
     assert obj["ci_low"] == pytest.approx(obj["volume_estimate"])
     assert obj["alpha"] == 0.05
 
@@ -377,6 +377,17 @@ def test_coincide_unknown_query_id(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "coincide", str(path), "--query-id", "ghost")
     assert rc == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("query", ([], ["--query-id", "item0"]))
+def test_coincide_checks_the_query_row_and_column(tmp_path, capsys, query):
+    # Only the query's row is negative, and only its column is asymmetric.
+    path = tmp_path / "dist.csv"
+    path.write_text("0,-1,-1\n2,0,1\n2,1,0\n")
+    rc, out, err = run_cli(capsys, "coincide", str(path), *query)
+    assert rc == 2
+    assert out == ""
+    assert "nonnegative" in err
 
 
 def test_coverage_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from cascade.convex_volume import (
     conv_mse_bound,
     hull_summary,
     in_hull,
-    scaled_volume,
     volume_ci,
     volume_interval,
 )
@@ -103,6 +103,7 @@ def test_tol_sets_the_flatness_threshold():
     assert full.volume > 0.0
     flat = hull_summary(cloud, tol=1e-6)
     assert flat.volume == 0.0
+    assert flat.hull is None
     assert list(flat.extreme_flags) == list(hull_summary(cloud[:, :2]).extreme_flags)
 
 
@@ -239,17 +240,19 @@ def test_one_dimensional_volume_is_range_length():
 
 
 def test_scaled_volume_square_example():
-    assert scaled_volume(1.0, 4, 5) == pytest.approx(5.0)
+    assert volume_interval(_counts_summary(1.0, 4, 5), 2, 0.05).estimate == pytest.approx(5.0)
 
 
 def test_scaled_volume_large_instance():
     # 15 of 100 points extreme around area 7.266 inflates to about 8.55.
-    assert scaled_volume(7.266, 15, 100) == pytest.approx(8.548235294117647, abs=1e-3)
+    estimate = volume_interval(_counts_summary(7.266, 15, 100), 2, 0.05).estimate
+    assert estimate == pytest.approx(8.548235294117647, abs=1e-3)
 
 
 def test_scaled_volume_all_extreme_rejected():
+    # Every corner of the square is extreme.
     with pytest.raises(ValueError, match="all points extreme"):
-        scaled_volume(1.0, 5, 5)
+        volume_ci(SQUARE, 0.05)
 
 
 def test_estimate_volume_matches_components():
@@ -259,6 +262,23 @@ def test_estimate_volume_matches_components():
 
 def _box_corners(d):
     return np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+
+
+def test_hull_summary_keeps_qhull_hull_without_vertex_copies():
+    # 200 normal points in 7-D have about 29,000 facets.  A facets x d x d
+    # copy of their vertices would alone take about 11 MiB.
+    cloud = np.random.default_rng(0).standard_normal((200, 7))
+    tracemalloc.start()
+    try:
+        s = hull_summary(cloud)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 6 * 2**20, kept
+    assert s.hull.simplices.shape[0] > 20_000
+    assert s.hull._qhull is None  # Qhull's own memory is already freed
+    assert s.hull.volume == s.volume
+    assert s.hull.vertices.size == s.extreme_count
 
 
 def test_volume_ci_estimates_a_4d_cloud():

@@ -132,13 +132,13 @@ def test_uniform_labels():
 
 
 def test_sphere_mixture_origin_frequency():
+    # Each of n points sits at the origin with probability 1/n.
     rng = np.random.default_rng(7)
-    pts = sample_distribution(
-        {"kind": "sphere_mixture", "dim": 3, "origin_prob": 0.3}, 5000, rng
-    )
+    spec = {"kind": "sphere_mixture", "dim": 3}
+    pts = np.concatenate([sample_distribution(spec, 4, rng) for _ in range(2000)])
     norms = np.linalg.norm(pts, axis=1)
     at_origin = (norms == 0.0).mean()
-    assert abs(at_origin - 0.3) < 0.03
+    assert abs(at_origin - 0.25) < 0.03
     assert np.abs(norms[norms > 0] - 1.0).max() < 1e-12
 
 
@@ -441,7 +441,7 @@ def test_exact_gauss_mass_matches_brute_force_probes(d, corr, monkeypatch):
             cloud = cloud + 1.5  # the origin lies outside the hull
         s = hull_summary(cloud)
         defect = 1.0 - normal_hull_mass(s, chol)
-        want, se = _brute_defect(s.facets, batches)
+        want, se = _brute_defect(s.hull.equations, batches)
         assert abs(defect - want) <= 4.0 * se, (n, k, defect, want, se)
         if d == 3:
             with monkeypatch.context() as m:
@@ -644,7 +644,8 @@ def test_cap_mass_is_archimedes_at_n_3():
 def test_cap_union_bracket_contains_a_probe_count():
     n, c = 200, scenarios._DEMO_CAP
     rng = np.random.default_rng(23)
-    pts = sample_distribution({"kind": "sphere_mixture", "dim": n, "origin_prob": 0.0}, n, rng)
+    pts = sample_distribution({"kind": "sphere_mixture", "dim": n}, n, rng)
+    assert np.linalg.norm(pts, axis=1).min() > 0.0  # no point drawn at the origin
     lower, upper = cap_union_bracket(pts @ pts.T, c, n)
     assert 0.0 < upper - lower <= 1e-3
     probes, hits = 2_000_000, 0
