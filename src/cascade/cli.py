@@ -11,11 +11,13 @@ JSON on stdout; verify writes the report (CSV by default) to stdout or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -46,14 +48,19 @@ from .sim_harness import (
     emit_report,
     report_text,
     run_scenario,
+    validate_config,
 )
 from .unseen_species import good_turing, unseen_bound
 
 
-def _read_text(path: str) -> str:
+def _open_text(path: str):
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, "r", encoding="utf-8")
+
+
+def _read_text(path: str) -> str:
+    with _open_text(path) as fh:
         return fh.read()
 
 
@@ -99,17 +106,22 @@ def _emit_json(obj) -> None:
 # ----------------------------------------------------------- subcommands
 
 def _cmd_unseen(args) -> int:
-    tokens = _read_text(args.input).replace(",", " ").split()
-    if not tokens:
+    # Every line break is whitespace, so counting line by line splits the
+    # same labels while holding only the distinct ones.
+    counts = Counter()
+    with _open_text(args.input) as fh:
+        for line in fh:
+            counts.update(line.replace(",", " ").split())
+    if not counts:
         raise ValueError("no labels in input")
-    est = good_turing(tokens)
+    est = good_turing(list(counts.elements()))
     three_term, cap = unseen_bound(est.n) if est.n >= 3 else (None, None)
     _emit_json(
         {
             "n": est.n,
             "singletons": est.hits,
             "estimate": est.value,
-            "distinct": len(set(tokens)),
+            "distinct": len(counts),
             "mse_bound_three_term": three_term,
             "mse_bound_cap": cap,
         }
@@ -332,15 +344,15 @@ def _configs_from_args(args) -> list[ScenarioConfig]:
                     raise ValueError(f"--config entry lacks the {key!r} key")
             if not isinstance(item["n_grid"], list):
                 raise ValueError("--config 'n_grid' must be a list of sample sizes")
-            configs.append(
-                ScenarioConfig(
-                    scenario=item["scenario"],
-                    n_grid=tuple(item["n_grid"]),
-                    replications=item["replications"],
-                    seed=item.get("seed", args.seed),
-                    params=item.get("params", {}),
-                )
+            cfg = ScenarioConfig(
+                scenario=item["scenario"],
+                n_grid=tuple(item["n_grid"]),
+                replications=item["replications"],
+                seed=item.get("seed", args.seed),
+                params=item.get("params", {}),
             )
+            validate_config(cfg)  # every entry, before any scenario runs
+            configs.append(cfg)
         return configs
     names = list(SCENARIO_NAMES) if args.all else args.scenario
     if not names:

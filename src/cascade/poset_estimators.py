@@ -22,14 +22,16 @@ The built-in posets cover the classical specializations: equality only
 (label collision counting, the birthday regime), reversed naturals
 (sample-maximum estimation, the serial-number regime), the reversed
 componentwise product order (staircase shapes), and ancestry in the
-infinite rooted tree (subtrees and subforests).  Each finds a sample's
-witnesses and closes it with numpy or hash tables.  Any order may
-supply ``witnesses(sample) -> (below, above)``, two boolean arrays
-saying whether some other sample point lies below, and above, each
-point; an order without it, or a bare ``leq`` callable, has its
-witnesses found by the O(n^2) pair scan.  ``count_and_closure`` gives a
+infinite rooted tree (subtrees and subforests).  An order answers two
+questions, one method each, and the built-in orders answer both with
+numpy or hash tables.  ``witnesses(sample) -> (below, above)`` gives two
+boolean arrays saying whether some other sample point lies below, and
+above, each point; an order without it, or a bare ``leq`` callable, has
+its witnesses found by the O(n^2) pair scan.  ``closure_size(sample,
+convex)`` gives the size of the order-convex hull, or of the up-closure,
+and the closure functions require it.  ``count_and_closure`` gives a
 sample's count and closure size together, from one pass where the order
-supplies ``count_and_closure(sample, convex)``.
+supplies ``count_and_closure(sample, convex)``; the estimates read it.
 """
 
 from __future__ import annotations
@@ -87,12 +89,10 @@ class Antichain:
         return repeats, repeats
 
     @staticmethod
-    def upset_closure_size(sample) -> int:
+    def closure_size(sample, convex: bool) -> int:
         # Sandwiching forces equality, so the convex hull is the
         # sample's distinct values too.
         return len(set(sample))
-
-    convex_closure_size = upset_closure_size
 
 
 class ReversedNaturals:
@@ -115,13 +115,10 @@ class ReversedNaturals:
         return ~hi | (np.count_nonzero(hi) > 1), ~lo | (np.count_nonzero(lo) > 1)
 
     @staticmethod
-    def upset_closure_size(sample) -> int:
-        return int(_positive_integers(sample, 1).max())
-
-    @staticmethod
-    def convex_closure_size(sample) -> int:
+    def closure_size(sample, convex: bool) -> int:
+        # {1..max} for up-sets, {min..max} for convex sets.
         x = _positive_integers(sample, 1)
-        return int(x.max()) - int(x.min()) + 1
+        return int(x.max()) - (int(x.min()) if convex else 1) + 1
 
 
 class ProductOrder:
@@ -167,9 +164,9 @@ class ProductOrder:
         below = self._below(self._points(sample))
         return below.any(axis=1), below.any(axis=0)
 
-    def upset_closure_size(self, sample) -> int:
+    def closure_size(self, sample, convex: bool) -> int:
         pts = self._points(sample)
-        if self.d == 2:
+        if self.d == 2 and not convex:
             # Union of boxes [1..a] x [1..b], swept from the widest b
             # down: the columns between a box's b and the next smaller b
             # are as tall as the tallest box reaching them.  Python ints
@@ -178,24 +175,18 @@ class ProductOrder:
             widths = pts[order, 1] - np.append(pts[order[1:], 1], 0)
             heights = np.maximum.accumulate(pts[order, 0])
             return sum(w * h for w, h in zip(widths.tolist(), heights.tolist()))
-        return self._grid_count(pts, lower=False)
-
-    def convex_closure_size(self, sample) -> int:
-        return self._grid_count(self._points(sample), lower=True)
-
-    def _grid_count(self, pts, lower: bool) -> int:
         shape = tuple(int(m) for m in pts.max(axis=0))
         if math.prod(shape) > _GRID_CELL_CAP:
             raise ValueError("closure enumeration grid too large")
-        cover_up = np.zeros(shape, dtype=bool)  # z <= some sample point
+        inside = np.zeros(shape, dtype=bool)  # z <= some sample point
         for p in pts:
-            cover_up[tuple(slice(0, v) for v in p)] = True
-        if not lower:
-            return int(cover_up.sum())
-        cover_down = np.zeros(shape, dtype=bool)  # z >= some sample point
-        for p in pts:
-            cover_down[tuple(slice(v - 1, None) for v in p)] = True
-        return int((cover_up & cover_down).sum())
+            inside[tuple(slice(0, v) for v in p)] = True
+        if convex:
+            cover_down = np.zeros(shape, dtype=bool)  # z >= some sample point
+            for p in pts:
+                cover_down[tuple(slice(v - 1, None) for v in p)] = True
+            inside &= cover_down
+        return int(inside.sum())
 
 
 class TreeAncestor:
@@ -253,23 +244,16 @@ class TreeAncestor:
 
     @staticmethod
     def witnesses(sample):
-        below, above, _ = TreeAncestor._scan(sample, convex=True)
-        return below, above
+        return TreeAncestor._scan(sample, convex=True)[:2]
+
+    @staticmethod
+    def closure_size(sample, convex: bool) -> int:
+        return TreeAncestor._scan(sample, convex)[2]
 
     @staticmethod
     def count_and_closure(sample, convex: bool) -> tuple:
         below, above, closure = TreeAncestor._scan(sample, convex)
         return int(np.count_nonzero(below & above if convex else below)), closure
-
-    @staticmethod
-    def upset_closure_size(sample) -> int:
-        points = set(map(tuple, sample))
-        return len(points | TreeAncestor._ancestors(points))
-
-    @staticmethod
-    def convex_closure_size(sample) -> int:
-        points = set(map(tuple, sample))
-        return len(TreeAncestor._hull(points, TreeAncestor._ancestors(points)))
 
 
 def _as_sample(sample):
@@ -300,14 +284,22 @@ def _witnesses(sample, oracle):
     return np.array(below, dtype=bool), np.array(above, dtype=bool)
 
 
-def _closure_size(sample, oracle, method: str, region: str) -> int:
+def _closure_size(sample, oracle, convex: bool) -> int:
     sample = _as_sample(sample)
     if len(sample) == 0:
         raise ValueError("empty sample")
-    fn = getattr(oracle, method, None)
+    fn = getattr(oracle, "closure_size", None)
     if fn is None:
-        raise TypeError(f"oracle does not support {region} enumeration")
-    return int(fn(sample))
+        raise TypeError("closure enumeration needs a closure_size(sample, convex) method")
+    return int(fn(sample, convex))
+
+
+def _size_estimate(sample, oracle, convex: bool) -> float:
+    sample = _as_sample(sample)
+    count, closure = count_and_closure(sample, oracle, convex)
+    if count == 0:
+        raise ValueError(f"no {'sandwiched' if convex else 'dominated'} points; estimate undefined")
+    return len(sample) * closure / count
 
 
 def upset_dominated_count(sample, oracle) -> int:
@@ -318,7 +310,7 @@ def upset_dominated_count(sample, oracle) -> int:
 
 def upset_closure_size(sample, oracle) -> int:
     """Size of the union of everything above some sample point."""
-    return _closure_size(sample, oracle, "upset_closure_size", "up-closure")
+    return _closure_size(sample, oracle, convex=False)
 
 
 def estimate_upset_size(sample, oracle) -> float:
@@ -329,12 +321,7 @@ def estimate_upset_size(sample, oracle) -> float:
     to max scaled by n/(n-1) when the maximum is unique, and to max
     otherwise.
     """
-    sample = _as_sample(sample)
-    n = len(sample)
-    dominated = upset_dominated_count(sample, oracle)
-    if dominated == 0:
-        raise ValueError("no dominated points; estimate undefined")
-    return n * upset_closure_size(sample, oracle) / dominated
+    return _size_estimate(sample, oracle, convex=False)
 
 
 def upset_mse_bound(n: int) -> float:
@@ -356,17 +343,12 @@ def convex_sandwiched_count(sample, oracle) -> int:
 
 def convex_closure_size(sample, oracle) -> int:
     """Size of the order-convex hull of the sample."""
-    return _closure_size(sample, oracle, "convex_closure_size", "convex-closure")
+    return _closure_size(sample, oracle, convex=True)
 
 
 def estimate_convex_size(sample, oracle) -> float:
     """n * |order-convex hull of sample| / (sandwiched count)."""
-    sample = _as_sample(sample)
-    n = len(sample)
-    sandwiched = convex_sandwiched_count(sample, oracle)
-    if sandwiched == 0:
-        raise ValueError("no sandwiched points; estimate undefined")
-    return n * convex_closure_size(sample, oracle) / sandwiched
+    return _size_estimate(sample, oracle, convex=True)
 
 
 def count_and_closure(sample, oracle, convex: bool) -> tuple:

@@ -1,27 +1,9 @@
 """Seeded Monte Carlo verification of the estimators' error bounds."""
 
-from .report import (
-    BoundReportRow,
-    emit_plot_data,
-    emit_report,
-    parse_report_csv,
-    report_text,
-    strip_comment_lines,
-)
-from .scenarios import SCENARIO_NAMES, ScenarioConfig, default_config, run_scenario
-from .seeding import child_seed, rng_for
+from . import report, scenarios, seeding
+from .report import *
+from .scenarios import *
+from .seeding import *
 
-__all__ = [
-    "BoundReportRow",
-    "SCENARIO_NAMES",
-    "ScenarioConfig",
-    "child_seed",
-    "default_config",
-    "emit_plot_data",
-    "emit_report",
-    "parse_report_csv",
-    "report_text",
-    "rng_for",
-    "run_scenario",
-    "strip_comment_lines",
-]
+# Each module lists its public names once, in its own __all__.
+__all__ = sorted(report.__all__ + scenarios.__all__ + seeding.__all__)

@@ -80,6 +80,7 @@ __all__ = [
     "SCENARIO_NAMES",
     "default_config",
     "run_scenario",
+    "validate_config",
 ]
 
 @dataclass
@@ -242,6 +243,14 @@ def _merged_params(cfg: ScenarioConfig) -> dict:
     return params
 
 
+def _alpha(params) -> float:
+    # Checked here, before any draw, rather than in the first replication.
+    alpha = float(params.get("alpha", 0.05))
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"params 'alpha' must lie in (0, 1), got {params['alpha']!r}")
+    return alpha
+
+
 def _sq_err_row(scenario, n, reps, est, truth, bound, extras) -> BoundReportRow:
     err = (np.asarray(est, dtype=float) - np.asarray(truth, dtype=float)) ** 2
     mse = float(err.mean())
@@ -311,6 +320,7 @@ def _hull_cells(cfg, params):
     dims = params["dims"]
     if not dims or any(d not in (2, 3) for d in dims):
         raise ValueError(f"params 'dims' must be a nonempty list from {{2, 3}}, got {dims!r}")
+    alpha = _alpha(params)
     if cfg.scenario == "hull_rect":
         try:
             boxes = {int(kk): v for kk, v in params["boxes"].items()}
@@ -343,7 +353,7 @@ def _hull_cells(cfg, params):
                 "spec": spec,
                 "support_volume": support,
                 "chol": chol,
-                "alpha": float(params.get("alpha", 0.05)),
+                "alpha": alpha,
             }
         )
     return cells
@@ -700,9 +710,11 @@ def _dna_finish(ctx, cfg, records):
 def _coverage_cells(cfg, params):
     if np.shape(params["beta"]) != (2,):
         raise ValueError(f"params 'beta' must be two coefficients, got {params['beta']!r}")
+    if params["x_scale"] == 0:  # every design would be singular
+        raise ValueError(f"params 'x_scale' must be nonzero, got {params['x_scale']!r}")
     return [
         {
-            "alpha": float(params["alpha"]),
+            "alpha": _alpha(params),
             "x_scale": float(params["x_scale"]),
             "holdout": int(params["holdout"]),
             "beta": tuple(float(b) for b in params["beta"]),
@@ -871,7 +883,9 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _validate(cfg: ScenarioConfig):
+def validate_config(cfg: ScenarioConfig) -> None:
+    """Reject a config's scenario, n grid, replications, seed or params
+    key, type and shape, without building its cells."""
     if cfg.scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     if not cfg.n_grid:
@@ -891,6 +905,7 @@ def _validate(cfg: ScenarioConfig):
     # would alias one inside it.
     if not 0 <= cfg.seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {cfg.seed}")
+    _merged_params(cfg)
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
@@ -906,7 +921,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     because replication k draws from ``rng_for(seed, tag, n, k)`` and
     aggregation runs in replication order.
     """
-    _validate(cfg)
+    validate_config(cfg)
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     family = _DEFAULTS[cfg.scenario]["family"]

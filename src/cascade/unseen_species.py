@@ -35,11 +35,10 @@ def good_turing(sample) -> LooEstimate:
 
     Labels are opaque hashable values.  Raises on an empty sample.
     """
-    sample = list(sample)
-    n = len(sample)
+    counts = Counter(sample)
+    n = counts.total()
     if n == 0:
         raise ValueError("empty sample")
-    counts = Counter(sample)
     singletons = sum(1 for c in counts.values() if c == 1)
     return LooEstimate.from_hits(singletons, n)
 

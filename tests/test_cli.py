@@ -710,6 +710,13 @@ def test_verify_config_bad_scenario_params_fail(tmp_path, capsys, entry, key):
         # Ragged boxes and a key that is not a dimension.
         ("hull_rect", {"boxes": {"2": [[0, 1], [0]]}}, "'boxes'"),
         ("hull_rect", {"boxes": {"x": [[0, 1], [0, 1]]}}, "'boxes'"),
+        # alpha outside (0, 1) and a zero design scale, checked before any draw.
+        ("hull_rect", {"alpha": 0}, "'alpha'"),
+        ("hull_disk", {"alpha": 1.5}, "'alpha'"),
+        ("coverage_linear", {"alpha": 1}, "'alpha'"),
+        ("coverage_quadratic_misspec", {"alpha": -0.05}, "'alpha'"),
+        ("coverage_linear", {"x_scale": 0}, "'x_scale'"),
+        ("coverage_quadratic_misspec", {"x_scale": -0.0}, "'x_scale'"),
     ],
 )
 def test_verify_config_wrong_param_shape_or_range_fails(
@@ -728,6 +735,29 @@ def test_verify_config_wrong_param_shape_or_range_fails(
     assert rc == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"params": {"dimz": [2]}}, "'dimz'"),
+        ({"replications": 0}, "replications"),
+    ],
+)
+def test_verify_config_checks_every_entry_before_any_scenario(
+    tmp_path, capsys, monkeypatch, bad, key
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scenario ran before every config entry was checked")
+
+    monkeypatch.setattr(cascade.cli, "run_scenario", no_run)
+    good = {"scenario": "hull_gauss", "n_grid": [200], "replications": 1000}
+    later = {"scenario": "hull_rect", "n_grid": [20], "replications": 2, **bad}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([good, later]))
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and key in err
 
 
 @pytest.mark.parametrize(

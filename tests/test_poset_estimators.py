@@ -378,7 +378,7 @@ def test_fast_counts_on_small_and_tied_samples(kind):
 @pytest.mark.parametrize("convex", [False, True])
 def test_tree_count_and_closure_walks_ancestors_once(monkeypatch, convex):
     # One ancestor walk, and one hull only for convex sets, serve both
-    # the count and the closure.
+    # the count and the closure, and so the size estimate too.
     calls = Counter()
     for name in ("_ancestors", "_hull"):
         real = getattr(TreeAncestor, name)
@@ -389,7 +389,11 @@ def test_tree_count_and_closure_walks_ancestors_once(monkeypatch, convex):
 
         monkeypatch.setattr(TreeAncestor, name, staticmethod(spy))
     sample = [(0,), (0, 0), (0, 1, 0), (0, 0, 0, 0), (1, 0), (0, 0)]
+    estimate = estimate_convex_size if convex else estimate_upset_size
     got = count_and_closure(sample, TreeAncestor(), convex)
+    assert (calls["_ancestors"], calls["_hull"]) == (1, int(convex))
+    calls.clear()
+    size = estimate(sample, TreeAncestor())
     assert (calls["_ancestors"], calls["_hull"]) == (1, int(convex))
     monkeypatch.undo()
     # Up-closure: the five nodes and (), (1,), (0, 1), (0, 0, 0); the
@@ -402,6 +406,81 @@ def test_tree_count_and_closure_walks_ancestors_once(monkeypatch, convex):
     assert want[1] == (convex_closure_size if convex else upset_closure_size)(
         sample, TreeAncestor()
     )
+    assert size == len(sample) * want[1] / want[0]
+
+
+class _Divisibility:
+    """A custom order with only ``leq`` and ``closure_size``, so its
+    witnesses come from the pair scan.  x is below y iff y divides x, and
+    the up-closure of a sample is the set of its elements' divisors."""
+
+    @staticmethod
+    def leq(x, y):
+        return x % y == 0
+
+    @staticmethod
+    def closure_size(sample, convex):
+        divisors = {z for s in sample for z in range(1, s + 1) if s % z == 0}
+        if convex:
+            divisors = {z for z in divisors if any(z % s == 0 for s in sample)}
+        return len(divisors)
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=7))
+@settings(max_examples=150)
+def test_custom_order_with_leq_and_closure_size_gives_brute_force(sample):
+    order = _Divisibility()
+    others = [sample[:i] + sample[i + 1 :] for i in range(len(sample))]
+    below = [any(order.leq(y, x) for y in o) for x, o in zip(sample, others)]
+    above = [any(order.leq(x, y) for y in o) for x, o in zip(sample, others)]
+    ground = range(1, max(sample) + 1)
+    funcs = {
+        False: (upset_dominated_count, upset_closure_size, estimate_upset_size),
+        True: (convex_sandwiched_count, convex_closure_size, estimate_convex_size),
+    }
+    for convex, (count_fn, closure_fn, estimate_fn) in funcs.items():
+        count = sum(b and (a or not convex) for b, a in zip(below, above))
+        closure = _scan_closure(sample, order.leq, ground, convex)
+        assert count_fn(sample, order) == count
+        assert closure_fn(sample, order) == closure
+        assert count_and_closure(sample, order, convex) == (count, closure)
+        if count:
+            assert estimate_fn(sample, order) == len(sample) * closure / count
+        else:
+            with pytest.raises(ValueError, match="estimate undefined"):
+                estimate_fn(sample, order)
+
+
+class _OldClosureNames:
+    """An order that closes samples only under the method names that
+    ``closure_size`` replaced."""
+
+    leq = staticmethod(ReversedNaturals.leq)
+    witnesses = staticmethod(ReversedNaturals.witnesses)
+
+    @staticmethod
+    def upset_closure_size(sample):
+        return max(sample)
+
+    @staticmethod
+    def convex_closure_size(sample):
+        return max(sample) - min(sample) + 1
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (upset_closure_size, ()),
+        (convex_closure_size, ()),
+        (estimate_upset_size, ()),
+        (estimate_convex_size, ()),
+        (count_and_closure, (False,)),
+        (count_and_closure, (True,)),
+    ],
+)
+def test_order_without_closure_size_is_rejected(fn, args):
+    with pytest.raises(TypeError, match=r"closure_size\(sample, convex\)"):
+        fn([2, 5, 5, 3], _OldClosureNames(), *args)
 
 
 @pytest.mark.parametrize("order", [TreeAncestor(), ReversedNaturals()])

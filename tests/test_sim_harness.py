@@ -764,7 +764,7 @@ def test_random_forest_paths_form_a_convex_forest():
         assert all(len(p) == 1 or p[:-1] in nodes for p in paths)
         roots = [p for p in paths if len(p) == 1]
         assert roots == [(c,) for c in range(len(roots))]
-        assert TreeAncestor.convex_closure_size(paths) == len(paths)
+        assert TreeAncestor.closure_size(paths, True) == len(paths)
 
 
 @given(
@@ -785,7 +785,7 @@ def test_random_forest_draws_exactly_its_node_count(seed, lo, extra):
     assert all(len(p) == 1 or p[:-1] in nodes for p in paths)
     roots = [p for p in paths if len(p) == 1]
     assert roots == [(c,) for c in range(len(roots))]
-    assert TreeAncestor.convex_closure_size(paths) == len(paths)
+    assert TreeAncestor.closure_size(paths, True) == len(paths)
 
 
 def _scalar_draw_forest(rng, min_nodes, max_nodes):
@@ -839,6 +839,6 @@ def test_poset_rows_match_library_counts():
     paths = random_forest(rng, 15, 40)
     sample = [paths[i] for i in rng.integers(0, len(paths), size=n)]
     hits = convex_sandwiched_count(sample, TreeAncestor())
-    closure = TreeAncestor.convex_closure_size(sample)
+    closure = TreeAncestor.closure_size(sample, True)
     assert row.empirical_mse == (hits / n - closure / len(paths)) ** 2
     assert row.extras["mean_forest_size"] == len(paths)
