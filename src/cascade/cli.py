@@ -324,7 +324,7 @@ def _cmd_coverage(args) -> int:
         if hold.shape[1] != data.shape[1]:
             raise ValueError("holdout file must match the training column count")
         out["holdout_coverage"] = holdout_coverage(
-            X, y, hold[:, :-1] - x_shift, hold[:, -1] - y_shift, args.alpha
+            fit, hold[:, :-1] - x_shift, hold[:, -1] - y_shift, args.alpha
         )
     _emit_json(out)
     return 0

@@ -3,7 +3,9 @@
 Model: ordinary least squares through the origin (no intercept).  The
 level 1-alpha prediction interval at a new design point x is
 
-    x'beta_hat  +-  z_{1-alpha/2} * sigma_hat * sqrt(1 + x'(X'X)^-1 x).
+    x'beta_hat  +-  z_{1-alpha/2} * sigma_hat * sqrt(1 + h),
+
+where h = x'(X'X)^-1 x = |x R^-1|^2 for the QR factor X = QR.
 
 The actual coverage probability of that interval is a random quantity
 (it depends on the fitted model), and the leave-one-out estimate of it
@@ -43,14 +45,15 @@ _RANK_TOL = 1e-10
 class OlsFit:
     """Least-squares fit through the origin.
 
-    ``sigma_hat`` uses the n - p divisor; ``xtx_inverse`` is kept for
-    interval widths (beta itself comes from a QR solve, not from the
-    explicit inverse).
+    ``sigma_hat`` uses the n - p divisor; ``r_inverse`` is R^-1 for the
+    design's QR factor.  Scaling X by c scales R^-1 by 1/c and leaves
+    x R^-1, hence every interval, unchanged; (X'X)^-1 = R^-1 R^-T is never
+    formed, since it overflows or underflows when X is far from scale 1.
     """
 
     beta: np.ndarray
     sigma_hat: float
-    xtx_inverse: np.ndarray
+    r_inverse: np.ndarray
     n: int
     p: int
 
@@ -97,11 +100,11 @@ def ols_fit(X, y) -> OlsFit:
     X, y, n, p = _check_design(X, y)
     if n <= p:
         raise ValueError("need more rows than features")
-    return _qr_fit(X, y)[0]
+    return _qr_fit(X, y)
 
 
-def _qr_fit(X, y):
-    """The fit of a checked design, and R^-1 for its QR factor R."""
+def _qr_fit(X, y) -> OlsFit:
+    """The fit of a checked design."""
     n, p = X.shape
     q_mat, r_mat = np.linalg.qr(X)
     diag = np.abs(np.diag(r_mat))
@@ -111,27 +114,37 @@ def _qr_fit(X, y):
     resid = y - X @ beta
     rss = float(resid @ resid)
     sigma_hat = math.sqrt(rss / (n - p))
-    r_inv = np.linalg.solve(r_mat, np.eye(p))
-    xtx_inverse = r_inv @ r_inv.T
-    return OlsFit(beta=beta, sigma_hat=sigma_hat, xtx_inverse=xtx_inverse, n=n, p=p), r_inv
+    r_inverse = np.linalg.solve(r_mat, np.eye(p))
+    return OlsFit(beta=beta, sigma_hat=sigma_hat, r_inverse=r_inverse, n=n, p=p)
+
+
+def _leverages(X, r_inverse) -> np.ndarray:
+    """x'(X'X)^-1 x for each row x of X, as |x R^-1|^2."""
+    u = X @ r_inverse
+    return np.einsum("ij,ij->i", u, u)
+
+
+def _intervals(fit: OlsFit, X, alpha: float, name: str):
+    """Centers and half-widths z * sigma_hat * sqrt(1 + h) of the level
+    1-alpha intervals at the rows of X, which errors call ``name``."""
+    z = _critical_value(alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = X @ fit.beta
+        halfwidths = z * fit.sigma_hat * np.sqrt(1.0 + _leverages(X, fit.r_inverse))
+    if not (np.isfinite(centers).all() and np.isfinite(halfwidths).all()):
+        raise ValueError(f"{name} is too large: its prediction interval is not finite")
+    return centers, halfwidths
 
 
 def predict_interval(fit: OlsFit, x_new, alpha: float) -> PredictionInterval:
     """Level 1-alpha prediction interval at design point x_new."""
-    z = _critical_value(alpha)
-    x = np.asarray(x_new, dtype=float).reshape(-1)
-    if x.shape[0] != fit.beta.shape[0]:
+    x = np.asarray(x_new, dtype=float).reshape(1, -1)
+    if x.shape[1] != fit.p:
         raise ValueError("x_new dimension does not match the fit")
     if not np.all(np.isfinite(x)):
         raise ValueError("x_new must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        center = float(x @ fit.beta)
-        quad = float(x @ fit.xtx_inverse @ x)
-    spread = math.sqrt(1.0 + quad) if math.isfinite(quad) else math.inf
-    halfwidth = z * fit.sigma_hat * spread
-    if not (math.isfinite(center) and math.isfinite(halfwidth)):
-        raise ValueError("x_new is too large: its prediction interval is not finite")
-    return PredictionInterval(center=center, halfwidth=halfwidth, alpha=alpha)
+    (center,), (halfwidth,) = _intervals(fit, x, alpha, "x_new")
+    return PredictionInterval(center=float(center), halfwidth=float(halfwidth), alpha=alpha)
 
 
 def _critical_value(alpha: float) -> float:
@@ -152,7 +165,7 @@ def _loo_flags_refit(X, y, alpha):
         if i:
             sub_x[i - 1], sub_y[i - 1] = X[i - 1], y[i - 1]
         try:
-            fit = _qr_fit(sub_x, sub_y)[0]
+            fit = _qr_fit(sub_x, sub_y)
         except ValueError as exc:
             raise ValueError(f"leave-one-out fit failed excluding row {i}: {exc}") from exc
         flags[i] = predict_interval(fit, X[i], alpha).contains(y[i])
@@ -161,11 +174,8 @@ def _loo_flags_refit(X, y, alpha):
 
 def _loo_flags_downdate(X, y, alpha):
     n, p = X.shape
-    fit, r_inv = _qr_fit(X, y)
-    # Leverages h_i = |x_i R^-1|^2 from the full fit's QR factor.
-    r_inv_t_x = X @ r_inv
-    leverages = np.einsum("ij,ij->i", r_inv_t_x, r_inv_t_x)
-    slack = 1.0 - leverages
+    fit = _qr_fit(X, y)
+    slack = 1.0 - _leverages(X, fit.r_inverse)
     if np.any(slack <= _RANK_TOL):
         i = int(np.argmax(slack <= _RANK_TOL))
         raise ValueError(f"leave-one-out fit failed excluding row {i}: singular design")
@@ -205,23 +215,16 @@ def loo_coverage(X, y, alpha: float, method: str = "refit") -> LooEstimate:
     return LooEstimate.from_hits(int(flags.sum()), n)
 
 
-def holdout_coverage(fit_X, fit_y, test_X, test_y, alpha: float) -> float:
-    """Fraction of held-out rows inside the fitted model's intervals.
+def holdout_coverage(fit: OlsFit, test_X, test_y, alpha: float) -> float:
+    """Fraction of held-out rows inside ``fit``'s intervals.
 
     The Monte Carlo stand-in for the interval's true conditional
     coverage, given a large fresh test set.
     """
-    z = _critical_value(alpha)
-    fit = ols_fit(fit_X, fit_y)
-    test_X = np.asarray(test_X, dtype=float)
-    test_y = np.asarray(test_y, dtype=float).reshape(-1)
-    if test_X.ndim != 2 or test_X.shape[1] != fit.p:
-        raise ValueError("test design must be 2-D with matching feature count")
-    if test_X.shape[0] == 0:
+    test_X, test_y, m, p = _check_design(test_X, test_y)
+    if p != fit.p:
+        raise ValueError("test design must have the fit's feature count")
+    if m == 0:
         raise ValueError("empty test set")
-    if test_y.shape[0] != test_X.shape[0]:
-        raise ValueError("test response length does not match test rows")
-    centers = test_X @ fit.beta
-    quad = np.einsum("ij,jk,ik->i", test_X, fit.xtx_inverse, test_X)
-    halfwidth = z * fit.sigma_hat * np.sqrt(1.0 + quad)
-    return float(np.mean(np.abs(test_y - centers) <= halfwidth))
+    centers, halfwidths = _intervals(fit, test_X, alpha, "test_X")
+    return float(np.mean(np.abs(test_y - centers) <= halfwidths))

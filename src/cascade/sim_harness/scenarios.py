@@ -52,7 +52,7 @@ from ..convex_volume import (
     hull_summary,
     volume_interval,
 )
-from ..coverage_predict import holdout_coverage, loo_coverage
+from ..coverage_predict import holdout_coverage, loo_coverage, ols_fit
 from ..poset_estimators import (
     Antichain,
     ProductOrder,
@@ -240,15 +240,53 @@ def _merged_params(cfg: ScenarioConfig) -> dict:
         if not _fits(params[key], value):
             raise ValueError(f"params {key!r} must be {_shape(params[key])}, got {value!r}")
     params.update(cfg.params)
+    _check_ranges(cfg, params)
     return params
 
 
-def _alpha(params) -> float:
-    # Checked here, before any draw, rather than in the first replication.
-    alpha = float(params.get("alpha", 0.05))
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"params 'alpha' must lie in (0, 1), got {params['alpha']!r}")
-    return alpha
+def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
+    """The param rules beyond shape, each naming its key.  The cell
+    builders check nothing, so a bad entry fails before any scenario runs."""
+
+    def need(ok, key, rule):
+        if not ok:
+            raise ValueError(f"params {key!r} must {rule}, got {params[key]!r}")
+
+    dims = params.get("dims")
+    if dims is not None:
+        need(dims and set(dims) <= {2, 3}, "dims", "be a nonempty list from {2, 3}")
+    if "alpha" in params:
+        need(0.0 < params["alpha"] < 1.0, "alpha", "lie in (0, 1)")
+    if "boxes" in params:
+        boxes = {str(k): v for k, v in params["boxes"].items()}
+        for d in dims:
+            box = boxes.get(str(d))
+            need(_fits(((0.0,),), box) and len(box) == d
+                 and all(len(b) == 2 and b[0] < b[1] for b in box),
+                 "boxes", f"give {d} intervals (low < high) for d = {d}")
+    if "corr" in params:
+        need(all(-1.0 / (d - 1) < params["corr"] < 1.0 for d in dims), "corr",
+             "keep the correlation matrix positive definite for every d in 'dims'")
+    if "radii" in params:
+        need(params["radii"] and min(params["radii"]) >= 0.0, "radii",
+             "be a nonempty list of numbers >= 0")
+    if "max_nodes" in params:
+        need(params["min_nodes"] <= params["max_nodes"], "min_nodes", "not exceed 'max_nodes'")
+    if "beta" in params:
+        need(np.shape(params["beta"]) == (2,), "beta", "be two coefficients")
+    if "x_scale" in params:
+        need(params["x_scale"] != 0, "x_scale", "be nonzero, or every design is singular")
+    if "freqs" in params:
+        f = params["freqs"]
+        need(len(f) == 4 and min(f) >= 0.0 and abs(math.fsum(f) - 1.0) <= 1e-8, "freqs",
+             "be four probabilities summing to 1")
+    if "split" in params:
+        split, n_grid = params["split"], list(cfg.n_grid)
+        need(len(split) == 2 and n_grid == [split[0]], "split",
+             f"be two sizes, the first the only n in n_grid {n_grid}")
+        need(sum(split) <= params["population"], "split", "not exceed 'population' in sum")
+        need(2 * split[0] + split[1] <= params["null_population"], "null_population",
+             f"hold the reference and both null samples, 2 * {split[0]} + {split[1]}")
 
 
 def _sq_err_row(scenario, n, reps, est, truth, bound, extras) -> BoundReportRow:
@@ -317,25 +355,11 @@ def _unseen_finish(ctx, cfg, records):
 
 def _hull_cells(cfg, params):
     cells = []
-    dims = params["dims"]
-    if not dims or any(d not in (2, 3) for d in dims):
-        raise ValueError(f"params 'dims' must be a nonempty list from {{2, 3}}, got {dims!r}")
-    alpha = _alpha(params)
-    if cfg.scenario == "hull_rect":
-        try:
-            boxes = {int(kk): v for kk, v in params["boxes"].items()}
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"params 'boxes' keys must be dimensions, got {list(params['boxes'])!r}"
-            ) from None
-    for d in (int(d) for d in dims):
+    alpha = float(params.get("alpha", 0.05))
+    for d in (int(d) for d in params["dims"]):
         chol = None
         if cfg.scenario == "hull_rect":
-            bounds = boxes.get(d)
-            if not (_fits(((0.0,),), bounds) and len(bounds) == d) or any(
-                len(b) != 2 or b[0] >= b[1] for b in bounds
-            ):
-                raise ValueError(f"params 'boxes' must give {d} intervals (low < high) for d = {d}")
+            bounds = {str(k): v for k, v in params["boxes"].items()}[str(d)]
             spec = {"kind": "uniform_box", "bounds": bounds}
             support = float(np.prod([b[1] - b[0] for b in bounds]))
         elif cfg.scenario == "hull_disk":
@@ -346,16 +370,8 @@ def _hull_cells(cfg, params):
             spec = {"kind": "gauss", "d": d, "corr": corr}
             support = None
             chol = equicorrelation_cholesky(d, corr) if corr != 0.0 else None
-        cells.append(
-            {
-                "tag": f"{cfg.scenario}:d{d}",
-                "d": d,
-                "spec": spec,
-                "support_volume": support,
-                "chol": chol,
-                "alpha": alpha,
-            }
-        )
+        cells.append({"tag": f"{cfg.scenario}:d{d}", "d": d, "spec": spec,
+                      "support_volume": support, "chol": chol, "alpha": alpha})
     return cells
 
 
@@ -401,7 +417,7 @@ def _hull_rep(ctx, rng):
                 ci.estimate / (1.0 + ci.rel_halfwidth) <= support <= ci.ci_high
             )
             rec["mse_event"] = bool(
-                abs(est - defect) <= math.sqrt((8 * d + 9) / (alpha * n))
+                abs(est - defect) <= math.sqrt(conv_mse_bound(n, d) / alpha)
             )
         else:
             rec["ratio"] = None
@@ -469,8 +485,6 @@ def _poset_cells(cfg, params):
     elif variant == "forest":
         ctx["min_nodes"] = int(params["min_nodes"])
         ctx["max_nodes"] = int(params["max_nodes"])
-        if ctx["min_nodes"] > ctx["max_nodes"]:
-            raise ValueError("params 'min_nodes' must not exceed params 'max_nodes'")
     else:
         ctx["ground"] = int(params["labels" if variant == "antichain" else "size"])
     return [ctx]
@@ -549,10 +563,7 @@ def _poset_finish(ctx, cfg, records):
 # ------------------------------------------------------------- coincide
 
 def _coincide_cells(cfg, params):
-    radii = tuple(float(r) for r in params["radii"])
-    if not radii or min(radii) < 0.0:
-        raise ValueError(f"params 'radii' must be a nonempty list of numbers >= 0, got {radii!r}")
-    return [{"radii": radii}]
+    return [{"radii": tuple(float(r) for r in params["radii"])}]
 
 
 def _coincide_rep(ctx, rng):
@@ -616,23 +627,10 @@ def _dna_cells(cfg, params):
     import scipy.stats  # noqa: F401 -- loaded before the pool forks, so workers inherit it
 
     split = tuple(int(s) for s in params["split"])
-    if len(split) != 2:
-        raise ValueError(f"params 'split' must be two sizes, got {params['split']!r}")
-    if tuple(cfg.n_grid) != split[:1]:
-        raise ValueError(
-            f"n_grid must be [{split[0]}], the first 'split' size, got {list(cfg.n_grid)}"
-        )
     pop = int(params["population"])
-    if split[0] + split[1] > pop:
-        raise ValueError(f"params 'split' sizes {list(split)} exceed the population {pop}")
     null_pop = int(params["null_population"])
-    drawn = 2 * split[0] + split[1]  # reference, first and second null samples
-    if drawn > null_pop:
-        raise ValueError(f"params 'null_population' must be at least {drawn}, got {null_pop}")
     length = int(params["length"])
     freqs = np.asarray(params["freqs"], dtype=float)
-    if freqs.shape != (4,) or freqs.min() < 0.0 or abs(freqs.sum() - 1.0) > 1e-8:
-        raise ValueError(f"params 'freqs' must be four probabilities summing to 1, got {freqs}")
     rng = rng_for(cfg.seed, cfg.scenario + "/population", 0, 0)
     ancestor = rng.choice(4, size=length, p=freqs).astype(np.uint8)
     codes = _mutate_population(ancestor, pop + null_pop, float(params["mutation"]), rng)
@@ -708,13 +706,9 @@ def _dna_finish(ctx, cfg, records):
 # ------------------------------------------------------------- coverage
 
 def _coverage_cells(cfg, params):
-    if np.shape(params["beta"]) != (2,):
-        raise ValueError(f"params 'beta' must be two coefficients, got {params['beta']!r}")
-    if params["x_scale"] == 0:  # every design would be singular
-        raise ValueError(f"params 'x_scale' must be nonzero, got {params['x_scale']!r}")
     return [
         {
-            "alpha": _alpha(params),
+            "alpha": float(params["alpha"]),
             "x_scale": float(params["x_scale"]),
             "holdout": int(params["holdout"]),
             "beta": tuple(float(b) for b in params["beta"]),
@@ -738,7 +732,7 @@ def _coverage_rep(ctx, rng):
     x, y = _coverage_draw(ctx, rng, ctx["n"])
     est = loo_coverage(x, y, ctx["alpha"], method="downdate").value
     x_hold, y_hold = _coverage_draw(ctx, rng, ctx["holdout"])
-    truth = holdout_coverage(x, y, x_hold, y_hold, ctx["alpha"])
+    truth = holdout_coverage(ols_fit(x, y), x_hold, y_hold, ctx["alpha"])
     return {"est": est, "truth": truth}
 
 

@@ -424,6 +424,17 @@ def test_coverage_command(tmp_path, capsys):
     assert 0.0 <= obj["holdout_coverage"] <= 1.0
 
 
+@pytest.mark.parametrize("row", ["1,1,nan", "inf,2,3"])
+def test_coverage_non_finite_holdout_row_fails(tmp_path, capsys, row):
+    path = tmp_path / "data.csv"
+    path.write_text("1,0,1.1\n0,1,2.0\n1,1,2.9\n2,1,4.2\n1,2,4.8\n")
+    hold = tmp_path / "hold.csv"
+    hold.write_text(f"1,1,3\n{row}\n")
+    rc, out, err = run_cli(capsys, "coverage", str(path), "--holdout-file", str(hold))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_coverage_center_shifts_consistently(tmp_path, capsys):
     rng = np.random.default_rng(56)
     X = rng.normal(loc=3.0, size=(30, 1))
@@ -717,6 +728,8 @@ def test_verify_config_bad_scenario_params_fail(tmp_path, capsys, entry, key):
         ("coverage_quadratic_misspec", {"alpha": -0.05}, "'alpha'"),
         ("coverage_linear", {"x_scale": 0}, "'x_scale'"),
         ("coverage_quadratic_misspec", {"x_scale": -0.0}, "'x_scale'"),
+        # A correlation outside the positive-definite range for some d.
+        ("hull_gauss_corr", {"corr": 1.0}, "'corr'"),
     ],
 )
 def test_verify_config_wrong_param_shape_or_range_fails(
@@ -742,6 +755,22 @@ def test_verify_config_wrong_param_shape_or_range_fails(
     [
         ({"params": {"dimz": [2]}}, "'dimz'"),
         ({"replications": 0}, "replications"),
+        # Range rules, checked before any scenario runs.
+        ({"params": {"alpha": 0}}, "'alpha'"),
+        ({"params": {"dims": [4]}}, "'dims'"),
+        ({"params": {"boxes": {"2": [[0, 1], [2, 2]]}}}, "'boxes'"),
+        ({"scenario": "hull_gauss_corr", "params": {"corr": 1.0}}, "'corr'"),
+        ({"scenario": "hull_gauss_corr", "params": {"corr": -0.6}}, "'corr'"),
+        ({"scenario": "coincide_uniform_square", "params": {"radii": []}}, "'radii'"),
+        ({"scenario": "poset_convex_forest", "params": {"min_nodes": 30, "max_nodes": 20}},
+         "'min_nodes'"),
+        ({"scenario": "coverage_linear", "params": {"beta": [1, 2, 3]}}, "'beta'"),
+        ({"scenario": "coverage_linear", "params": {"x_scale": 0}}, "'x_scale'"),
+        ({"scenario": "dna_split", "n_grid": [5]}, "n_grid"),
+        ({"scenario": "dna_split", "n_grid": [40], "params": {"freqs": [0.5, 0.5]}}, "'freqs'"),
+        ({"scenario": "dna_split", "n_grid": [40], "params": {"split": [40, 161]}}, "'split'"),
+        ({"scenario": "dna_split", "n_grid": [40], "params": {"null_population": 239}},
+         "'null_population'"),
     ],
 )
 def test_verify_config_checks_every_entry_before_any_scenario(
@@ -800,6 +829,21 @@ def test_verify_requires_some_selection(capsys):
     rc, _, err = run_cli(capsys, "verify")
     assert rc == 2
     assert "--all" in err
+
+
+def test_verify_coverage_at_a_tiny_design_scale(tmp_path, capsys):
+    # The intervals do not depend on the scale of the design, so the
+    # holdout coverage stays near the leave-one-out coverage at 1e-200.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": "coverage_linear", "n_grid": [50], "replications": 2,
+        "params": {"x_scale": 1e-200},
+    }))
+    rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg_path), "--format", "json")
+    assert rc == 0
+    (row,) = json.loads(out)["rows"]
+    extras = row["extras"]
+    assert abs(extras["mean_holdout_coverage"] - extras["mean_loo_coverage"]) <= 0.05
 
 
 def test_verify_json_format(capsys):

@@ -51,7 +51,7 @@ def test_fit_matches_lstsq():
     assert fit.sigma_hat == pytest.approx(
         math.sqrt(resid @ resid / (40 - 3)), rel=1e-10
     )
-    assert fit.xtx_inverse == pytest.approx(np.linalg.inv(X.T @ X), rel=1e-8)
+    assert fit.r_inverse @ fit.r_inverse.T == pytest.approx(np.linalg.inv(X.T @ X), rel=1e-8)
 
 
 def test_singular_design_rejected():
@@ -266,7 +266,7 @@ def test_holdout_coverage_of_exact_relationship():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = 2.0 * X[:, 0]
     Xt = np.array([[5.0], [6.0]])
-    assert holdout_coverage(X, y, Xt, 2.0 * Xt[:, 0], alpha=0.05) == 1.0
+    assert holdout_coverage(ols_fit(X, y), Xt, 2.0 * Xt[:, 0], alpha=0.05) == 1.0
 
 
 @pytest.mark.parametrize("bad", [1.0, 1.5, -0.5])
@@ -274,14 +274,14 @@ def test_holdout_alpha_validation(bad):
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 3.1])
     with pytest.raises(ValueError, match="alpha"):
-        holdout_coverage(X, y, X, y, alpha=bad)
+        holdout_coverage(ols_fit(X, y), X, y, alpha=bad)
 
 
 def test_holdout_empty_test_set_rejected():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 3.1])
     with pytest.raises(ValueError, match="empty test set"):
-        holdout_coverage(X, y, np.empty((0, 1)), np.empty(0), alpha=0.05)
+        holdout_coverage(ols_fit(X, y), np.empty((0, 1)), np.empty(0), alpha=0.05)
 
 
 def test_holdout_rotation_invariance():
@@ -296,8 +296,8 @@ def test_holdout_rotation_invariance():
     R = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
-    base = holdout_coverage(X, y, Xt, yt, alpha=0.05)
-    rotated = holdout_coverage(X @ R, y, Xt @ R, yt, alpha=0.05)
+    base = holdout_coverage(ols_fit(X, y), Xt, yt, alpha=0.05)
+    rotated = holdout_coverage(ols_fit(X @ R, y), Xt @ R, yt, alpha=0.05)
     assert base == pytest.approx(rotated)
 
 
@@ -308,5 +308,46 @@ def test_holdout_coverage_near_nominal_on_large_sample():
     y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
     Xt = rng.normal(size=(m, 2))
     yt = Xt @ np.array([1.0, 0.5]) + rng.normal(size=m)
-    cov = holdout_coverage(X, y, Xt, yt, alpha=0.05)
+    cov = holdout_coverage(ols_fit(X, y), Xt, yt, alpha=0.05)
     assert abs(cov - 0.95) <= 0.02
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_holdout_rejects_non_finite_rows_and_responses(bad):
+    X = np.array([[1.0], [2.0], [3.0], [4.0]])
+    fit = ols_fit(X, np.array([1.1, 1.9, 3.2, 3.9]))
+    with pytest.raises(ValueError, match="finite"):
+        holdout_coverage(fit, [[bad], [1.0]], [1.0, 1.0], alpha=0.05)
+    with pytest.raises(ValueError, match="finite"):
+        holdout_coverage(fit, [[2.0], [1.0]], [bad, 1.0], alpha=0.05)
+
+
+def test_holdout_rejects_a_row_whose_interval_overflows():
+    fit = ols_fit(np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]),
+                  np.array([1.1, 1.9, 3.2, 3.9, 5.1]))
+    with pytest.raises(ValueError, match="test_X is too large"):
+        holdout_coverage(fit, [[1.0], [1e308]], [1.0, 1.0], alpha=0.05)
+
+
+# ---------------------------------------------------------- scale of X
+
+@pytest.mark.parametrize("c", [1e-200, 1e-100, 1e100, 1e200])
+def test_every_interval_is_scale_equivariant(c):
+    # Scaling X by c scales beta by 1/c and leaves every interval as it
+    # was, however far c is from 1.
+    rng = np.random.default_rng(3)
+    beta = np.array([1.0, 0.5])
+    X = rng.normal(size=(50, 2))
+    y = X @ beta + rng.normal(size=50)
+    Xt = rng.normal(size=(500, 2))
+    yt = Xt @ beta + rng.normal(size=500)
+    x_new = np.array([0.7, -1.3])
+    for method in ("refit", "downdate"):
+        want = loo_coverage(X, y, 0.05, method=method).value
+        assert loo_coverage(c * X, y, 0.05, method=method).value == want
+    fit, scaled = ols_fit(X, y), ols_fit(c * X, y)
+    assert holdout_coverage(scaled, c * Xt, yt, 0.05) == holdout_coverage(fit, Xt, yt, 0.05)
+    want = predict_interval(fit, x_new, 0.05)
+    got = predict_interval(scaled, c * x_new, 0.05)
+    assert got.halfwidth == pytest.approx(want.halfwidth, rel=1e-12)
+    assert got.center == pytest.approx(want.center, rel=1e-12)
