@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -335,6 +336,9 @@ def _configs_from_args(args) -> list[ScenarioConfig]:
         raw = json.loads(_read_text(args.config))
         if isinstance(raw, dict):
             raw = [raw]
+        if not isinstance(raw, list):
+            raise ValueError(f"--config must hold a JSON object or a list of them, got {raw!r}")
+        entry_keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
         configs = []
         for item in raw:
             if not isinstance(item, dict):
@@ -342,15 +346,12 @@ def _configs_from_args(args) -> list[ScenarioConfig]:
             for key in ("scenario", "n_grid", "replications"):
                 if key not in item:
                     raise ValueError(f"--config entry lacks the {key!r} key")
+            unknown = sorted(set(item) - entry_keys)
+            if unknown:
+                raise ValueError(f"--config entry has an unknown key {unknown[0]!r}")
             if not isinstance(item["n_grid"], list):
                 raise ValueError("--config 'n_grid' must be a list of sample sizes")
-            cfg = ScenarioConfig(
-                scenario=item["scenario"],
-                n_grid=tuple(item["n_grid"]),
-                replications=item["replications"],
-                seed=item.get("seed", args.seed),
-                params=item.get("params", {}),
-            )
+            cfg = ScenarioConfig(**{"seed": args.seed, **item, "n_grid": tuple(item["n_grid"])})
             validate_config(cfg)  # every entry, before any scenario runs
             configs.append(cfg)
         return configs

@@ -17,7 +17,11 @@ probe count, reports the probe standard error, and is counted in
 ``probe_fallbacks``.
 
 A family supplies base cell contexts, one replication drawn from a
-given generator, and its rows.  The runner expands the n grid, cuts the
+given generator, and its rows.  A cell context is the scenario's params
+as ``validate_config`` returns them, each in its default's type, plus
+what the family derives from them (a hull's d and support, a Kimura
+matrix); a family that derives nothing takes the params alone.  The
+runner expands the n grid, cuts the
 same chunks at any worker count and hands replication k the generator
 ``rng_for(seed, tag, n, k)``, so results do not depend on scheduling;
 aggregation runs in replication order.  ``dna_split``'s population has
@@ -205,21 +209,26 @@ def default_config(name: str, seed: int = 42, replications: int | None = None) -
     )
 
 
-def _fits(default, value) -> bool:
-    """Whether ``value`` has the shape of the param default ``default``.
+def _typed(default, value):
+    """``value`` in the type of the param default ``default`` (a tuple
+    of the element type for a list), or None where it has not that shape.
 
     Every integer param is a size or a count, so it must be at least 1.
+    A mapping is kept as it is; ``_check_ranges`` keys ``boxes`` by d.
     """
     if isinstance(default, dict):
-        return isinstance(value, dict)
+        return value if isinstance(value, dict) else None
     if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_fits(default[0], v) for v in value)
+        if not isinstance(value, (list, tuple)):
+            return None
+        items = tuple(_typed(default[0], v) for v in value)
+        return None if None in items else items
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
+        return None
     if isinstance(default, int):
-        return isinstance(value, numbers.Integral) and value >= 1
-    # Also false for NaN, and for an integer too large to be a float.
-    return abs(value) <= sys.float_info.max
+        return int(value) if isinstance(value, numbers.Integral) and value >= 1 else None
+    # Also None for NaN, and for an integer too large to be a float.
+    return float(value) if abs(value) <= sys.float_info.max else None
 
 
 def _shape(default) -> str:
@@ -231,22 +240,25 @@ def _shape(default) -> str:
 
 
 def _merged_params(cfg: ScenarioConfig) -> dict:
-    params = dict(_DEFAULTS[cfg.scenario]["params"])
+    """The default params overridden by ``cfg.params``, typed and range-checked."""
+    defaults = _DEFAULTS[cfg.scenario]["params"]
     if not isinstance(cfg.params, dict):
         raise ValueError(f"params must be a mapping, got {cfg.params!r}")
+    params = dict(defaults)
     for key, value in cfg.params.items():
-        if key not in params:
+        if key not in defaults:
             raise ValueError(f"unknown params key {key!r} for scenario {cfg.scenario!r}")
-        if not _fits(params[key], value):
-            raise ValueError(f"params {key!r} must be {_shape(params[key])}, got {value!r}")
-    params.update(cfg.params)
+        params[key] = _typed(defaults[key], value)
+        if params[key] is None:
+            raise ValueError(f"params {key!r} must be {_shape(defaults[key])}, got {value!r}")
     _check_ranges(cfg, params)
     return params
 
 
 def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
-    """The param rules beyond shape, each naming its key.  The cell
-    builders check nothing, so a bad entry fails before any scenario runs."""
+    """The param rules beyond shape, each naming its key; ``boxes`` is
+    keyed by d once ``dims`` holds.  The cell builders check nothing, so a
+    bad entry fails before any scenario runs."""
 
     def need(ok, key, rule):
         if not ok:
@@ -254,32 +266,38 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
 
     dims = params.get("dims")
     if dims is not None:
-        need(dims and set(dims) <= {2, 3}, "dims", "be a nonempty list from {2, 3}")
+        need(dims and set(dims) <= {2, 3} and len(set(dims)) == len(dims), "dims",
+             "be a nonempty list from {2, 3} without repeats")
     if "alpha" in params:
         need(0.0 < params["alpha"] < 1.0, "alpha", "lie in (0, 1)")
     if "boxes" in params:
-        boxes = {str(k): v for k, v in params["boxes"].items()}
-        for d in dims:
-            box = boxes.get(str(d))
-            need(_fits(((0.0,),), box) and len(box) == d
+        # A JSON key is a string, a Python one may be an int.
+        given = {str(k): v for k, v in params["boxes"].items()}
+        boxes = {d: _typed(((0.0,),), given.get(str(d))) for d in dims}
+        for d, box in boxes.items():
+            need(box is not None and len(box) == d
                  and all(len(b) == 2 and b[0] < b[1] for b in box),
                  "boxes", f"give {d} intervals (low < high) for d = {d}")
+        params["boxes"] = boxes
     if "corr" in params:
         need(all(-1.0 / (d - 1) < params["corr"] < 1.0 for d in dims), "corr",
              "keep the correlation matrix positive definite for every d in 'dims'")
     if "radii" in params:
-        need(params["radii"] and min(params["radii"]) >= 0.0, "radii",
-             "be a nonempty list of numbers >= 0")
+        radii = params["radii"]
+        need(radii and min(radii) >= 0.0 and len(set(radii)) == len(radii), "radii",
+             "be a nonempty list of distinct numbers >= 0")
     if "max_nodes" in params:
         need(params["min_nodes"] <= params["max_nodes"], "min_nodes", "not exceed 'max_nodes'")
     if "beta" in params:
-        need(np.shape(params["beta"]) == (2,), "beta", "be two coefficients")
+        need(len(params["beta"]) == 2, "beta", "be two coefficients")
     if "x_scale" in params:
         need(params["x_scale"] != 0, "x_scale", "be nonzero, or every design is singular")
+    if "mutation" in params:
+        need(0.0 < params["mutation"] < 1.0, "mutation", "lie in (0, 1)")
     if "freqs" in params:
         f = params["freqs"]
-        need(len(f) == 4 and min(f) >= 0.0 and abs(math.fsum(f) - 1.0) <= 1e-8, "freqs",
-             "be four probabilities summing to 1")
+        need(len(f) == 4 and 0.0 <= min(f) and max(f) <= 1.0
+             and abs(math.fsum(f) - 1.0) <= 1e-8, "freqs", "be four probabilities summing to 1")
     if "split" in params:
         split, n_grid = params["split"], list(cfg.n_grid)
         need(len(split) == 2 and n_grid == [split[0]], "split",
@@ -312,14 +330,14 @@ def _mean(values) -> float:
 # ---------------------------------------------------------------- unseen
 
 def _unseen_cells(cfg, params):
-    N = int(params["N"])
+    N = params["N"]
     if "s" in params:
-        spec = {"kind": "zipf", "N": N, "s": float(params["s"])}
-        probs = zipf_probabilities(N, float(params["s"]))
+        spec = {"kind": "zipf", "N": N, "s": params["s"]}
+        probs = zipf_probabilities(N, params["s"])
     else:
         spec = {"kind": "uniform_labels", "N": N}
         probs = np.full(N, 1.0 / N)
-    return [{"N": N, "spec": spec, "probs": probs, "uniform": "s" not in params}]
+    return [{**params, "spec": spec, "probs": probs}]
 
 
 def _unseen_rep(ctx, rng):
@@ -343,7 +361,7 @@ def _unseen_finish(ctx, cfg, records):
         "N": N,
     }
     row = _sq_err_row(cfg.scenario, n, cfg.replications, est, truth, three_term, extras)
-    if ctx["uniform"]:
+    if "s" not in ctx:  # uniform labels
         finite = unseen_bound_finite_N(n, N)
         row.extras["bound_finite_N"] = finite
         row.extras["finite_N_applicable"] = bool(n <= N * math.log(N))
@@ -355,23 +373,22 @@ def _unseen_finish(ctx, cfg, records):
 
 def _hull_cells(cfg, params):
     cells = []
-    alpha = float(params.get("alpha", 0.05))
-    for d in (int(d) for d in params["dims"]):
+    for d in params["dims"]:
         chol = None
         if cfg.scenario == "hull_rect":
-            bounds = {str(k): v for k, v in params["boxes"].items()}[str(d)]
+            bounds = params["boxes"][d]
             spec = {"kind": "uniform_box", "bounds": bounds}
             support = float(np.prod([b[1] - b[0] for b in bounds]))
         elif cfg.scenario == "hull_disk":
             spec = {"kind": "uniform_ball", "d": d}
             support = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
         else:
-            corr = float(params.get("corr", 0.0))
+            corr = params["corr"]
             spec = {"kind": "gauss", "d": d, "corr": corr}
             support = None
             chol = equicorrelation_cholesky(d, corr) if corr != 0.0 else None
-        cells.append({"tag": f"{cfg.scenario}:d{d}", "d": d, "spec": spec,
-                      "support_volume": support, "chol": chol, "alpha": alpha})
+        cells.append({**params, "tag": f"{cfg.scenario}:d{d}", "d": d, "spec": spec,
+                      "support_volume": support, "chol": chol})
     return cells
 
 
@@ -474,19 +491,16 @@ _POSET_VARIANTS = {
 
 def _poset_cells(cfg, params):
     variant, order, convex = _POSET_VARIANTS[cfg.scenario]
-    ctx = {"variant": variant, "order": order, "convex": convex}
+    ctx = {**params, "variant": variant, "order": order, "convex": convex}
     if variant == "staircase":
-        parts = int(params["parts"])
+        parts = params["parts"]
         ctx["cells"] = np.array(
             [(a, b) for a in range(1, parts + 1) for b in range(1, parts + 2 - a)],
             dtype=np.int64,
         )
         ctx["ground"] = ctx["cells"].shape[0]
-    elif variant == "forest":
-        ctx["min_nodes"] = int(params["min_nodes"])
-        ctx["max_nodes"] = int(params["max_nodes"])
-    else:
-        ctx["ground"] = int(params["labels" if variant == "antichain" else "size"])
+    elif variant != "forest":
+        ctx["ground"] = params["labels" if variant == "antichain" else "size"]
     return [ctx]
 
 
@@ -562,10 +576,6 @@ def _poset_finish(ctx, cfg, records):
 
 # ------------------------------------------------------------- coincide
 
-def _coincide_cells(cfg, params):
-    return [{"radii": tuple(float(r) for r in params["radii"])}]
-
-
 def _coincide_rep(ctx, rng):
     n = ctx["n"]
     pts = rng.random((n, 2))
@@ -626,24 +636,14 @@ def _mutate_population(ancestor: np.ndarray, count: int, mutation: float, rng) -
 def _dna_cells(cfg, params):
     import scipy.stats  # noqa: F401 -- loaded before the pool forks, so workers inherit it
 
-    split = tuple(int(s) for s in params["split"])
-    pop = int(params["population"])
-    null_pop = int(params["null_population"])
-    length = int(params["length"])
-    freqs = np.asarray(params["freqs"], dtype=float)
+    pop = params["population"]
     rng = rng_for(cfg.seed, cfg.scenario + "/population", 0, 0)
-    ancestor = rng.choice(4, size=length, p=freqs).astype(np.uint8)
-    codes = _mutate_population(ancestor, pop + null_pop, float(params["mutation"]), rng)
+    ancestor = rng.choice(4, size=params["length"], p=params["freqs"]).astype(np.uint8)
+    codes = _mutate_population(ancestor, pop + params["null_population"], params["mutation"], rng)
     records = _codes_to_records(codes, "seq")
     return [
         {
-            "split": split,
-            "population": pop,
-            "null_population": null_pop,
-            "length": length,
-            "mutation": float(params["mutation"]),
-            "freqs": tuple(float(f) for f in freqs),
-            "ks_threshold": float(params["ks_threshold"]),
+            **params,
             "matrix_obs": kimura_matrix(records[:pop]),
             "matrix_null": kimura_matrix(records[pop:]),
         }
@@ -677,12 +677,8 @@ def _dna_finish(ctx, cfg, records):
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     extras = {
         "value_kind": "ks_distance_between_ad_statistic_samples",
-        "splits": list(ctx["split"]),
-        "population": ctx["population"],
-        "null_population": ctx["null_population"],
-        "length": ctx["length"],
-        "mutation": ctx["mutation"],
-        "freqs": list(ctx["freqs"]),
+        "splits": ctx["split"],
+        **{k: ctx[k] for k in ("population", "null_population", "length", "mutation", "freqs")},
         "ad_obs_quantiles": [float(v) for v in np.quantile(obs, qs)],
         "ad_null_quantiles": [float(v) for v in np.quantile(null, qs)],
         "mean_ad_obs": float(obs.mean()),
@@ -705,23 +701,11 @@ def _dna_finish(ctx, cfg, records):
 
 # ------------------------------------------------------------- coverage
 
-def _coverage_cells(cfg, params):
-    return [
-        {
-            "alpha": float(params["alpha"]),
-            "x_scale": float(params["x_scale"]),
-            "holdout": int(params["holdout"]),
-            "beta": tuple(float(b) for b in params["beta"]),
-            "misspec": cfg.scenario == "coverage_quadratic_misspec",
-        }
-    ]
-
-
 def _coverage_draw(ctx, rng, count):
     x = ctx["x_scale"] * rng.standard_normal((count, 2))
     eps = rng.standard_normal(count)
     b1, b2 = ctx["beta"]
-    if ctx["misspec"]:
+    if ctx["tag"] == "coverage_quadratic_misspec":
         y = b1 * x[:, 0] ** 2 + b2 * x[:, 1] + eps
     else:
         y = b1 * x[:, 0] + b2 * x[:, 1] + eps
@@ -761,10 +745,6 @@ _DEMO_CAP = 1.0 - _DEMO_RADIUS**2 / 2.0
 # Widest certified truth bracket (half-width) a replication accepts;
 # past it (small n, where the caps overlap a lot) it counts probes.
 _BRACKET_HALFWIDTH_MAX = 1e-3
-
-
-def _aldous_cells(cfg, params):
-    return [{"probes": int(params["probes"])}]
 
 
 def _aldous_rep(ctx, rng):
@@ -838,6 +818,11 @@ def _aldous_finish(ctx, cfg, records):
 
 # ------------------------------------------------------------ the runner
 
+def _params_cell(cfg, params):
+    """The one base context of a family that derives nothing: its params."""
+    return [params]
+
+
 class _Family(NamedTuple):
     cells: Callable  # (cfg, params) -> base contexts: one per hull d, else one
     rep: Callable  # (ctx, rng) -> one replication's record
@@ -848,20 +833,21 @@ _FAMILIES = {
     "unseen": _Family(_unseen_cells, _unseen_rep, _unseen_finish),
     "hull": _Family(_hull_cells, _hull_rep, _hull_finish),
     "poset": _Family(_poset_cells, _poset_rep, _poset_finish),
-    "coincide": _Family(_coincide_cells, _coincide_rep, _coincide_finish),
+    "coincide": _Family(_params_cell, _coincide_rep, _coincide_finish),
     "dna": _Family(_dna_cells, _dna_rep, _dna_finish),
-    "coverage": _Family(_coverage_cells, _coverage_rep, _coverage_finish),
-    "aldous": _Family(_aldous_cells, _aldous_rep, _aldous_finish),
+    "coverage": _Family(_params_cell, _coverage_rep, _coverage_finish),
+    "aldous": _Family(_params_cell, _aldous_rep, _aldous_finish),
 }
 
 
 def _cells(cfg: ScenarioConfig) -> list:
-    """The config's cell contexts: each base context once per n of the
-    grid, n inner (so hull cells run d by d)."""
+    """The config's cell contexts, from ``validate_config``'s params: each
+    base context once per n of the grid, n inner (so hull cells run d by d)."""
+    params = validate_config(cfg)
     family = _FAMILIES[_DEFAULTS[cfg.scenario]["family"]]
     return [
         {"tag": cfg.scenario, **base, "n": n}
-        for base in family.cells(cfg, _merged_params(cfg))
+        for base in family.cells(cfg, params)
         for n in cfg.n_grid
     ]
 
@@ -877,29 +863,32 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Reject a config's scenario, n grid, replications, seed or params
-    key, type and shape, without building its cells."""
+def validate_config(cfg: ScenarioConfig) -> dict:
+    """Check a config's scenario, n grid, replications, seed and params
+    without building its cells; return the params, each in its default's
+    type (``boxes`` maps each d in ``dims`` to its intervals)."""
+    if not isinstance(cfg.scenario, str):
+        raise ValueError(f"scenario must be a string, got {cfg.scenario!r}")
     if cfg.scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
     if not cfg.n_grid:
-        raise ValueError("empty n grid")
+        raise ValueError("n_grid is empty")
     for n in cfg.n_grid:
         if not _is_int(n):
             raise ValueError(f"n_grid entries must be integers, got {n!r}")
         if n < 3:
-            raise ValueError("every n in the grid must be at least 3")
-    if not _is_int(cfg.replications):
-        raise ValueError(f"replications must be an integer, got {cfg.replications!r}")
-    if cfg.replications < 1:
-        raise ValueError("replications must be at least 1")
+            raise ValueError(f"every n in n_grid must be at least 3, got {n}")
+    if len(set(cfg.n_grid)) < len(cfg.n_grid):
+        raise ValueError(f"n_grid must not repeat an n, got {list(cfg.n_grid)}")
+    if _typed(1, cfg.replications) is None:
+        raise ValueError(f"replications must be {_shape(1)}, got {cfg.replications!r}")
     if not _is_int(cfg.seed):
         raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
     # child_seed reads the seed modulo 2**64, so a seed outside that range
     # would alias one inside it.
     if not 0 <= cfg.seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {cfg.seed}")
-    _merged_params(cfg)
+    return _merged_params(cfg)
 
 
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
@@ -915,11 +904,10 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     because replication k draws from ``rng_for(seed, tag, n, k)`` and
     aggregation runs in replication order.
     """
-    validate_config(cfg)
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    family = _DEFAULTS[cfg.scenario]["family"]
     cells = _cells(cfg)
+    family = _DEFAULTS[cfg.scenario]["family"]
     bounds = np.linspace(0, cfg.replications, min(2 * workers, cfg.replications) + 1).astype(int)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     jobs = [(family, cell, cfg.seed, lo, hi) for cell in cells for lo, hi in chunks]

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cascade.cli
 import cascade.convex_volume
@@ -13,7 +14,13 @@ import cascade.sim_harness.scenarios
 from cascade.cli import main
 from cascade.convex_volume import volume_ci
 from cascade.poset_estimators import ProductOrder
-from cascade.sim_harness import parse_report_csv
+from cascade.sim_harness import (
+    SCENARIO_NAMES,
+    default_config,
+    parse_report_csv,
+    strip_comment_lines,
+    validate_config,
+)
 from cascade.unseen_species import good_turing
 
 
@@ -612,6 +619,9 @@ def test_verify_config_non_integer_replications_fails(tmp_path, capsys):
         ({"seed": -1}, "seed"),
         ({"seed": 2**64}, "seed"),
         ({"seed": True}, "seed"),
+        ({"parms": {"size": 5}}, "'parms'"),
+        ({"scenario": ["upset_chain"]}, "scenario"),
+        ({"scenario": 5}, "scenario"),
     ],
 )
 def test_verify_config_bad_params_or_seed_fails(tmp_path, capsys, extra, key):
@@ -678,6 +688,8 @@ def test_verify_config_rejects_coincide_probe_count(tmp_path, capsys):
         ({"scenario": "coverage_linear", "params": {"beta": [1, 2, 3]}}, "beta"),
         ({"scenario": "coverage_linear", "params": {"beta": 5}}, "beta"),
         ({"scenario": "aldous_demo", "n_grid": [30], "params": {"probes": 0}}, "probes"),
+        # A repeated n would give byte-identical rows.
+        ({"scenario": "upset_chain", "n_grid": [10, 10]}, "n_grid"),
     ],
 )
 def test_verify_config_bad_scenario_params_fail(tmp_path, capsys, entry, key):
@@ -730,6 +742,16 @@ def test_verify_config_bad_scenario_params_fail(tmp_path, capsys, entry, key):
         ("coverage_quadratic_misspec", {"x_scale": -0.0}, "'x_scale'"),
         # A correlation outside the positive-definite range for some d.
         ("hull_gauss_corr", {"corr": 1.0}, "'corr'"),
+        # A repeated d or radius would give byte-identical rows.
+        ("hull_disk", {"dims": [2, 2]}, "'dims'"),
+        ("coincide_uniform_square", {"radii": [0.1, 0.1]}, "'radii'"),
+        # A mutation rate outside (0, 1).
+        ("dna_split", {"mutation": -0.1}, "'mutation'"),
+        ("dna_split", {"mutation": 0}, "'mutation'"),
+        ("dna_split", {"mutation": 1}, "'mutation'"),
+        ("dna_split", {"mutation": 1.5}, "'mutation'"),
+        # Frequencies whose exact sum overflows a float.
+        ("dna_split", {"freqs": [1.7e308, 1.7e308, 0, 0]}, "'freqs'"),
     ],
 )
 def test_verify_config_wrong_param_shape_or_range_fails(
@@ -787,6 +809,125 @@ def test_verify_config_checks_every_entry_before_any_scenario(
     rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"upset_chain"'])
+def test_verify_config_that_is_not_an_object_or_list_fails(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --config must hold a JSON object or a list")
+    assert len(err.strip().splitlines()) == 1
+
+
+# JSON values that no param default has (None, bools, sizes <= 0 and
+# >= 2**63, infinities, NaN, strings), nested in lists and objects.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=0) | st.integers(min_value=2**63)
+    | st.integers(1, 500) | st.floats() | st.floats(0.01, 0.99) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["2", "3", "x"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_ENTRY = {"scenario": "upset_chain", "n_grid": [20], "replications": 3, "seed": 5, "params": {}}
+
+
+@given(st.sampled_from(sorted(_ENTRY)), _JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_every_config_entry_field_validates_or_names_its_key(tmp_path_factory, field, value):
+    cfg_path = tmp_path_factory.getbasetemp() / "entry_field.json"
+    cfg_path.write_text(json.dumps({**_ENTRY, field: value}))
+    args = cascade.cli._build_parser().parse_args(["verify", "--config", str(cfg_path)])
+    try:
+        (cfg,) = cascade.cli._configs_from_args(args)
+    except ValueError as exc:
+        assert field in str(exc)
+    else:
+        assert getattr(cfg, field) == (tuple(value) if field == "n_grid" else value)
+
+
+_PARAM_KEYS = [(name, key) for name in SCENARIO_NAMES for key in default_config(name).params]
+
+
+def _typed_like(default, value) -> bool:
+    """Whether ``value`` has exactly the types of the param default ``default``."""
+    if isinstance(default, dict):  # boxes: d -> intervals
+        box = next(iter(default.values()))
+        return isinstance(value, dict) and all(
+            type(d) is int and _typed_like(box, v) for d, v in value.items()
+        )
+    if isinstance(default, tuple):
+        return type(value) is tuple and all(_typed_like(default[0], v) for v in value)
+    return type(value) is type(default)
+
+
+@given(st.sampled_from(_PARAM_KEYS), _JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_every_param_validates_typed_or_names_its_key(name_key, value):
+    name, key = name_key
+    cfg = default_config(name)
+    cfg.params = {key: value}
+    try:
+        params = validate_config(cfg)
+    except ValueError as exc:
+        assert repr(key) in str(exc)
+        return
+    defaults = default_config(name).params
+    assert params.keys() == defaults.keys()
+    for k, default in defaults.items():
+        assert _typed_like(default, params[k]), (k, params[k])
+
+
+def _json_spelling(value):
+    """``value`` as a JSON config spells it, an integral float as an integer."""
+    if isinstance(value, dict):
+        return {str(k): _json_spelling(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_json_spelling(v) for v in value]
+    return int(value) if value == int(value) else value
+
+
+def test_json_spelled_params_validate_typed_like_their_defaults():
+    for name, key in _PARAM_KEYS:
+        cfg = default_config(name)
+        default = cfg.params[key]
+        cfg.params = {key: _json_spelling(default)}
+        params = validate_config(cfg)
+        assert params[key] == default and _typed_like(default, params[key]), (name, key)
+    cfg = default_config("hull_rect")
+    cfg.params = {"dims": [2], "boxes": {"2": [[0, 4], [-1, 2]]}}
+    params = validate_config(cfg)
+    assert params == {"dims": (2,), "alpha": 0.05, "boxes": {2: ((0.0, 4.0), (-1.0, 2.0))}}
+    assert _typed_like(default_config("hull_rect").params["boxes"], params["boxes"])
+
+
+def test_int_spelled_params_give_the_float_spelling_report(tmp_path, capsys):
+    # A float param given as a JSON integer is read as that float.
+    def report(params):
+        entries = [
+            {"scenario": scenario, "n_grid": [10], "replications": 3, "params": p}
+            for scenario, p in params
+        ]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(entries))
+        rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg_path))
+        assert rc in (0, 1) and out
+        return strip_comment_lines(out)
+
+    ints = report([
+        ("coverage_linear", {"x_scale": 2}),
+        ("hull_gauss", {"corr": 0}),
+        ("coincide_uniform_square", {"radii": [0, 1]}),
+        ("hull_rect", {"dims": [2], "boxes": {"2": [[0, 4], [0, 2]]}}),
+    ])
+    floats = report([
+        ("coverage_linear", {"x_scale": 2.0}),
+        ("hull_gauss", {"corr": 0.0}),
+        ("coincide_uniform_square", {"radii": [0.0, 1.0]}),
+        ("hull_rect", {"dims": [2], "boxes": {"2": [[0.0, 4.0], [0.0, 2.0]]}}),
+    ])
+    assert ints == floats
 
 
 @pytest.mark.parametrize(

@@ -325,6 +325,20 @@ def tiny_config(name, seed=11):
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_run_scenario_merges_the_params_once(monkeypatch, name):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.scenario)
+        return merged(cfg)
+
+    merged = scenarios._merged_params
+    monkeypatch.setattr(scenarios, "_merged_params", counted)
+    run_scenario(tiny_config(name))
+    assert calls == [name]
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_every_scenario_produces_valid_rows(name):
     texts = []
     for workers in (1, 2):
