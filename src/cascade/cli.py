@@ -32,6 +32,7 @@ from .coincidence_test import (
 )
 from .convex_volume import hull_summary, volume_interval
 from .coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
+from .loo_core import size_estimate
 from .poset_estimators import (
     Antichain,
     ProductOrder,
@@ -172,29 +173,26 @@ def _parse_poset_sample(kind: str, text: str):
 def _cmd_poset(args) -> int:
     sample = _parse_poset_sample(args.kind, _read_text(args.input))
     n = len(sample)
-    if args.kind == "antichain":
-        oracle = Antichain()
-    elif args.kind == "chain":
-        oracle = ReversedNaturals()
-    elif args.kind == "product":
+    if args.kind == "product":
         widths = {len(x) for x in sample}
         if len(widths) != 1:
             raise ValueError("product-order elements must share one width")
         oracle = ProductOrder(widths.pop())
     else:
-        oracle = TreeAncestor()
-    out = {"n": n, "kind": args.kind}
+        orders = {"antichain": Antichain, "chain": ReversedNaturals, "tree": TreeAncestor}
+        oracle = orders[args.kind]()
     count, closure = count_and_closure(sample, oracle, args.convex)
-    if args.convex:
-        out["sandwiched_count"] = count
-        out["mse_bound"] = poset_convex_mse_bound(n) if n >= 3 else None
-    else:
-        out["dominated_count"] = count
-        out["mse_bound"] = upset_mse_bound(n) if n >= 3 else None
-    out["closure_size"] = closure
-    # estimate_convex_size / estimate_upset_size, from the counts in hand.
-    out["estimate"] = n * closure / count if count else None
-    _emit_json(out)
+    bound = poset_convex_mse_bound if args.convex else upset_mse_bound
+    _emit_json(
+        {
+            "n": n,
+            "kind": args.kind,
+            "sandwiched_count" if args.convex else "dominated_count": count,
+            "mse_bound": bound(n) if n >= 3 else None,
+            "closure_size": closure,
+            "estimate": size_estimate(closure, count, n),
+        }
+    )
     return 0
 
 

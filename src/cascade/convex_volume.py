@@ -4,9 +4,9 @@ For an i.i.d. sample from an unknown convex body, the fraction of
 sample points that are extreme points of the sample's convex hull
 estimates the mass missed by the hull (the "defect").  Inverting that
 relation turns the observed hull volume into an estimate of the body's
-volume:
+volume, ``loo_core.size_estimate`` with n - V_n hits:
 
-    estimate = hull_volume / (1 - V_n / n)
+    estimate = n * hull_volume / (n - V_n)
 
 where V_n counts extreme points.  A point is extreme exactly when it
 is NOT in the convex hull of the other n - 1 points, so V_n / n is the
@@ -23,8 +23,7 @@ dimension and serves the tests as an independent oracle for the flags.
 The hull volume is Qhull's in every dimension; a flat hull has volume 0.
 A full-dimensional summary keeps the hull Qhull built, and a caller
 that integrates over the facets reads them from it.
-``volume_interval`` turns a summary into the estimate and its interval,
-the one place that formula lives.
+``volume_interval`` turns a summary into the estimate and its interval.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .loo_core import _check_bound_n
+from .loo_core import _check_bound_n, size_estimate
 
 __all__ = [
     "HullSummary",
@@ -76,11 +75,11 @@ class HullSummary:
 class VolumeEstimate:
     """Scaled-volume estimate with its one-sided interval.
 
-    ``rel_halfwidth`` is eps = sqrt((8d+9) n) / (sqrt(alpha) (n - V_n)),
-    the relative half-width that the (8d+9)/n MSE bound gives at level
-    1 - alpha by Chebyshev's inequality.  The interval is
-    [estimate, estimate / (1 - eps)]: its left end is the estimate
-    itself, and ``ci_high`` is +inf when eps >= 1.
+    ``estimate`` is ``size_estimate(volume, n - V_n, n)``.  ``rel_halfwidth``
+    is eps = sqrt(conv_mse_bound(n, d) / alpha) * n / (n - V_n), the relative
+    half-width that bound gives at level 1 - alpha by Chebyshev's inequality,
+    and +inf below n = 3, where the bound fails.  The interval is [estimate,
+    estimate / (1 - eps)]; ``ci_high`` is +inf when eps >= 1.
     """
 
     estimate: float
@@ -247,10 +246,11 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n = summary.extreme_flags.shape[0]
-    if summary.extreme_count >= n:
+    hits = n - summary.extreme_count
+    est = size_estimate(summary.volume, hits, n)
+    if est is None:
         raise ValueError("all points extreme; estimator undefined")
-    est = summary.volume / (1.0 - summary.extreme_count / n)
-    eps = math.sqrt((8 * d + 9) * n) / (math.sqrt(alpha) * (n - summary.extreme_count))
+    eps = math.sqrt(conv_mse_bound(n, d) / alpha) * n / hits if n >= 3 else math.inf
     hi = math.inf if eps >= 1.0 else est / (1.0 - eps)
     return VolumeEstimate(estimate=est, ci_low=est, ci_high=hi, alpha=alpha, rel_halfwidth=eps)
 

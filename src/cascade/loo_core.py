@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-__all__ = ["LooEstimate", "BoundInputs", "loo_estimate", "loo_mse_bound"]
+__all__ = ["LooEstimate", "BoundInputs", "loo_estimate", "loo_mse_bound", "size_estimate"]
 
 
 @dataclass(frozen=True)
@@ -153,3 +153,23 @@ def loo_mse_bound(b: BoundInputs) -> float:
     """
     n = b.n
     return 4.0 * b.delta_prime + 4.0 * (n - 1) * b.delta_double_prime / n + 2.0 * b.theta / n
+
+
+def size_estimate(observed, hits: int, n: int) -> float | None:
+    """``n * observed / hits``, None when ``hits`` is 0: a set's size from
+    the size ``observed`` of an n-point sample's closure, ``hits`` points
+    of which lie in the closure of the other n - 1.  The hull volume takes
+    hits = n - V_n, a poset the dominated or sandwiched count: for labels
+    this is n * distinct / (collided points), for a chain the sample
+    maximum, times n/(n-1) when it is unique.  Raises ``ValueError``
+    naming ``n`` unless it is an integer >= 1, ``hits`` unless it is an
+    integer in [0, n], and ``observed`` unless it is finite and >= 0.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if isinstance(hits, bool) or not isinstance(hits, numbers.Integral) or not 0 <= hits <= n:
+        raise ValueError(f"hits must be an integer in [0, n = {n}], got {hits!r}")
+    # 0 <= observed < inf is False for NaN, and exact for an int of any size.
+    if not (isinstance(observed, numbers.Real) and 0 <= observed < math.inf):
+        raise ValueError(f"observed must be a finite number >= 0, got {observed!r}")
+    return n * observed / hits if hits else None

@@ -31,7 +31,8 @@ its witnesses found by the O(n^2) pair scan.  ``closure_size(sample,
 convex)`` gives the size of the order-convex hull, or of the up-closure,
 and the closure functions require it.  ``count_and_closure`` gives a
 sample's count and closure size together, from one pass where the order
-supplies ``count_and_closure(sample, convex)``; the estimates read it.
+supplies ``count_and_closure(sample, convex)``, and
+``loo_core.size_estimate(closure, count, n)`` turns them into the estimate.
 """
 
 from __future__ import annotations
@@ -50,11 +51,9 @@ __all__ = [
     "TreeAncestor",
     "upset_dominated_count",
     "upset_closure_size",
-    "estimate_upset_size",
     "upset_mse_bound",
     "convex_sandwiched_count",
     "convex_closure_size",
-    "estimate_convex_size",
     "count_and_closure",
     "poset_convex_mse_bound",
 ]
@@ -294,14 +293,6 @@ def _closure_size(sample, oracle, convex: bool) -> int:
     return int(fn(sample, convex))
 
 
-def _size_estimate(sample, oracle, convex: bool) -> float:
-    sample = _as_sample(sample)
-    count, closure = count_and_closure(sample, oracle, convex)
-    if count == 0:
-        raise ValueError(f"no {'sandwiched' if convex else 'dominated'} points; estimate undefined")
-    return len(sample) * closure / count
-
-
 def upset_dominated_count(sample, oracle) -> int:
     """N_n = #{i : some other sample point is below sample[i]}."""
     below, _ = _witnesses(sample, oracle)
@@ -311,17 +302,6 @@ def upset_dominated_count(sample, oracle) -> int:
 def upset_closure_size(sample, oracle) -> int:
     """Size of the union of everything above some sample point."""
     return _closure_size(sample, oracle, convex=False)
-
-
-def estimate_upset_size(sample, oracle) -> float:
-    """n * |up-closure of sample| / N_n.
-
-    For the equality-only order this reduces exactly to
-    n * distinct / (number of collided points); for reversed naturals,
-    to max scaled by n/(n-1) when the maximum is unique, and to max
-    otherwise.
-    """
-    return _size_estimate(sample, oracle, convex=False)
 
 
 def upset_mse_bound(n: int) -> float:
@@ -344,11 +324,6 @@ def convex_sandwiched_count(sample, oracle) -> int:
 def convex_closure_size(sample, oracle) -> int:
     """Size of the order-convex hull of the sample."""
     return _closure_size(sample, oracle, convex=True)
-
-
-def estimate_convex_size(sample, oracle) -> float:
-    """n * |order-convex hull of sample| / (sandwiched count)."""
-    return _size_estimate(sample, oracle, convex=True)
 
 
 def count_and_closure(sample, oracle, convex: bool) -> tuple:

@@ -57,6 +57,7 @@ from ..convex_volume import (
     volume_interval,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage, ols_fit
+from ..loo_core import size_estimate
 from ..poset_estimators import (
     Antichain,
     ProductOrder,
@@ -273,6 +274,9 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
     if "boxes" in params:
         # A JSON key is a string, a Python one may be an int.
         given = {str(k): v for k, v in params["boxes"].items()}
+        stray = sorted(set(given) - {str(d) for d in dims})
+        if stray and "boxes" in cfg.params:  # the default boxes key every d
+            raise ValueError(f"params 'boxes' keys {stray} are not a d in 'dims' {list(dims)}")
         boxes = {d: _typed(((0.0,),), given.get(str(d))) for d in dims}
         for d, box in boxes.items():
             need(box is not None and len(box) == d
@@ -550,7 +554,7 @@ def _poset_rep(ctx, rng):
     return {
         "est": hits / n,
         "truth": closure / ground,
-        "size_est": n * closure / hits if hits > 0 else None,
+        "size_est": size_estimate(closure, hits, n),
         "ground": ground,
     }
 

@@ -9,21 +9,21 @@ and nowhere else; the simulation harness reports raw numbers only.
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cascade.cli import main as cli_main
 from cascade.convex_volume import HullSummary, hull_summary, in_hull, volume_interval
-from cascade.loo_core import loo_estimate
+from cascade.loo_core import loo_estimate, size_estimate
 from cascade.poset_estimators import (
     Antichain,
     ProductOrder,
     ReversedNaturals,
     TreeAncestor,
     convex_closure_size,
-    estimate_upset_size,
-    upset_dominated_count,
+    count_and_closure,
 )
 from cascade.sim_harness import (
     ScenarioConfig,
@@ -164,23 +164,22 @@ def _exhaustive_upset_reductions(ground=5, max_n=6):
         for tup in itertools.product(range(1, ground + 1), repeat=n):
             sample = list(tup)
             mx = max(sample)
-            dominated = upset_dominated_count(sample, chain)
+            dominated, closure = count_and_closure(sample, chain, False)
             # Sequential-serial closed form: scale the largest label up
             # by n/(n-1) when it is unique, keep it otherwise.
             if sample.count(mx) == 1:
                 expected = n * mx / (n - 1)
             else:
                 expected = float(mx)
-            assert estimate_upset_size(sample, chain) == pytest.approx(expected)
+            assert size_estimate(closure, dominated, n) == pytest.approx(expected)
             assert dominated > 0
 
-            collided = upset_dominated_count(sample, anti)
+            hits, closure = count_and_closure(sample, anti, False)
+            collided = sum(c for c in Counter(sample).values() if c > 1)
             distinct = len(set(sample))
-            if collided > 0:
-                # Collision-count closed form for label-space size.
-                assert estimate_upset_size(sample, anti) == pytest.approx(
-                    n * distinct / collided
-                )
+            # Collision-count closed form for label-space size.
+            expected = n * distinct / collided if collided else None
+            assert size_estimate(closure, hits, n) == pytest.approx(expected)
 
 
 def test_criterion_05_upset_bounds_and_exact_reductions():

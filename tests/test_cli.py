@@ -13,7 +13,8 @@ import cascade.poset_estimators
 import cascade.sim_harness.scenarios
 from cascade.cli import main
 from cascade.convex_volume import volume_ci
-from cascade.poset_estimators import ProductOrder
+from cascade.loo_core import size_estimate
+from cascade.poset_estimators import ProductOrder, count_and_closure
 from cascade.sim_harness import (
     SCENARIO_NAMES,
     default_config,
@@ -134,6 +135,26 @@ def test_hull_command(tmp_path, capsys):
     assert obj["alpha"] == 0.05
 
 
+def test_hull_on_two_identical_rows_claims_no_interval(tmp_path, capsys):
+    # Below n = 3 the MSE bound does not hold, so the interval is
+    # unbounded, as it was before the half-width came from conv_mse_bound.
+    path = tmp_path / "cloud.csv"
+    path.write_text("0.5,0.25\n0.5,0.25\n")
+    rc, out, err = run_cli(capsys, "hull", str(path))
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {
+        "alpha": 0.05,
+        "ci_high": None,
+        "ci_low": 0.0,
+        "d": 2,
+        "defect_estimate": 0.0,
+        "extreme_count": 0,
+        "hull_volume": 0.0,
+        "n": 2,
+        "volume_estimate": 0.0,
+    }
+
+
 def test_hull_runs_one_hull_summary_with_the_given_tol(tmp_path, capsys, monkeypatch):
     tols = []
     original = cascade.convex_volume.hull_summary
@@ -244,17 +265,13 @@ def test_poset_product_convex_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mode, names, estimator",
+    "mode, names",
     [
-        ([], ("upset_dominated_count", "upset_closure_size"), "estimate_upset_size"),
-        (
-            ["--convex"],
-            ("convex_sandwiched_count", "convex_closure_size"),
-            "estimate_convex_size",
-        ),
+        ([], ("upset_dominated_count", "upset_closure_size")),
+        (["--convex"], ("convex_sandwiched_count", "convex_closure_size")),
     ],
 )
-def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, names, estimator):
+def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, names):
     path = tmp_path / "pts.txt"
     path.write_text("1,1\n3,3\n2,2\n2,3\n")
     calls = []
@@ -271,8 +288,8 @@ def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, names
     assert sorted(calls) == sorted(names)
     monkeypatch.undo()
     sample = [(1, 1), (3, 3), (2, 2), (2, 3)]
-    want = getattr(cascade.poset_estimators, estimator)(sample, ProductOrder(2))
-    assert json.loads(out)["estimate"] == want
+    count, closure = count_and_closure(sample, ProductOrder(2), bool(mode))
+    assert json.loads(out)["estimate"] == size_estimate(closure, count, len(sample))
 
 
 def test_poset_product_width_mismatch(tmp_path, capsys):
@@ -793,6 +810,9 @@ def test_verify_config_wrong_param_shape_or_range_fails(
         ({"scenario": "dna_split", "n_grid": [40], "params": {"split": [40, 161]}}, "'split'"),
         ({"scenario": "dna_split", "n_grid": [40], "params": {"null_population": 239}},
          "'null_population'"),
+        # A boxes key that is no d in dims.
+        ({"params": {"dims": [2], "boxes": {"2": [[0, 1], [0, 1]], "3": "oops", "x": None}}},
+         "'boxes' keys ['3', 'x']"),
     ],
 )
 def test_verify_config_checks_every_entry_before_any_scenario(
@@ -809,6 +829,16 @@ def test_verify_config_checks_every_entry_before_any_scenario(
     rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
     assert (rc, out) == (2, "")
     assert err.startswith("error:") and key in err
+
+
+def test_verify_config_dims_below_the_default_boxes_runs(tmp_path, capsys):
+    # The default boxes also key d = 3; only a given box must match dims.
+    cfg = {"scenario": "hull_rect", "n_grid": [20], "replications": 2, "params": {"dims": [2]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path))
+    assert rc == 0 and "hull_rect,20,2," in out
+    assert err == "1/1 rows within bounds\n"
 
 
 @pytest.mark.parametrize("text", ["5", "null", '"upset_chain"'])

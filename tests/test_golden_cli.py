@@ -123,7 +123,10 @@ def test_golden_file_names_every_case():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_file(outputs, name):
-    assert outputs[name] == json.loads(GOLDEN.read_text())[name]
+    got, want = outputs[name], json.loads(GOLDEN.read_text())[name]
+    # Lines first, so a failure names the line that moved; then bytes.
+    assert got.splitlines() == want.splitlines()
+    assert got.encode("utf-8") == want.encode("utf-8")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ def _report() -> str:
 
 
 def test_report_matches_golden_file():
-    assert _report().encode("utf-8") == GOLDEN.read_bytes()
+    got, want = _report().encode("utf-8"), GOLDEN.read_bytes()
+    # Lines first, so a failure names the row that moved; then bytes.
+    assert got.decode("utf-8").splitlines() == want.decode("utf-8").splitlines()
+    assert got == want
 
 
 if __name__ == "__main__":

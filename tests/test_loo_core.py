@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cascade.loo_core import BoundInputs, LooEstimate, loo_estimate, loo_mse_bound
+from cascade.loo_core import BoundInputs, LooEstimate, loo_estimate, loo_mse_bound, size_estimate
 
 
 def equality_oracle(x, rest):
@@ -126,3 +126,50 @@ def test_method_style_oracle_matches_callable():
 
     sample = [1, 1, 2, 3, 3, 3]
     assert loo_estimate(EqOracle(), sample).value == loo_estimate(equality_oracle, sample).value
+
+
+# ------------------------------------------------------- size estimate
+
+@pytest.mark.parametrize(
+    "observed, hits, n, want",
+    [
+        (7, 2, 3, 10.5),  # chain [3, 7, 2]: the maximum 7 scaled by n/(n-1)
+        (4, 2, 5, 10.0),  # labels [1, 2, 3, 4, 3]: one repeat among five draws
+        (3, 2, 4, 6.0),  # labels [a, b, a, c]
+        (7.0, 3, 10, 7.0 * 10 / 3),  # hull volume 7 with 7 of 10 points extreme
+    ],
+)
+def test_size_estimate_worked_examples(observed, hits, n, want):
+    assert size_estimate(observed, hits, n) == pytest.approx(want, rel=1e-15)
+
+
+def test_size_estimate_is_none_without_hits():
+    assert size_estimate(5, 0, 4) is None
+    assert size_estimate(0.0, 0, 1) is None
+
+
+@pytest.mark.parametrize(
+    "observed, hits, n, name",
+    [
+        (3, 5, 4, "hits"),
+        (3, -1, 4, "hits"),
+        (3, True, 4, "hits"),
+        (3, 2.0, 4, "hits"),
+        (3, 1, 0, "n"),
+        (3, 1, -2, "n"),
+        (3, 1, 4.0, "n"),
+        (3, 1, True, "n"),
+        (float("nan"), 1, 4, "observed"),
+        (math.inf, 1, 4, "observed"),
+        (-1.0, 1, 4, "observed"),
+        ("3", 1, 4, "observed"),
+    ],
+)
+def test_size_estimate_rejects_bad_arguments(observed, hits, n, name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        size_estimate(observed, hits, n)
+
+
+def test_size_estimate_keeps_large_integer_closures_exact():
+    # A product-order closure may pass 2**64; the check must not overflow.
+    assert size_estimate(2**80, 3, 3) == float(2**80)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cascade.loo_core import loo_estimate
+from cascade.loo_core import loo_estimate, size_estimate
 from cascade.poset_estimators import (
     Antichain,
     ProductOrder,
@@ -16,8 +16,6 @@ from cascade.poset_estimators import (
     convex_closure_size,
     convex_sandwiched_count,
     count_and_closure,
-    estimate_convex_size,
-    estimate_upset_size,
     poset_convex_mse_bound,
     upset_closure_size,
     upset_dominated_count,
@@ -140,22 +138,27 @@ def test_closure_needs_enumeration_support():
 
 # --------------------------------------------------------- estimates
 
+def _estimate(sample, order, convex=False):
+    count, closure = count_and_closure(sample, order, convex)
+    return size_estimate(closure, count, len(sample))
+
+
 def test_tank_style_estimate():
-    assert estimate_upset_size([3, 7, 2], ReversedNaturals()) == pytest.approx(10.5)
+    assert _estimate([3, 7, 2], ReversedNaturals()) == pytest.approx(10.5)
 
 
 def test_repeat_pair_estimate():
     # Size-5 sample with exactly one repeated label: n(n-1)/2 pattern.
-    assert estimate_upset_size([1, 2, 3, 4, 3], Antichain()) == pytest.approx(10.0)
+    assert _estimate([1, 2, 3, 4, 3], Antichain()) == pytest.approx(10.0)
 
 
 def test_antichain_estimate_example():
-    assert estimate_upset_size(["a", "b", "a", "c"], Antichain()) == pytest.approx(6.0)
+    assert _estimate(["a", "b", "a", "c"], Antichain()) == pytest.approx(6.0)
 
 
 def test_no_dominated_points_rejected():
-    with pytest.raises(ValueError, match="no dominated points"):
-        estimate_upset_size(["a", "b", "c"], Antichain())
+    # No dominated point: no hits, so no estimate.
+    assert _estimate(["a", "b", "c"], Antichain()) is None
 
 
 def test_exact_reductions_exhaustive():
@@ -166,16 +169,12 @@ def test_exact_reductions_exhaustive():
         for sample in product(range(1, 6), repeat=n):
             mx = max(sample)
             expected_chain = (n / (n - 1)) * mx if sample.count(mx) == 1 else float(mx)
-            assert estimate_upset_size(list(sample), chain) == pytest.approx(
-                expected_chain, rel=1e-12
-            )
+            assert _estimate(list(sample), chain) == pytest.approx(expected_chain, rel=1e-12)
             counts = Counter(sample)
             collided = sum(c for c in counts.values() if c > 1)
             if collided:
                 expected_anti = n * len(counts) / collided
-                assert estimate_upset_size(list(sample), anti) == pytest.approx(
-                    expected_anti, rel=1e-12
-                )
+                assert _estimate(list(sample), anti) == pytest.approx(expected_anti, rel=1e-12)
 
 
 # ------------------------------------------------ order-convex variant
@@ -196,12 +195,11 @@ def test_chain_convex_estimate_example():
     sample = [2, 5, 5]
     assert convex_sandwiched_count(sample, ReversedNaturals()) == 2
     assert convex_closure_size(sample, ReversedNaturals()) == 4
-    assert estimate_convex_size(sample, ReversedNaturals()) == pytest.approx(6.0)
+    assert _estimate(sample, ReversedNaturals(), convex=True) == pytest.approx(6.0)
 
 
 def test_single_point_convex_estimate_undefined():
-    with pytest.raises(ValueError, match="no sandwiched points"):
-        estimate_convex_size([4], ReversedNaturals())
+    assert _estimate([4], ReversedNaturals(), convex=True) is None
 
 
 def test_forest_closure_pulls_in_two_nodes():
@@ -215,7 +213,7 @@ def test_forest_closure_pulls_in_two_nodes():
     closure = convex_closure_size(sample, TreeAncestor())
     assert closure == 7  # sample plus c and d
     assert convex_sandwiched_count(sample, TreeAncestor()) == 1
-    assert estimate_convex_size(sample, TreeAncestor()) == pytest.approx(35.0)
+    assert _estimate(sample, TreeAncestor(), convex=True) == pytest.approx(35.0)
 
 
 # ------------------------------------------------------------ bounds
@@ -366,6 +364,17 @@ def test_fast_counts_and_closures_match_leq_scan(kind, data):
 
 
 @pytest.mark.parametrize("kind", ORDERS)
+@given(data=st.data())
+@settings(max_examples=100)
+def test_size_estimate_is_n_closure_over_count(kind, data):
+    order, element, _, _ = ORDERS[kind]
+    sample = data.draw(st.lists(element, min_size=1, max_size=8))
+    count, closure = count_and_closure(sample, order, data.draw(st.booleans()))
+    n = len(sample)
+    assert size_estimate(closure, count, n) == (n * closure / count if count else None)
+
+
+@pytest.mark.parametrize("kind", ORDERS)
 def test_fast_counts_on_small_and_tied_samples(kind):
     # n = 1, n = 2, all-equal samples and duplicates, for each order.
     order, _, ground_of, (a, b, c) = ORDERS[kind]
@@ -389,13 +398,10 @@ def test_tree_count_and_closure_walks_ancestors_once(monkeypatch, convex):
 
         monkeypatch.setattr(TreeAncestor, name, staticmethod(spy))
     sample = [(0,), (0, 0), (0, 1, 0), (0, 0, 0, 0), (1, 0), (0, 0)]
-    estimate = estimate_convex_size if convex else estimate_upset_size
     got = count_and_closure(sample, TreeAncestor(), convex)
     assert (calls["_ancestors"], calls["_hull"]) == (1, int(convex))
-    calls.clear()
-    size = estimate(sample, TreeAncestor())
-    assert (calls["_ancestors"], calls["_hull"]) == (1, int(convex))
     monkeypatch.undo()
+    size = size_estimate(got[1], got[0], len(sample))
     # Up-closure: the five nodes and (), (1,), (0, 1), (0, 0, 0); the
     # convex hull drops () and (1,).
     if convex:
@@ -435,20 +441,17 @@ def test_custom_order_with_leq_and_closure_size_gives_brute_force(sample):
     above = [any(order.leq(x, y) for y in o) for x, o in zip(sample, others)]
     ground = range(1, max(sample) + 1)
     funcs = {
-        False: (upset_dominated_count, upset_closure_size, estimate_upset_size),
-        True: (convex_sandwiched_count, convex_closure_size, estimate_convex_size),
+        False: (upset_dominated_count, upset_closure_size),
+        True: (convex_sandwiched_count, convex_closure_size),
     }
-    for convex, (count_fn, closure_fn, estimate_fn) in funcs.items():
+    for convex, (count_fn, closure_fn) in funcs.items():
         count = sum(b and (a or not convex) for b, a in zip(below, above))
         closure = _scan_closure(sample, order.leq, ground, convex)
         assert count_fn(sample, order) == count
         assert closure_fn(sample, order) == closure
         assert count_and_closure(sample, order, convex) == (count, closure)
-        if count:
-            assert estimate_fn(sample, order) == len(sample) * closure / count
-        else:
-            with pytest.raises(ValueError, match="estimate undefined"):
-                estimate_fn(sample, order)
+        want = len(sample) * closure / count if count else None
+        assert _estimate(sample, order, convex) == want
 
 
 class _OldClosureNames:
@@ -472,8 +475,8 @@ class _OldClosureNames:
     [
         (upset_closure_size, ()),
         (convex_closure_size, ()),
-        (estimate_upset_size, ()),
-        (estimate_convex_size, ()),
+        (_estimate, (False,)),
+        (_estimate, (True,)),
         (count_and_closure, (False,)),
         (count_and_closure, (True,)),
     ],
