@@ -32,7 +32,7 @@ from .coincidence_test import (
 )
 from .convex_volume import hull_summary, volume_interval
 from .coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
-from .loo_core import size_estimate
+from .loo_core import _check_alpha, size_estimate
 from .poset_estimators import (
     Antichain,
     ProductOrder,
@@ -116,7 +116,7 @@ def _cmd_unseen(args) -> int:
             counts.update(line.replace(",", " ").split())
     if not counts:
         raise ValueError("no labels in input")
-    est = good_turing(list(counts.elements()))
+    est = good_turing(counts)
     three_term, cap = unseen_bound(est.n) if est.n >= 3 else (None, None)
     _emit_json(
         {
@@ -132,8 +132,7 @@ def _cmd_unseen(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(args.alpha)
     cloud = _load_matrix(args.input)
     summary = hull_summary(cloud, tol=args.tol)
     n, d = cloud.shape
@@ -295,8 +294,8 @@ def _cmd_coverage(args) -> int:
     x_shift = X.mean(axis=0) if args.center else np.zeros(X.shape[1])
     y_shift = y.mean() if args.center else 0.0
     X, y = X - x_shift, y - y_shift
-    est = loo_coverage(X, y, args.alpha, method=args.method)
     fit = ols_fit(X, y)
+    est = loo_coverage(fit, args.alpha, method=args.method)
     out = {
         "n": X.shape[0],
         "p": X.shape[1],

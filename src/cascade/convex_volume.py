@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .loo_core import _check_bound_n, size_estimate
+from .loo_core import _check_alpha, _check_bound_n, size_estimate
 
 __all__ = [
     "HullSummary",
@@ -243,8 +243,7 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
     Raises ``ValueError`` when alpha is outside (0, 1) or when every
     point is extreme.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     n = summary.extreme_flags.shape[0]
     hits = n - summary.extreme_count
     est = size_estimate(summary.volume, hits, n)

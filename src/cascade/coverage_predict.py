@@ -14,20 +14,23 @@ trained on the remaining n - 1 rows.  Under a misspecified model the
 coverage settles below the nominal level, and the leave-one-out
 estimate tracks it there too.
 
-Leave-one-out fits are computed either by literal refitting or by a
-rank-one leverage downdate of the full fit; the two routes agree and
-are cross-checked in the test suite.
+All three coverage functions read one ``OlsFit``: ``ols_fit`` checks
+the training rows and fits them once, ``loo_coverage`` scores that fit's
+rows, and ``predict_interval`` and ``holdout_coverage`` use its intervals.
+Leave-one-out fits are computed either by literal refitting of the fit's
+rows or by a rank-one leverage downdate of the fit itself; the two routes
+agree and are cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
-from .loo_core import LooEstimate
+from .loo_core import LooEstimate, _check_alpha
 
 __all__ = [
     "OlsFit",
@@ -43,8 +46,12 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit through the origin.
+    """Least-squares fit through the origin of the rows ``X``, ``y``.
 
+    ``X`` and ``y`` are the checked design and response the fit was made
+    from, left out of the repr, so the leave-one-out scores read them
+    without checking or fitting again.  They are not copies: a float array
+    passed to ``ols_fit`` is shared, and changing it stales the fit.
     ``sigma_hat`` uses the n - p divisor; ``r_inverse`` is R^-1 for the
     design's QR factor.  Scaling X by c scales R^-1 by 1/c and leaves
     x R^-1, hence every interval, unchanged; (X'X)^-1 = R^-1 R^-T is never
@@ -56,6 +63,8 @@ class OlsFit:
     r_inverse: np.ndarray
     n: int
     p: int
+    X: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,7 @@ def ols_fit(X, y) -> OlsFit:
 
 
 def _qr_fit(X, y) -> OlsFit:
-    """The fit of a checked design."""
+    """The fit of a checked design, which it keeps."""
     n, p = X.shape
     q_mat, r_mat = np.linalg.qr(X)
     diag = np.abs(np.diag(r_mat))
@@ -115,7 +124,7 @@ def _qr_fit(X, y) -> OlsFit:
     rss = float(resid @ resid)
     sigma_hat = math.sqrt(rss / (n - p))
     r_inverse = np.linalg.solve(r_mat, np.eye(p))
-    return OlsFit(beta=beta, sigma_hat=sigma_hat, r_inverse=r_inverse, n=n, p=p)
+    return OlsFit(beta=beta, sigma_hat=sigma_hat, r_inverse=r_inverse, n=n, p=p, X=X, y=y)
 
 
 def _leverages(X, r_inverse) -> np.ndarray:
@@ -149,32 +158,30 @@ def predict_interval(fit: OlsFit, x_new, alpha: float) -> PredictionInterval:
 
 def _critical_value(alpha: float) -> float:
     """z_{1-alpha/2}, the two-sided normal critical value at level alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     return float(ndtri(1.0 - alpha / 2.0))
 
 
-def _loo_flags_refit(X, y, alpha):
+def _loo_flags_refit(fit, alpha):
     # One buffer holds the n - 1 kept rows in np.delete's order: going
     # from excluding row i - 1 to excluding row i puts row i - 1 back in
     # slot i - 1, the only slot that changes.  Each row is a full QR refit.
-    n = X.shape[0]
+    X, y, n = fit.X, fit.y, fit.n
     flags = np.zeros(n, dtype=bool)
     sub_x, sub_y = X[1:].copy(), y[1:].copy()
     for i in range(n):
         if i:
             sub_x[i - 1], sub_y[i - 1] = X[i - 1], y[i - 1]
         try:
-            fit = _qr_fit(sub_x, sub_y)
+            sub_fit = _qr_fit(sub_x, sub_y)
         except ValueError as exc:
             raise ValueError(f"leave-one-out fit failed excluding row {i}: {exc}") from exc
-        flags[i] = predict_interval(fit, X[i], alpha).contains(y[i])
+        flags[i] = predict_interval(sub_fit, X[i], alpha).contains(y[i])
     return flags
 
 
-def _loo_flags_downdate(X, y, alpha):
-    n, p = X.shape
-    fit = _qr_fit(X, y)
+def _loo_flags_downdate(fit, alpha):
+    X, y, n, p = fit.X, fit.y, fit.n, fit.p
     slack = 1.0 - _leverages(X, fit.r_inverse)
     if np.any(slack <= _RANK_TOL):
         i = int(np.argmax(slack <= _RANK_TOL))
@@ -192,27 +199,28 @@ def _loo_flags_downdate(X, y, alpha):
     return np.abs(loo_resid) <= halfwidth
 
 
-def loo_coverage(X, y, alpha: float, method: str = "refit") -> LooEstimate:
-    """Fraction of rows covered by the interval trained without them.
+def loo_coverage(fit: OlsFit, alpha: float, method: str = "refit") -> LooEstimate:
+    """Fraction of ``fit``'s rows covered by the interval trained without them.
 
     Each row i is scored by fitting on the other n - 1 rows and asking
     whether y_i lands in the resulting interval at x_i.  Requires
-    n >= p + 2 so every sub-fit has a residual degree of freedom.
+    n >= p + 2 so every sub-fit has a residual degree of freedom; the
+    rows themselves were checked by ``ols_fit``.
 
-    ``method`` selects literal refitting or the algebraically
-    equivalent leverage downdate (much faster, same contract).
+    ``method`` selects literal refitting of the fit's rows or the
+    algebraically equivalent leverage downdate of the fit itself (much
+    faster, same contract).
     """
-    _critical_value(alpha)  # rejects a bad alpha before the design checks
-    X, y, n, p = _check_design(X, y)
-    if n < p + 2:
+    _check_alpha(alpha)
+    if fit.n < fit.p + 2:
         raise ValueError("need n >= p + 2 for leave-one-out fits")
     if method == "refit":
-        flags = _loo_flags_refit(X, y, alpha)
+        flags = _loo_flags_refit(fit, alpha)
     elif method == "downdate":
-        flags = _loo_flags_downdate(X, y, alpha)
+        flags = _loo_flags_downdate(fit, alpha)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return LooEstimate.from_hits(int(flags.sum()), n)
+    return LooEstimate.from_hits(int(flags.sum()), fit.n)
 
 
 def holdout_coverage(fit: OlsFit, test_X, test_y, alpha: float) -> float:

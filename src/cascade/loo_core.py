@@ -44,6 +44,10 @@ class LooEstimate:
     hits: int
 
     def __post_init__(self):
+        for name in ("n", "hits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("sample size must be positive")
         if not 0 <= self.hits <= self.n:
@@ -96,6 +100,13 @@ def _check_bound_n(n) -> None:
         raise ValueError(f"bound requires n to be an integer, got {n!r}")
     if n < 3:
         raise ValueError("bound requires n >= 3")
+
+
+def _check_alpha(alpha) -> None:
+    """Every interval's level precondition: alpha is a number (not a
+    bool) in the open interval (0, 1), which NaN is not."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 def _member_fn(oracle):

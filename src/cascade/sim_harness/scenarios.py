@@ -718,9 +718,10 @@ def _coverage_draw(ctx, rng, count):
 
 def _coverage_rep(ctx, rng):
     x, y = _coverage_draw(ctx, rng, ctx["n"])
-    est = loo_coverage(x, y, ctx["alpha"], method="downdate").value
+    fit = ols_fit(x, y)
+    est = loo_coverage(fit, ctx["alpha"], method="downdate").value
     x_hold, y_hold = _coverage_draw(ctx, rng, ctx["holdout"])
-    truth = holdout_coverage(ols_fit(x, y), x_hold, y_hold, ctx["alpha"])
+    truth = holdout_coverage(fit, x_hold, y_hold, ctx["alpha"])
     return {"est": est, "truth": truth}
 
 

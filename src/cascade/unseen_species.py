@@ -15,7 +15,10 @@ distribution.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -33,14 +36,25 @@ __all__ = [
 def good_turing(sample) -> LooEstimate:
     """T_n / n: fraction of labels in the sample seen exactly once.
 
-    Labels are opaque hashable values.  Raises on an empty sample.
+    Labels are opaque hashable values.  A mapping (a ``Counter``, say) is
+    read as label counts, so ``good_turing(Counter(labels))`` equals
+    ``good_turing(labels)``; raises ``ValueError`` naming ``sample``
+    unless every count is an integer >= 1 (a bool is not a count).
+    Raises on an empty sample.
     """
-    counts = Counter(sample)
-    n = counts.total()
+    counts = sample if isinstance(sample, Mapping) else Counter(sample)
+    values = counts.values()
+    # One test per distinct type and one min(), not a Python test per label.
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, numbers.Integral):
+            raise ValueError(f"sample counts must be integers, got a {kind.__name__}")
+    least = min(values, default=1)
+    if least < 1:
+        raise ValueError(f"sample counts must be >= 1, got {least!r}")
+    n = int(sum(values))
     if n == 0:
         raise ValueError("empty sample")
-    singletons = sum(1 for c in counts.values() if c == 1)
-    return LooEstimate.from_hits(singletons, n)
+    return LooEstimate.from_hits(operator.countOf(values, 1), n)
 
 
 def _check_probabilities(probabilities) -> np.ndarray:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import cascade.cli
 import cascade.convex_volume
+import cascade.coverage_predict
 import cascade.poset_estimators
 import cascade.sim_harness.scenarios
 from cascade.cli import main
@@ -67,15 +69,15 @@ def test_unseen_splits_labels_on_commas_and_whitespace(monkeypatch, tmp_path, ca
     want = [t for chunk in text.split() for t in chunk.split(",") if t]
     seen = []
 
-    def spy(tokens):
-        seen.append(list(tokens))
-        return good_turing(tokens)
+    def spy(counts):
+        seen.append(counts)
+        return good_turing(counts)
 
     monkeypatch.setattr(cascade.cli, "good_turing", spy)
     path = tmp_path / "labels.txt"
     path.write_text(text, newline="")
     rc, out, _ = run_cli(capsys, "unseen", str(path))
-    assert rc == 0 and seen == [want]
+    assert rc == 0 and seen == [Counter(want)] and type(seen[0]) is Counter
     assert want == list("abcdefghij")
     assert json.loads(out)["distinct"] == 10
 
@@ -446,6 +448,33 @@ def test_coverage_command(tmp_path, capsys):
     iv = obj["prediction_interval"]
     assert iv["low"] < iv["center"] < iv["high"]
     assert 0.0 <= obj["holdout_coverage"] <= 1.0
+
+
+def test_coverage_fits_each_training_set_once(monkeypatch, tmp_path, capsys):
+    # The leave-one-out downdate, --predict-at and --holdout-file all read
+    # the one fit of the training rows, and so does a coverage replication.
+    shapes = []
+    qr_fit = cascade.coverage_predict._qr_fit
+
+    def counting(X, y):
+        shapes.append(X.shape)
+        return qr_fit(X, y)
+
+    monkeypatch.setattr(cascade.coverage_predict, "_qr_fit", counting)
+    rng = np.random.default_rng(3)
+    path, hold = tmp_path / "data.csv", tmp_path / "hold.csv"
+    for f, m in ((path, 30), (hold, 20)):
+        x = rng.normal(size=(m, 2))
+        f.write_text("".join(f"{a!r},{b!r},{a - b + rng.normal()!r}\n" for a, b in x.tolist()))
+    rc, _, _ = run_cli(capsys, "coverage", str(path), "--method", "downdate",
+                       "--predict-at", "0.1,0.2", "--holdout-file", str(hold))
+    assert rc == 0 and shapes == [(30, 2)]
+    shapes.clear()
+    scenarios = cascade.sim_harness.scenarios
+    for name in ("coverage_linear", "coverage_quadratic_misspec"):
+        (ctx,) = scenarios._cells(scenarios.ScenarioConfig(name, n_grid=(25,), replications=1))
+        scenarios._coverage_rep(ctx, np.random.default_rng(0))
+    assert shapes == [(25, 2), (25, 2)]
 
 
 @pytest.mark.parametrize("row", ["1,1,nan", "inf,2,3"])

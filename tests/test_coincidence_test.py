@@ -10,12 +10,12 @@ from cascade.coincidence_test import (
     ad_two_sample_normalized,
     coincidence_mse_bound,
     coverage_fraction,
-    kimura2p,
     kimura_matrix,
     nn_loo_distances,
     nn_test_pvalue,
 )
 from cascade.loo_core import loo_estimate
+from oracles import kimura2p
 
 
 def line_matrix(positions):

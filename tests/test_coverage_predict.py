@@ -54,6 +54,14 @@ def test_fit_matches_lstsq():
     assert fit.r_inverse @ fit.r_inverse.T == pytest.approx(np.linalg.inv(X.T @ X), rel=1e-8)
 
 
+def test_fit_keeps_its_checked_rows_out_of_its_repr():
+    X = np.array([[1.0], [2.0], [3.0]])
+    fit = ols_fit(X, [1, 2, 3])
+    assert fit.X is X
+    assert fit.y.dtype == float and fit.y.tolist() == [1.0, 2.0, 3.0]
+    assert "X=" not in repr(fit) and "y=" not in repr(fit)
+
+
 def test_singular_design_rejected():
     X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(ValueError, match="singular design"):
@@ -128,7 +136,7 @@ def test_interval_rejects_x_new_whose_interval_overflows():
 def test_loo_coverage_of_exact_fit_is_one():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = 3.0 * X[:, 0]
-    assert loo_coverage(X, y, alpha=0.05).value == pytest.approx(1.0)
+    assert loo_coverage(ols_fit(X, y), alpha=0.05).value == pytest.approx(1.0)
 
 
 def test_loo_coverage_hand_computed_three_points():
@@ -152,12 +160,9 @@ def test_loo_coverage_hand_computed_three_points():
         if abs(y[i] - beta * xi) <= half:
             hits += 1
     expected = hits / 3.0
-    assert loo_coverage(X, y, alpha=alpha, method="refit").value == pytest.approx(
-        expected
-    )
-    assert loo_coverage(X, y, alpha=alpha, method="downdate").value == pytest.approx(
-        expected
-    )
+    fit = ols_fit(X, y)
+    assert loo_coverage(fit, alpha=alpha, method="refit").value == pytest.approx(expected)
+    assert loo_coverage(fit, alpha=alpha, method="downdate").value == pytest.approx(expected)
 
 
 def test_downdate_equals_refit():
@@ -167,9 +172,10 @@ def test_downdate_equals_refit():
         p = int(rng.integers(1, 4))
         X = rng.normal(size=(n, p))
         y = X @ rng.normal(size=p) + rng.normal(size=n) * rng.uniform(0.1, 2.0)
+        fit = ols_fit(X, y)
         for alpha in (0.05, 0.2):
-            a = loo_coverage(X, y, alpha=alpha, method="refit").value
-            b = loo_coverage(X, y, alpha=alpha, method="downdate").value
+            a = loo_coverage(fit, alpha=alpha, method="refit").value
+            b = loo_coverage(fit, alpha=alpha, method="downdate").value
             assert a == pytest.approx(b, abs=1e-12), (trial, alpha)
 
 
@@ -187,7 +193,7 @@ def test_loo_coverage_matches_generic_loo():
         fit = ols_fit(Xr, yr)
         return predict_interval(fit, x_new, alpha=alpha).contains(row[1])
 
-    assert loo_coverage(X, y, alpha=alpha).value == pytest.approx(
+    assert loo_coverage(ols_fit(X, y), alpha=alpha).value == pytest.approx(
         loo_estimate(interval_oracle, rows).value
     )
 
@@ -209,7 +215,7 @@ def test_refit_flags_equal_the_delete_and_fit_oracle(seed):
     X = rng.normal(size=(n, p)) * rng.uniform(0.01, 100.0, size=p)
     y = X @ rng.normal(size=p) + rng.normal(size=n)
     for alpha in (0.05, 0.3, 0.9):
-        got = cascade.coverage_predict._loo_flags_refit(X, y, alpha)
+        got = cascade.coverage_predict._loo_flags_refit(ols_fit(X, y), alpha)
         assert got.tolist() == _refit_oracle_flags(X, y, alpha).tolist()
 
 
@@ -219,17 +225,19 @@ def test_refit_names_the_row_whose_deletion_is_singular():
     X[3, 1] = 1.0
     y = np.arange(6.0) ** 2
     with pytest.raises(ValueError, match="excluding row 3: singular design"):
-        loo_coverage(X, y, alpha=0.1, method="refit")
+        loo_coverage(ols_fit(X, y), alpha=0.1, method="refit")
 
 
 def test_refit_keeps_the_non_finite_interval_error():
-    X = np.column_stack([np.ones(6), np.arange(6.0)])
-    X[0] = [1.0, 1e300]
+    # One column, so the fit of all six rows is regular; the interval
+    # at row 0 of the fit without it overflows.
+    X = np.arange(1.0, 7.0).reshape(-1, 1)
+    X[0] = 1e300
     y = np.arange(6.0)
     with pytest.raises(ValueError, match="too large") as oracle:
         _refit_oracle_flags(X, y, 0.1)
     with pytest.raises(ValueError, match="too large") as got:
-        loo_coverage(X, y, alpha=0.1, method="refit")
+        loo_coverage(ols_fit(X, y), alpha=0.1, method="refit")
     assert str(got.value) == str(oracle.value)
 
 
@@ -237,13 +245,13 @@ def test_loo_coverage_sample_size_guard():
     X = np.ones((3, 2))
     X[:, 1] = [1.0, 2.0, 3.0]
     with pytest.raises(ValueError, match="n >= p \\+ 2"):
-        loo_coverage(X, np.array([1.0, 2.0, 3.0]), alpha=0.05)
+        loo_coverage(ols_fit(X, np.array([1.0, 2.0, 3.0])), alpha=0.05)
 
 
 def test_loo_coverage_unknown_method():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     with pytest.raises(ValueError, match="method"):
-        loo_coverage(X, np.ones(4), alpha=0.05, method="jackboot")
+        loo_coverage(ols_fit(X, np.ones(4)), alpha=0.05, method="jackboot")
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -255,8 +263,9 @@ def test_downdate_refit_agreement_property(seed):
     y = rng.normal(size=n)
     if abs(np.linalg.det(X.T @ X)) < 1e-8:
         return
-    a = loo_coverage(X, y, alpha=0.1, method="refit").value
-    b = loo_coverage(X, y, alpha=0.1, method="downdate").value
+    fit = ols_fit(X, y)
+    a = loo_coverage(fit, alpha=0.1, method="refit").value
+    b = loo_coverage(fit, alpha=0.1, method="downdate").value
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -342,10 +351,11 @@ def test_every_interval_is_scale_equivariant(c):
     Xt = rng.normal(size=(500, 2))
     yt = Xt @ beta + rng.normal(size=500)
     x_new = np.array([0.7, -1.3])
-    for method in ("refit", "downdate"):
-        want = loo_coverage(X, y, 0.05, method=method).value
-        assert loo_coverage(c * X, y, 0.05, method=method).value == want
     fit, scaled = ols_fit(X, y), ols_fit(c * X, y)
+    for method in ("refit", "downdate"):
+        assert loo_coverage(scaled, 0.05, method=method).value == loo_coverage(
+            fit, 0.05, method=method
+        ).value
     assert holdout_coverage(scaled, c * Xt, yt, 0.05) == holdout_coverage(fit, Xt, yt, 0.05)
     want = predict_interval(fit, x_new, 0.05)
     got = predict_interval(scaled, c * x_new, 0.05)

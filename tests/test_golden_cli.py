@@ -38,6 +38,8 @@ CASES = {
     "coincide_matrix": ["coincide", "{dist}", "--threshold-percentile", "5"],
     "coverage_refit_holdout": ["coverage", "{train}", "--method", "refit",
                                "--holdout-file", "{hold}"],
+    "coverage_downdate_holdout": ["coverage", "{train}", "--method", "downdate",
+                                  "--holdout-file", "{hold}"],
     "coverage_downdate_center": ["coverage", "{train}", "--method", "downdate", "--center",
                                  "--predict-at", "0.3,-1.2"],
     "unseen": ["unseen", "{labels}"],

@@ -1,9 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cascade.convex_volume import hull_summary, volume_interval
+from cascade.coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
 from cascade.loo_core import BoundInputs, LooEstimate, loo_estimate, loo_mse_bound, size_estimate
 
 
@@ -48,6 +51,13 @@ def test_from_hits_validates():
         LooEstimate.from_hits(11, 10)
     with pytest.raises(ValueError, match="value must equal hits / n"):
         LooEstimate(value=0.4, n=10, hits=3)
+
+
+@pytest.mark.parametrize("n, hits, name", [(2.5, 1, "n"), (4, 1.0, "hits"), (True, 1, "n"),
+                                           (4, False, "hits")])
+def test_estimate_counts_must_be_integers(n, hits, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        LooEstimate.from_hits(hits, n)
 
 
 def test_bound_zero_inputs():
@@ -173,3 +183,23 @@ def test_size_estimate_rejects_bad_arguments(observed, hits, n, name):
 def test_size_estimate_keeps_large_integer_closures_exact():
     # A product-order closure may pass 2**64; the check must not overflow.
     assert size_estimate(2**80, 3, 3) == float(2**80)
+
+
+@given(st.sampled_from([math.nan, math.inf, -math.inf, 0, 1, 0.0, 1.0, -0.1, "0.05", None, True]))
+def test_every_interval_rejects_an_alpha_outside_zero_one(alpha):
+    # One rule for every interval's level: a non-number is a ValueError
+    # naming alpha, not a TypeError from comparing it.
+    X = np.array([[1.0], [2.0], [3.0], [4.0]])
+    y = np.array([1.1, 1.9, 3.2, 3.9])
+    fit = ols_fit(X, y)
+    square = hull_summary([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+    calls = [
+        lambda: loo_coverage(fit, alpha, method="refit"),
+        lambda: loo_coverage(fit, alpha, method="downdate"),
+        lambda: predict_interval(fit, [1.0], alpha),
+        lambda: holdout_coverage(fit, X, y, alpha),
+        lambda: volume_interval(square, 2, alpha),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got"):
+            call()

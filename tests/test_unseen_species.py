@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,36 @@ def test_singleton_fraction_examples():
 def test_empty_sample_rejected():
     with pytest.raises(ValueError, match="empty sample"):
         good_turing([])
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"a": 1.5, "b": 1}, "integers, got a float"),
+        ({"a": True}, "integers, got a bool"),
+        ({"a": "2"}, "integers, got a str"),
+        ({"a": -1, "b": 2}, ">= 1, got -1"),
+        ({"a": 1, "b": np.int64(0)}, ">= 1, got np.int64\\(0\\)"),
+    ],
+)
+def test_mapping_counts_must_be_integers_of_at_least_one(counts, message):
+    with pytest.raises(ValueError, match=f"sample counts must be {message}"):
+        good_turing(counts)
+
+
+def test_mapping_is_read_as_label_counts():
+    est = good_turing({"a": 2, "b": 1, "c": np.int64(1)})
+    assert (est.n, est.hits) == (4, 2) and type(est.n) is int
+
+
+@given(st.lists(st.text(max_size=2), max_size=30))
+def test_counter_gives_the_estimate_of_its_expanded_list(sample):
+    counts = Counter(sample)
+    if not sample:
+        with pytest.raises(ValueError, match="empty sample"):
+            good_turing(counts)
+        return
+    assert good_turing(counts) == good_turing(list(counts.elements())) == good_turing(sample)
 
 
 def test_missing_mass_uniform_example():
