@@ -48,10 +48,11 @@ _RANK_TOL = 1e-10
 class OlsFit:
     """Least-squares fit through the origin of the rows ``X``, ``y``.
 
-    ``X`` and ``y`` are the checked design and response the fit was made
-    from, left out of the repr, so the leave-one-out scores read them
-    without checking or fitting again.  They are not copies: a float array
-    passed to ``ols_fit`` is shared, and changing it stales the fit.
+    ``X`` and ``y`` are read-only copies of the checked design and
+    response the fit was made from, left out of the repr, so the
+    leave-one-out scores read them without checking or fitting again, and
+    a caller that later changes the arrays it passed to ``ols_fit`` cannot
+    stale the fit.
     ``sigma_hat`` uses the n - p divisor; ``r_inverse`` is R^-1 for the
     design's QR factor.  Scaling X by c scales R^-1 by 1/c and leaves
     x R^-1, hence every interval, unchanged; (X'X)^-1 = R^-1 R^-T is never
@@ -109,6 +110,8 @@ def ols_fit(X, y) -> OlsFit:
     X, y, n, p = _check_design(X, y)
     if n <= p:
         raise ValueError("need more rows than features")
+    X, y = X.copy(), y.copy()
+    X.flags.writeable = y.flags.writeable = False
     return _qr_fit(X, y)
 
 

@@ -42,15 +42,17 @@ def good_turing(sample) -> LooEstimate:
     unless every count is an integer >= 1 (a bool is not a count).
     Raises on an empty sample.
     """
-    counts = sample if isinstance(sample, Mapping) else Counter(sample)
-    values = counts.values()
-    # One test per distinct type and one min(), not a Python test per label.
-    for kind in set(map(type, values)):
-        if kind is bool or not issubclass(kind, numbers.Integral):
-            raise ValueError(f"sample counts must be integers, got a {kind.__name__}")
-    least = min(values, default=1)
-    if least < 1:
-        raise ValueError(f"sample counts must be >= 1, got {least!r}")
+    if isinstance(sample, Mapping):
+        values = sample.values()
+        # One test per distinct type and one min(), not a Python test per label.
+        for kind in set(map(type, values)):
+            if kind is bool or not issubclass(kind, numbers.Integral):
+                raise ValueError(f"sample counts must be integers, got a {kind.__name__}")
+        least = min(values, default=1)
+        if least < 1:
+            raise ValueError(f"sample counts must be >= 1, got {least!r}")
+    else:
+        values = Counter(sample).values()
     n = int(sum(values))
     if n == 0:
         raise ValueError("empty sample")

@@ -57,9 +57,22 @@ def test_fit_matches_lstsq():
 def test_fit_keeps_its_checked_rows_out_of_its_repr():
     X = np.array([[1.0], [2.0], [3.0]])
     fit = ols_fit(X, [1, 2, 3])
-    assert fit.X is X
+    assert fit.X is not X and fit.X.tolist() == X.tolist()
     assert fit.y.dtype == float and fit.y.tolist() == [1.0, 2.0, 3.0]
+    assert not (fit.X.flags.writeable or fit.y.flags.writeable)
     assert "X=" not in repr(fit) and "y=" not in repr(fit)
+
+
+@pytest.mark.parametrize("method", ["refit", "downdate"])
+def test_writing_the_response_after_fitting_leaves_the_fit_alone(method):
+    # Were fit.y the caller's array, both methods would score 29 of 30.
+    rng = np.random.default_rng(3)
+    X = np.column_stack([np.ones(30), rng.normal(size=30)])
+    y = X @ [1.0, 2.0] + rng.normal(size=30)
+    fit = ols_fit(X, y)
+    before = loo_coverage(fit, 0.05, method)
+    y[:] = 5.0
+    assert loo_coverage(fit, 0.05, method) == before
 
 
 def test_singular_design_rejected():
@@ -239,6 +252,15 @@ def test_refit_keeps_the_non_finite_interval_error():
     with pytest.raises(ValueError, match="too large") as got:
         loo_coverage(ols_fit(X, y), alpha=0.1, method="refit")
     assert str(got.value) == str(oracle.value)
+
+
+def test_a_design_whose_columns_differ_by_1e300_is_singular():
+    # Columns [1, k] with row 0 = [1, 1e300]: the refit loop used to reach
+    # the interval error above, but the full fit's rank test now rejects it.
+    X = np.column_stack([np.ones(6), np.arange(6.0)])
+    X[0] = [1.0, 1e300]
+    with pytest.raises(ValueError, match="^singular design$"):
+        loo_coverage(ols_fit(X, np.arange(6.0)), alpha=0.1, method="refit")
 
 
 def test_loo_coverage_sample_size_guard():
