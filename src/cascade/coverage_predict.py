@@ -14,12 +14,9 @@ trained on the remaining n - 1 rows.  Under a misspecified model the
 coverage settles below the nominal level, and the leave-one-out
 estimate tracks it there too.
 
-All three coverage functions read one ``OlsFit``: ``ols_fit`` checks
-the training rows and fits them once, ``loo_coverage`` scores that fit's
-rows, and ``predict_interval`` and ``holdout_coverage`` use its intervals.
-Leave-one-out fits are computed either by literal refitting of the fit's
-rows or by a rank-one leverage downdate of the fit itself; the two routes
-agree and are cross-checked in the test suite.
+Every coverage function reads one ``OlsFit``; leave-one-out fits come
+from literal refitting of its rows or a rank-one leverage downdate of
+the fit itself, two routes cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -46,13 +43,9 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit through the origin of the rows ``X``, ``y``.
+    """Least-squares fit through the origin of its rows ``X``, ``y``.
 
-    ``X`` and ``y`` are read-only copies of the checked design and
-    response the fit was made from, left out of the repr, so the
-    leave-one-out scores read them without checking or fitting again, and
-    a caller that later changes the arrays it passed to ``ols_fit`` cannot
-    stale the fit.
+    ``X`` and ``y`` are copies of the checked rows, kept out of the repr.
     ``sigma_hat`` uses the n - p divisor; ``r_inverse`` is R^-1 for the
     design's QR factor.  Scaling X by c scales R^-1 by 1/c and leaves
     x R^-1, hence every interval, unchanged; (X'X)^-1 = R^-1 R^-T is never
@@ -110,9 +103,7 @@ def ols_fit(X, y) -> OlsFit:
     X, y, n, p = _check_design(X, y)
     if n <= p:
         raise ValueError("need more rows than features")
-    X, y = X.copy(), y.copy()
-    X.flags.writeable = y.flags.writeable = False
-    return _qr_fit(X, y)
+    return _qr_fit(X.copy(), y.copy())
 
 
 def _qr_fit(X, y) -> OlsFit:
@@ -207,12 +198,10 @@ def loo_coverage(fit: OlsFit, alpha: float, method: str = "refit") -> LooEstimat
 
     Each row i is scored by fitting on the other n - 1 rows and asking
     whether y_i lands in the resulting interval at x_i.  Requires
-    n >= p + 2 so every sub-fit has a residual degree of freedom; the
-    rows themselves were checked by ``ols_fit``.
+    n >= p + 2 so every sub-fit has a residual degree of freedom.
 
-    ``method`` selects literal refitting of the fit's rows or the
-    algebraically equivalent leverage downdate of the fit itself (much
-    faster, same contract).
+    ``method`` selects literal refitting or the algebraically
+    equivalent leverage downdate (much faster, same contract).
     """
     _check_alpha(alpha)
     if fit.n < fit.p + 2:

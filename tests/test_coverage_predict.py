@@ -59,7 +59,6 @@ def test_fit_keeps_its_checked_rows_out_of_its_repr():
     fit = ols_fit(X, [1, 2, 3])
     assert fit.X is not X and fit.X.tolist() == X.tolist()
     assert fit.y.dtype == float and fit.y.tolist() == [1.0, 2.0, 3.0]
-    assert not (fit.X.flags.writeable or fit.y.flags.writeable)
     assert "X=" not in repr(fit) and "y=" not in repr(fit)
 
 
