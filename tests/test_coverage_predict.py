@@ -254,8 +254,8 @@ def test_refit_keeps_the_non_finite_interval_error():
 
 
 def test_a_design_whose_columns_differ_by_1e300_is_singular():
-    # Columns [1, k] with row 0 = [1, 1e300]: the refit loop used to reach
-    # the interval error above, but the full fit's rank test now rejects it.
+    # Row 0 = [1, 1e300] puts the columns 1e300 apart in scale, which the
+    # full fit's rank test rejects before any leave-one-out fit runs.
     X = np.column_stack([np.ones(6), np.arange(6.0)])
     X[0] = [1.0, 1e300]
     with pytest.raises(ValueError, match="^singular design$"):
