@@ -15,12 +15,11 @@ Anderson-Darling statistic used to compare distance distributions.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .loo_core import LooEstimate, _check_bound_n
+from .loo_core import LooEstimate, _check_bound_n, _check_number
 
 __all__ = [
     "SequenceRecord",
@@ -63,10 +62,9 @@ def nn_loo_distances(D) -> np.ndarray:
 def coverage_fraction(D, r: float) -> LooEstimate:
     """W_n(r)/n: fraction of objects with nearest neighbor within r.
 
-    Right-continuous and nondecreasing in r.  Requires r >= 0.
+    Right-continuous and nondecreasing in r >= 0 (the number rule).
     """
-    if not r >= 0:
-        raise ValueError("radius must be nonnegative and not NaN")
+    _check_number("r", r, "be a nonnegative number, not NaN", lambda v: v >= 0)
     nn = nn_loo_distances(D)
     hits = int(np.sum(nn <= r))
     return LooEstimate.from_hits(hits, nn.size)
@@ -84,13 +82,15 @@ def nn_test_pvalue(reference_nn, query_nn_distance: float) -> float:
     p = (1 + #{i : reference[i] <= query}) / (n + 1).  Ties count as
     at-most; the plus-one correction makes the test exact under
     exchangeability.  Small p means the query's nearest-neighbor
-    distance is suspiciously small.
+    distance is suspiciously small.  ``query_nn_distance`` follows the
+    number rule, with any value but NaN allowed.
     """
+    _check_number("query_nn_distance", query_nn_distance, "be a number, not NaN", lambda q: True)
     ref = np.asarray(reference_nn, dtype=float).reshape(-1)
     if ref.size == 0:
         raise ValueError("empty reference sample")
-    if np.isnan(ref).any() or math.isnan(query_nn_distance):
-        raise ValueError("reference and query distances must not be NaN")
+    if np.isnan(ref).any():
+        raise ValueError("reference distances must not be NaN")
     count = int(np.sum(ref <= query_nn_distance))
     return (1 + count) / (ref.size + 1)
 

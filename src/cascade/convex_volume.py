@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .loo_core import _check_alpha, _check_bound_n, size_estimate
+from .loo_core import _check_alpha, _check_bound_n, _check_int, _check_number, size_estimate
 
 __all__ = [
     "HullSummary",
@@ -89,11 +89,6 @@ class VolumeEstimate:
     rel_halfwidth: float
 
 
-def _check_tol(tol) -> None:
-    if not tol > 0:  # NaN included
-        raise ValueError("tol must be positive")
-
-
 def _as_cloud(cloud) -> np.ndarray:
     pts = np.asarray(cloud, dtype=float)
     if pts.ndim != 2:
@@ -112,11 +107,11 @@ def in_hull(query, cloud, tol: float = DEFAULT_TOL) -> bool:
     sum(lambda_i * x_i) = query, sum(lambda_i) = 1, lambda >= 0, via
     slack variables.  The query is inside iff the optimum is <= tol,
     so boundary points within tol count as inside.  An empty cloud has
-    an empty hull.
+    an empty hull.  ``tol`` follows the number rule: it must be positive.
     """
     from scipy.optimize import linprog
 
-    _check_tol(tol)
+    _check_number("tol", tol, "be positive", lambda t: t > 0)
     q = np.asarray(query, dtype=float).reshape(-1)
     pts = np.asarray(cloud, dtype=float)
     if pts.size == 0:
@@ -187,17 +182,15 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
 
     ``tol`` is the flatness threshold: the distinct rows, shifted so
     the first is the origin, have affine rank k, the number of their
-    singular values above ``tol`` times the largest, so ``tol`` must lie
-    in (0, 1).  A line (k = 1) has its two ends as extremes.  Otherwise,
-    when k = d the cloud goes to Qhull, and when k < d the cloud is flat:
-    its rows are projected onto the top k right singular vectors and
-    Qhull runs there.  A flat cloud's volume is 0.0 in every dimension,
-    and its summary keeps no hull.  A cloud whose spread overflows the
-    float range raises ``ValueError``.
+    singular values above ``tol`` times the largest, so by the number
+    rule ``tol`` must lie in (0, 1).  A line (k = 1) has its two ends as
+    extremes.  Otherwise, when k = d the cloud goes to Qhull, and when
+    k < d the cloud is flat: its rows are projected onto the top k right
+    singular vectors and Qhull runs there.  A flat cloud's volume is 0.0
+    in every dimension, and its summary keeps no hull.  A cloud whose
+    spread overflows the float range raises ``ValueError``.
     """
-    _check_tol(tol)
-    if not tol < 1:
-        raise ValueError("tol must be below 1: it is relative to the largest singular value")
+    _check_number("tol", tol, "be positive, and tol must be below 1", lambda t: 0 < t < 1)
     pts = _as_cloud(cloud)
     n, d = pts.shape
     unique_pts, inverse, counts = _unique_rows(pts)
@@ -240,10 +233,11 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
     """The volume estimate of a d-dimensional cloud's ``summary`` with
     its level 1-alpha one-sided interval (see ``VolumeEstimate``).
 
-    Raises ``ValueError`` when alpha is outside (0, 1) or when every
-    point is extreme.
+    Raises ``ValueError`` when alpha or d breaks its rule (alpha in (0, 1),
+    d an integer >= 1) or when every point is extreme.
     """
     _check_alpha(alpha)
+    _check_int("d", d, 1)
     n = summary.extreme_flags.shape[0]
     hits = n - summary.extreme_count
     est = size_estimate(summary.volume, hits, n)
@@ -262,16 +256,16 @@ def volume_ci(cloud, alpha: float) -> VolumeEstimate:
 
 
 def conv_mse_bound(n: int, d: int) -> float:
-    """(8d+9)/n: MSE bound for V_n/n against the hull defect."""
+    """(8d+9)/n: MSE bound for V_n/n against the hull defect; n and d
+    follow the integer rule, n >= 3 and d >= 1."""
     _check_bound_n(n)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_int("d", d, 1)
     return (8 * d + 9) / n
 
 
 def consecutive_defect_bound(n: int, d: int) -> float:
-    """(d+1)/n: bound on E|defect(n) - defect(n-1)|."""
+    """(d+1)/n: bound on E|defect(n) - defect(n-1)|; n and d follow the
+    integer rule, n >= 3 and d >= 1."""
     _check_bound_n(n)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_int("d", d, 1)
     return (d + 1) / n

@@ -97,8 +97,8 @@ def _check_design(X, y):
 def ols_fit(X, y) -> OlsFit:
     """Fit y ~ X with no intercept.  Requires n > p and full rank.
 
-    Rank deficiency (smallest |R_ii| of the QR factor below 1e-10
-    times the largest) raises "singular design".
+    Rank deficiency (some |R_jj| of the QR factor at most 1e-10 times the
+    norm of column j of X, at any column scale) raises "singular design".
     """
     X, y, n, p = _check_design(X, y)
     if n <= p:
@@ -110,8 +110,8 @@ def _qr_fit(X, y) -> OlsFit:
     """The fit of a checked design, which it keeps."""
     n, p = X.shape
     q_mat, r_mat = np.linalg.qr(X)
-    diag = np.abs(np.diag(r_mat))
-    if diag.min() <= _RANK_TOL * diag.max():
+    # |R_jj| and column j's norm scale alike; hypot does not overflow.
+    if np.any(np.abs(np.diag(r_mat)) <= _RANK_TOL * np.hypot.reduce(X, axis=0)):
         raise ValueError("singular design")
     beta = np.linalg.solve(r_mat, q_mat.T @ y)
     resid = y - X @ beta

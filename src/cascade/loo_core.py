@@ -33,10 +33,10 @@ class LooEstimate:
     value : float
         The estimate, always in [0, 1].
     n : int
-        Sample size.
+        Sample size, an integer >= 1 by the integer rule.
     hits : int
         Number of indices i whose point belongs to the region built
-        from the remaining n - 1 points.
+        from the remaining n - 1 points, an integer in [0, n] by the rule.
     """
 
     value: float
@@ -44,14 +44,8 @@ class LooEstimate:
     hits: int
 
     def __post_init__(self):
-        for name in ("n", "hits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValueError("sample size must be positive")
-        if not 0 <= self.hits <= self.n:
-            raise ValueError("hit count outside [0, n]")
+        _check_int("n", self.n, 1)
+        _check_int("hits", self.hits, 0, self.n, "be an integer in [0, n], the hit count")
         if self.value != self.hits / self.n:
             raise ValueError("value must equal hits / n exactly")
 
@@ -62,7 +56,8 @@ class LooEstimate:
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Inputs to the mean-squared-error bound.
+    """Inputs to the mean-squared-error bound: theta and the deltas obey
+    the number rule, n the integer rule.
 
     Attributes
     ----------
@@ -85,28 +80,38 @@ class BoundInputs:
     n: int
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 0.25:
-            raise ValueError("theta must lie in [0, 1/4]")
-        for delta in (self.delta_prime, self.delta_double_prime):
-            if not (math.isfinite(delta) and delta >= 0):
-                raise ValueError("delta terms must be finite and nonnegative")
+        _check_number("theta", self.theta, "lie in [0, 1/4]", lambda t: 0 <= t <= 0.25)
+        for name in ("delta_prime", "delta_double_prime"):
+            _check_number(name, getattr(self, name), "be finite and >= 0",
+                          lambda d: 0 <= d < math.inf)
         _check_bound_n(self.n)
 
 
+def _check_int(name, value, low, high=math.inf, rule=None) -> None:
+    """The integer rule: ``value`` is an integer (not a bool) in [low, high],
+    else ``ValueError`` says ``name`` must ``rule`` (by default, that range)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not low <= value <= high):
+        span = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must {rule or 'be an integer ' + span}, got {value!r}")
+
+
+def _check_number(name, value, rule, ok) -> None:
+    """The number rule: ``value`` is a real (not a bool, not NaN) for which
+    ``ok`` holds, else ``ValueError`` says ``name`` must ``rule``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value
+            or not ok(value)):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 def _check_bound_n(n) -> None:
-    """Every MSE bound's sample-size precondition: n is an integer
-    (not a bool) of at least 3."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"bound requires n to be an integer, got {n!r}")
-    if n < 3:
-        raise ValueError("bound requires n >= 3")
+    """Every MSE bound's sample-size precondition: the integer rule, at least 3."""
+    _check_int("n", n, 3, rule="be an integer >= 3, as every MSE bound requires n >= 3")
 
 
 def _check_alpha(alpha) -> None:
-    """Every interval's level precondition: alpha is a number (not a
-    bool) in the open interval (0, 1), which NaN is not."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    """Every interval's level precondition: the number rule, in (0, 1)."""
+    _check_number("alpha", alpha, "lie in (0, 1)", lambda a: 0 < a < 1)
 
 
 def _member_fn(oracle):
@@ -174,13 +179,11 @@ def size_estimate(observed, hits: int, n: int) -> float | None:
     this is n * distinct / (collided points), for a chain the sample
     maximum, times n/(n-1) when it is unique.  Raises ``ValueError``
     naming ``n`` unless it is an integer >= 1, ``hits`` unless it is an
-    integer in [0, n], and ``observed`` unless it is finite and >= 0.
+    integer in [0, n] (the integer rule), and ``observed`` unless it is a
+    finite number >= 0 (the number rule).
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if isinstance(hits, bool) or not isinstance(hits, numbers.Integral) or not 0 <= hits <= n:
-        raise ValueError(f"hits must be an integer in [0, n = {n}], got {hits!r}")
-    # 0 <= observed < inf is False for NaN, and exact for an int of any size.
-    if not (isinstance(observed, numbers.Real) and 0 <= observed < math.inf):
-        raise ValueError(f"observed must be a finite number >= 0, got {observed!r}")
+    _check_int("n", n, 1)
+    _check_int("hits", hits, 0, n)
+    # 0 <= observed < inf is exact for an int of any size.
+    _check_number("observed", observed, "be finite and >= 0", lambda v: 0 <= v < math.inf)
     return n * observed / hits if hits else None

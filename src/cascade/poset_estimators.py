@@ -42,7 +42,7 @@ from collections import Counter
 
 import numpy as np
 
-from .loo_core import _check_bound_n
+from .loo_core import _check_bound_n, _check_int
 
 __all__ = [
     "Antichain",
@@ -124,12 +124,12 @@ class ProductOrder:
     """Tuples of positive integers, reversed componentwise.
 
     x is below y iff y_i <= x_i for every coordinate.  Up-sets are the
-    staircase shapes (unions of boxes anchored at (1, ..., 1)).
+    staircase shapes (unions of boxes anchored at (1, ..., 1)).  ``d``
+    follows the integer rule: it must be >= 1.
     """
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be a positive integer")
+        _check_int("d", d, 1)
         self.d = int(d)
 
     def _check(self, x):

@@ -34,6 +34,8 @@ import numpy as np
 from scipy.spatial import Voronoi
 from scipy.special import betainc
 
+from ..loo_core import _check_number
+
 __all__ = ["cap_mass", "cap_union_bracket", "disk_union_area"]
 
 # Far corners that keep every site's Voronoi cell bounded, also a cell
@@ -149,10 +151,9 @@ def cap_mass(t, n: int) -> np.ndarray:
 def cap_union_bracket(gram: np.ndarray, c: float, dim: int) -> tuple:
     """(lower, upper) on P(u . x_i >= c for some i), for u uniform on the
     unit sphere of R^dim and unit vectors x_i with Gram matrix ``gram``;
-    needs c > 0.  upper = S1; lower = S1 minus the pair bounds.
+    needs c > 0 (number rule).  upper = S1; lower = S1 minus pair bounds.
     """
-    if not c > 0.0:
-        raise ValueError("the cap height c must be positive")
+    _check_number("c", c, "be positive", lambda v: v > 0)
     upper = gram.shape[0] * float(cap_mass(c, dim))
     rho = gram[np.triu_indices(gram.shape[0], k=1)]
     with np.errstate(divide="ignore"):

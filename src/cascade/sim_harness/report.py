@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from ..loo_core import _check_number
+
 __all__ = [
     "BoundReportRow",
     "emit_report",
@@ -51,9 +53,9 @@ def _plain(value):
 class BoundReportRow:
     """One (scenario, n) verification result.
 
-    ``passed`` must equal ``empirical_mse <= bound``; extras carry
-    scenario-specific diagnostics (probe counts, companion bounds,
-    mean estimates, ...).
+    ``passed`` must equal ``empirical_mse <= bound``; ``std_err``
+    follows the number rule, >= 0; extras carry scenario-specific
+    diagnostics (probe counts, companion bounds, mean estimates, ...).
     """
 
     scenario: str
@@ -67,8 +69,7 @@ class BoundReportRow:
 
     def __post_init__(self):
         self.extras = _plain(self.extras)
-        if self.std_err < 0:
-            raise ValueError("standard error must be nonnegative")
+        _check_number("std_err", self.std_err, "be nonnegative", lambda v: v >= 0)
         if self.passed != (self.empirical_mse <= self.bound):
             raise ValueError("pass flag inconsistent with the two values")
 

@@ -19,23 +19,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..loo_core import _check_int, _check_number
+
 __all__ = ["sample_distribution", "zipf_probabilities", "equicorrelation_cholesky"]
 
 
 def zipf_probabilities(N: int, s: float) -> np.ndarray:
-    """p_i proportional to 1/i^s for i = 1..N, normalized exactly."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    """p_i proportional to 1/i^s for i = 1..N, normalized exactly.  N
+    follows the integer rule (>= 1) and s the number rule (finite)."""
+    _check_int("N", N, 1)
+    _check_number("s", s, "be finite", np.isfinite)
     weights = 1.0 / np.arange(1, N + 1, dtype=float) ** s
     return weights / weights.sum()
 
 
 def equicorrelation_cholesky(d: int, corr: float) -> np.ndarray:
-    """Cholesky factor of the d x d constant-correlation matrix."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if d > 1 and not -1.0 / (d - 1) < corr < 1.0:
-        raise ValueError("correlation outside the positive-definite range")
+    """Cholesky factor of the d x d constant-correlation matrix; d >= 1 and
+    corr in (-1/(d - 1), 1) by the integer and number rules."""
+    _check_int("d", d, 1)
+    _check_number("corr", corr, "lie in the positive-definite range (-1/(d - 1), 1)",
+                  lambda c: d == 1 or -1.0 / (d - 1) < c < 1.0)
     sigma = np.full((d, d), corr)
     np.fill_diagonal(sigma, 1.0)
     return np.linalg.cholesky(sigma)
@@ -48,9 +51,9 @@ def _unit_sphere(n: int, dim: int, rng) -> np.ndarray:
 
 
 def sample_distribution(spec: dict, n: int, rng: np.random.Generator):
-    """Draw n i.i.d. observations per ``spec``; see module docs."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Draw n i.i.d. observations per ``spec``; see module docs.  n and a
+    label count N follow the integer rule: each must be >= 1."""
+    _check_int("n", n, 1, rule="be positive, an integer >= 1")
     kind = spec.get("kind")
     if kind == "uniform_box":
         bounds = spec["bounds"]
@@ -72,13 +75,11 @@ def sample_distribution(spec: dict, n: int, rng: np.random.Generator):
             z = z @ equicorrelation_cholesky(d, corr).T
         return z
     if kind == "zipf":
-        N = int(spec["N"])
-        p = zipf_probabilities(N, float(spec.get("s", 1.0)))
-        return rng.choice(N, size=n, p=p) + 1
+        p = zipf_probabilities(spec["N"], float(spec.get("s", 1.0)))
+        return rng.choice(p.size, size=n, p=p) + 1
     if kind == "uniform_labels":
-        N = int(spec["N"])
-        if N < 1:
-            raise ValueError("N must be a positive integer")
+        N = spec["N"]
+        _check_int("N", N, 1)
         return rng.integers(1, N + 1, size=n)
     if kind == "sphere_mixture":
         dim = int(spec["dim"])

@@ -57,7 +57,7 @@ from ..convex_volume import (
     volume_interval,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage, ols_fit
-from ..loo_core import size_estimate
+from ..loo_core import _check_int, size_estimate
 from ..poset_estimators import (
     Antichain,
     ProductOrder,
@@ -516,10 +516,10 @@ def random_forest(rng, min_nodes: int, max_nodes: int) -> list:
     children of an implicit global root (so the node set is
     order-convex): component c's root is (c,).  Within a component,
     node t attaches to a uniform earlier node, and its path is its
-    parent's path extended by t.
+    parent's path extended by t.  1 <= min_nodes <= max_nodes (integer rule).
     """
-    if not 1 <= min_nodes <= max_nodes:
-        raise ValueError("need 1 <= min_nodes <= max_nodes")
+    _check_int("max_nodes", max_nodes, 1)
+    _check_int("min_nodes", min_nodes, 1, max_nodes)
     total = int(rng.integers(min_nodes, max_nodes + 1))
     n_comp = min(int(rng.integers(1, 4)), total)
     weights = rng.dirichlet(np.ones(n_comp))
@@ -899,7 +899,7 @@ def validate_config(cfg: ScenarioConfig) -> dict:
 def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     """Run one scenario; returns its BoundReportRow list.
 
-    ``workers`` must be a positive integer.  Each cell's replications
+    ``workers`` is an integer >= 1 (integer rule).  Each cell's replications
     are cut into up to ``2 * workers`` contiguous chunks.  One worker
     runs the chunks in this process; more queue every chunk of every
     cell on one process pool before any result is read, so a worker
@@ -909,8 +909,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     because replication k draws from ``rng_for(seed, tag, n, k)`` and
     aggregation runs in replication order.
     """
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    _check_int("workers", workers, 1)
     cells = _cells(cfg)
     family = _DEFAULTS[cfg.scenario]["family"]
     bounds = np.linspace(0, cfg.replications, min(2 * workers, cfg.replications) + 1).astype(int)

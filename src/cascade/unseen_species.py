@@ -22,7 +22,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .loo_core import LooEstimate, _check_bound_n
+from .loo_core import LooEstimate, _check_bound_n, _check_int
 
 __all__ = [
     "good_turing",
@@ -109,13 +109,12 @@ def unseen_bound(n: int) -> tuple[float, float]:
 def unseen_bound_finite_N(n: int, N: int) -> float:
     """MSE bound for a uniform distribution on N labels.
 
-    Returns (8/N + 2/n) * exp(-(n-2)/N).  Requires n >= 3 and N >= 1.
-    Useful in the oversampled regime n >> N, where the distribution-free
-    bound is far too pessimistic.
+    Returns (8/N + 2/n) * exp(-(n-2)/N).  n and N follow the integer
+    rule, n >= 3 and N >= 1.  Useful in the oversampled regime n >> N,
+    where the distribution-free bound is far too pessimistic.
     """
     _check_bound_n(n)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    _check_int("N", N, 1)
     return (8.0 / N + 2.0 / n) * math.exp(-(n - 2) / N)
 
 

@@ -253,13 +253,33 @@ def test_refit_keeps_the_non_finite_interval_error():
     assert str(got.value) == str(oracle.value)
 
 
-def test_a_design_whose_columns_differ_by_1e300_is_singular():
-    # Row 0 = [1, 1e300] puts the columns 1e300 apart in scale, which the
-    # full fit's rank test rejects before any leave-one-out fit runs.
+def test_a_design_whose_columns_differ_by_1e300_has_full_rank():
+    # Row 0 = [1, 1e300] puts the columns 1e300 apart in scale.  The rank
+    # test reads each |R_jj| against its own column's norm, so the full fit
+    # is regular: row 0 fixes beta_2 near 0 and the other rows' mean y = 3
+    # gives beta_1.  Without row 0 its interval overflows; with its
+    # leverage near 1 the downdate is singular.
     X = np.column_stack([np.ones(6), np.arange(6.0)])
     X[0] = [1.0, 1e300]
-    with pytest.raises(ValueError, match="^singular design$"):
-        loo_coverage(ols_fit(X, np.arange(6.0)), alpha=0.1, method="refit")
+    fit = ols_fit(X, np.arange(6.0))
+    assert np.allclose(fit.beta * [1.0, 1e300], [3.0, -3.0], rtol=1e-12)
+    with pytest.raises(ValueError, match="^x_new is too large"):
+        loo_coverage(fit, alpha=0.1, method="refit")
+    with pytest.raises(ValueError, match="excluding row 0: singular design"):
+        loo_coverage(fit, alpha=0.1, method="downdate")
+
+
+@pytest.mark.parametrize("c", [1e8, 1e10, 1e11, 1e-12])
+def test_scaling_one_column_keeps_the_fit_and_the_coverage(c):
+    # |R_jj| and column j's norm scale together, so the rank test accepts
+    # the design at any column scale, and only beta_j moves, by 1/c.
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(50, 2))
+    y = X @ [1.0, 2.0] + rng.normal(size=50)
+    base, fit = ols_fit(X, y), ols_fit(X * [1.0, c], y)
+    assert np.allclose(fit.beta, base.beta / [1.0, c], rtol=1e-9, atol=0)
+    for method in ("refit", "downdate"):
+        assert loo_coverage(fit, 0.1, method) == loo_coverage(base, 0.1, method)
 
 
 def test_loo_coverage_sample_size_guard():
