@@ -110,8 +110,8 @@ def _qr_fit(X, y) -> OlsFit:
     """The fit of a checked design, which it keeps."""
     n, p = X.shape
     q_mat, r_mat = np.linalg.qr(X)
-    # |R_jj| and column j's norm scale alike; hypot does not overflow.
-    if np.any(np.abs(np.diag(r_mat)) <= _RANK_TOL * np.hypot.reduce(X, axis=0)):
+    # Column j of R has column j of X's norm; hypot does not overflow.
+    if np.any(np.abs(np.diag(r_mat)) <= _RANK_TOL * np.hypot.reduce(r_mat, axis=0)):
         raise ValueError("singular design")
     beta = np.linalg.solve(r_mat, q_mat.T @ y)
     resid = y - X @ beta
