@@ -82,8 +82,7 @@ def nn_test_pvalue(reference_nn, query_nn_distance: float) -> float:
     p = (1 + #{i : reference[i] <= query}) / (n + 1).  Ties count as
     at-most; the plus-one correction makes the test exact under
     exchangeability.  Small p means the query's nearest-neighbor
-    distance is suspiciously small.  ``query_nn_distance`` follows the
-    number rule, with any value but NaN allowed.
+    distance is suspiciously small.  Number rule: the query is not NaN.
     """
     _check_number("query_nn_distance", query_nn_distance, "be a number, not NaN", lambda q: True)
     ref = np.asarray(reference_nn, dtype=float).reshape(-1)

@@ -82,15 +82,16 @@ class BoundInputs:
     def __post_init__(self):
         _check_number("theta", self.theta, "lie in [0, 1/4]", lambda t: 0 <= t <= 0.25)
         for name in ("delta_prime", "delta_double_prime"):
-            _check_number(name, getattr(self, name), "be finite and >= 0",
-                          lambda d: 0 <= d < math.inf)
+            _check_number(name, getattr(self, name), "lie in [0, inf)", lambda d: 0 <= d < math.inf)
         _check_bound_n(self.n)
 
 
 def _check_int(name, value, low, high=math.inf, rule=None) -> None:
     """The integer rule: ``value`` is an integer (not a bool) in [low, high],
     else ``ValueError`` says ``name`` must ``rule`` (by default, that range)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    # type() spares a plain int (a float, below) the slow ABC isinstance test.
+    if (type(value) is not int
+            and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
             or not low <= value <= high):
         span = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must {rule or 'be an integer ' + span}, got {value!r}")
@@ -99,8 +100,9 @@ def _check_int(name, value, low, high=math.inf, rule=None) -> None:
 def _check_number(name, value, rule, ok) -> None:
     """The number rule: ``value`` is a real (not a bool, not NaN) for which
     ``ok`` holds, else ``ValueError`` says ``name`` must ``rule``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value
-            or not ok(value)):
+    if (type(value) is not float
+            and (isinstance(value, bool) or not isinstance(value, numbers.Real))
+            or value != value or not ok(value)):
         raise ValueError(f"{name} must {rule}, got {value!r}")
 
 

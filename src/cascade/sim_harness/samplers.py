@@ -28,7 +28,7 @@ def zipf_probabilities(N: int, s: float) -> np.ndarray:
     """p_i proportional to 1/i^s for i = 1..N, normalized exactly.  N
     follows the integer rule (>= 1) and s the number rule (finite)."""
     _check_int("N", N, 1)
-    _check_number("s", s, "be finite", np.isfinite)
+    _check_number("s", s, "be finite", lambda v: -np.inf < v < np.inf)
     weights = 1.0 / np.arange(1, N + 1, dtype=float) ** s
     return weights / weights.sum()
 
