@@ -67,7 +67,7 @@ def coverage_fraction(D, r: float) -> LooEstimate:
     _check_number("r", r, "be a nonnegative number, not NaN", lambda v: v >= 0)
     nn = nn_loo_distances(D)
     hits = int(np.sum(nn <= r))
-    return LooEstimate.from_hits(hits, nn.size)
+    return LooEstimate(n=nn.size, hits=hits)
 
 
 def coincidence_mse_bound(n: int) -> float:

@@ -212,7 +212,7 @@ def loo_coverage(fit: OlsFit, alpha: float, method: str = "refit") -> LooEstimat
         flags = _loo_flags_downdate(fit, alpha)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return LooEstimate.from_hits(int(flags.sum()), fit.n)
+    return LooEstimate(n=fit.n, hits=int(flags.sum()))
 
 
 def holdout_coverage(fit: OlsFit, test_X, test_y, alpha: float) -> float:

@@ -30,28 +30,25 @@ class LooEstimate:
 
     Attributes
     ----------
-    value : float
-        The estimate, always in [0, 1].
     n : int
         Sample size, an integer >= 1 by the integer rule.
     hits : int
         Number of indices i whose point belongs to the region built
         from the remaining n - 1 points, an integer in [0, n] by the rule.
+    value : float
+        The estimate ``hits / n``, always in [0, 1] (read-only).
     """
 
-    value: float
     n: int
     hits: int
 
     def __post_init__(self):
         _check_int("n", self.n, 1)
         _check_int("hits", self.hits, 0, self.n, "be an integer in [0, n], the hit count")
-        if self.value != self.hits / self.n:
-            raise ValueError("value must equal hits / n exactly")
 
-    @classmethod
-    def from_hits(cls, hits: int, n: int) -> "LooEstimate":
-        return cls(value=hits / n, n=n, hits=hits)
+    @property
+    def value(self) -> float:
+        return self.hits / self.n
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ def loo_estimate(oracle, sample) -> LooEstimate:
         rest = sample[:i] + sample[i + 1:]
         if member(sample[i], rest):
             hits += 1
-    return LooEstimate.from_hits(hits, n)
+    return LooEstimate(n=n, hits=hits)
 
 
 def loo_mse_bound(b: BoundInputs) -> float:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from ..loo_core import _check_number
+from ..loo_core import _check_int, _check_number
 
 __all__ = [
     "BoundReportRow",
@@ -53,8 +54,10 @@ def _plain(value):
 class BoundReportRow:
     """One (scenario, n) verification result.
 
-    ``passed`` must equal ``empirical_mse <= bound``; ``std_err``
-    follows the number rule, >= 0; extras carry scenario-specific
+    ``n`` and ``replications`` follow the integer rule, >= 1;
+    ``empirical_mse`` and ``bound`` the number rule, finite and >= 0, and
+    ``std_err`` the number rule, >= 0.  ``passed`` must equal
+    ``empirical_mse <= bound``; extras carry scenario-specific
     diagnostics (probe counts, companion bounds, mean estimates, ...).
     """
 
@@ -69,6 +72,11 @@ class BoundReportRow:
 
     def __post_init__(self):
         self.extras = _plain(self.extras)
+        _check_int("n", self.n, 1)
+        _check_int("replications", self.replications, 1)
+        for name in ("empirical_mse", "bound"):
+            _check_number(name, getattr(self, name), "be finite and >= 0",
+                          lambda v: 0 <= v < math.inf)
         _check_number("std_err", self.std_err, "be nonnegative", lambda v: v >= 0)
         if self.passed != (self.empirical_mse <= self.bound):
             raise ValueError("pass flag inconsistent with the two values")

@@ -31,7 +31,6 @@ its own stream (tag suffix "/population").
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -57,7 +56,7 @@ from ..convex_volume import (
     volume_interval,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage, ols_fit
-from ..loo_core import _check_int, size_estimate
+from ..loo_core import _check_int, _check_number, size_estimate
 from ..poset_estimators import (
     Antichain,
     ProductOrder,
@@ -210,34 +209,29 @@ def default_config(name: str, seed: int = 42, replications: int | None = None) -
     )
 
 
-def _typed(default, value):
+def _typed(key, default, value):
     """``value`` in the type of the param default ``default`` (a tuple
-    of the element type for a list), or None where it has not that shape.
+    of the element type for a list), else a ``ValueError`` naming
+    ``params key``; a list is checked element by element.
 
     Every integer param is a size or a count, so it must be at least 1.
     A mapping is kept as it is; ``_check_ranges`` keys ``boxes`` by d.
     """
+    name = f"params {key!r}"
     if isinstance(default, dict):
-        return value if isinstance(value, dict) else None
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a mapping, got {value!r}")
+        return value
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
-            return None
-        items = tuple(_typed(default[0], v) for v in value)
-        return None if None in items else items
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(key, default[0], v) for v in value)
     if isinstance(default, int):
-        return int(value) if isinstance(value, numbers.Integral) and value >= 1 else None
-    # Also None for NaN, and for an integer too large to be a float.
-    return float(value) if abs(value) <= sys.float_info.max else None
-
-
-def _shape(default) -> str:
-    if isinstance(default, dict):
-        return "a mapping"
-    if isinstance(default, tuple):
-        return "a list of " + ("integers >= 1" if isinstance(default[0], int) else "finite numbers")
-    return "an integer >= 1" if isinstance(default, int) else "a finite number"
+        _check_int(name, value, 1)
+        return int(value)
+    # Also rejects an integer too large to be a float.
+    _check_number(name, value, "be a finite number", lambda v: abs(v) <= sys.float_info.max)
+    return float(value)
 
 
 def _merged_params(cfg: ScenarioConfig) -> dict:
@@ -249,9 +243,7 @@ def _merged_params(cfg: ScenarioConfig) -> dict:
     for key, value in cfg.params.items():
         if key not in defaults:
             raise ValueError(f"unknown params key {key!r} for scenario {cfg.scenario!r}")
-        params[key] = _typed(defaults[key], value)
-        if params[key] is None:
-            raise ValueError(f"params {key!r} must be {_shape(defaults[key])}, got {value!r}")
+        params[key] = _typed(key, defaults[key], value)
     _check_ranges(cfg, params)
     return params
 
@@ -275,12 +267,12 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
         # A JSON key is a string, a Python one may be an int.
         given = {str(k): v for k, v in params["boxes"].items()}
         stray = sorted(set(given) - {str(d) for d in dims})
-        if stray and "boxes" in cfg.params:  # the default boxes key every d
+        # The default boxes key every d, also where default_config copied them.
+        if stray and params["boxes"] != _DEFAULTS[cfg.scenario]["params"]["boxes"]:
             raise ValueError(f"params 'boxes' keys {stray} are not a d in 'dims' {list(dims)}")
-        boxes = {d: _typed(((0.0,),), given.get(str(d))) for d in dims}
+        boxes = {d: _typed("boxes", ((0.0,),), given.get(str(d), ())) for d in dims}
         for d, box in boxes.items():
-            need(box is not None and len(box) == d
-                 and all(len(b) == 2 and b[0] < b[1] for b in box),
+            need(len(box) == d and all(len(b) == 2 and b[0] < b[1] for b in box),
                  "boxes", f"give {d} intervals (low < high) for d = {d}")
         params["boxes"] = boxes
     if "corr" in params:
@@ -863,11 +855,6 @@ def _run_chunk(args):
     return [rep(ctx, rng_for(seed, ctx["tag"], ctx["n"], k)) for k in range(lo, hi)]
 
 
-def _is_int(value) -> bool:
-    # JSON's true and false are Python bools, which are Integral too.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def validate_config(cfg: ScenarioConfig) -> dict:
     """Check a config's scenario, n grid, replications, seed and params
     without building its cells; return the params, each in its default's
@@ -879,20 +866,12 @@ def validate_config(cfg: ScenarioConfig) -> dict:
     if not cfg.n_grid:
         raise ValueError("n_grid is empty")
     for n in cfg.n_grid:
-        if not _is_int(n):
-            raise ValueError(f"n_grid entries must be integers, got {n!r}")
-        if n < 3:
-            raise ValueError(f"every n in n_grid must be at least 3, got {n}")
+        _check_int("n_grid entries", n, 3, rule="be integers, each at least 3")
     if len(set(cfg.n_grid)) < len(cfg.n_grid):
         raise ValueError(f"n_grid must not repeat an n, got {list(cfg.n_grid)}")
-    if _typed(1, cfg.replications) is None:
-        raise ValueError(f"replications must be {_shape(1)}, got {cfg.replications!r}")
-    if not _is_int(cfg.seed):
-        raise ValueError(f"seed must be an integer, got {cfg.seed!r}")
-    # child_seed reads the seed modulo 2**64, so a seed outside that range
-    # would alias one inside it.
-    if not 0 <= cfg.seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {cfg.seed}")
+    _check_int("replications", cfg.replications, 1)
+    # child_seed's range, checked before any scenario runs.
+    _check_int("seed", cfg.seed, 0, 2**64 - 1, rule="be an integer in [0, 2**64)")
     return _merged_params(cfg)
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..loo_core import _check_int
+
 __all__ = ["fnv1a64", "mix64", "child_seed", "rng_for"]
 
 _MASK = (1 << 64) - 1
@@ -46,12 +48,16 @@ def mix64(z: int) -> int:
 
 
 def child_seed(seed: int, tag: str, n: int, k: int) -> int:
-    """Derived 64-bit seed for replication k of cell (tag, n)."""
-    h = fnv1a64(tag.encode("utf-8"))
-    z = mix64((h ^ (seed & _MASK)) & _MASK)
-    z = mix64(z ^ (n & _MASK))
-    z = mix64(z ^ (k & _MASK))
-    return z
+    """Derived 64-bit seed for replication k of cell (tag, n): ``seed`` is
+    an integer in [0, 2**64), ``n`` and ``k`` integers >= 0 (integer rule),
+    read modulo 2**64."""
+    _check_int("seed", seed, 0, _MASK, rule="be an integer in [0, 2**64)")
+    _check_int("n", n, 0)
+    _check_int("k", k, 0)
+    # mix64 reduces its argument modulo 2**64.
+    z = mix64(fnv1a64(tag.encode("utf-8")) ^ seed)
+    z = mix64(z ^ n)
+    return mix64(z ^ k)
 
 
 def rng_for(seed: int, tag: str, n: int, k: int) -> np.random.Generator:

@@ -56,7 +56,7 @@ def good_turing(sample) -> LooEstimate:
     n = int(sum(values))
     if n == 0:
         raise ValueError("empty sample")
-    return LooEstimate.from_hits(operator.countOf(values, 1), n)
+    return LooEstimate(n=n, hits=operator.countOf(values, 1))
 
 
 def _check_probabilities(probabilities) -> np.ndarray:

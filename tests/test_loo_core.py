@@ -44,20 +44,21 @@ def test_empty_sample_rejected():
         loo_estimate(equality_oracle, [])
 
 
-def test_from_hits_validates():
-    est = LooEstimate.from_hits(3, 10)
+def test_value_is_hits_over_n():
+    est = LooEstimate(n=10, hits=3)
     assert est.value == 0.3
     with pytest.raises(ValueError, match="hit count"):
-        LooEstimate.from_hits(11, 10)
-    with pytest.raises(ValueError, match="value must equal hits / n"):
+        LooEstimate(n=10, hits=11)
+    # value is read from the counts, never stored beside them.
+    with pytest.raises(TypeError):
         LooEstimate(value=0.4, n=10, hits=3)
 
 
 @pytest.mark.parametrize("n, hits, name", [(2.5, 1, "n"), (4, 1.0, "hits"), (True, 1, "n"),
-                                           (4, False, "hits")])
+                                           (4, False, "hits"), (0, 0, "n"), ("3", 1, "n")])
 def test_estimate_counts_must_be_integers(n, hits, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        LooEstimate.from_hits(hits, n)
+        LooEstimate(n=n, hits=hits)
 
 
 def test_bound_zero_inputs():

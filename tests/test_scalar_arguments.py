@@ -3,8 +3,10 @@ bool, at or above its floor; every number argument is a real, not a bool
 and not NaN, inside its function's range.  A bad one raises ``ValueError``
 whose message starts with the argument's name."""
 
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,14 @@ from cascade import (
     volume_interval,
 )
 from cascade import sim_harness
-from cascade.sim_harness import BoundReportRow, ScenarioConfig, run_scenario
+from cascade.sim_harness import (
+    BoundReportRow,
+    ScenarioConfig,
+    child_seed,
+    rng_for,
+    run_scenario,
+    validate_config,
+)
 from cascade.sim_harness.ball_mass import cap_union_bracket
 from cascade.sim_harness.samplers import (
     equicorrelation_cholesky,
@@ -61,8 +70,8 @@ def rng():
 # the argument set to v).  An integer argument must also reject every
 # infinity and 2.5; a number argument lists the infinities outside its range.
 TABLE = [
-    ("LooEstimate", "n", int, 4, (0,), lambda v: LooEstimate(value=0.25, n=v, hits=1)),
-    ("LooEstimate", "hits", int, 1, (-1, 5), lambda v: LooEstimate(value=0.25, n=4, hits=v)),
+    ("LooEstimate", "n", int, 4, (0,), lambda v: LooEstimate(n=v, hits=1)),
+    ("LooEstimate", "hits", int, 1, (-1, 5), lambda v: LooEstimate(n=4, hits=v)),
     ("BoundInputs", "theta", float, 0.1, (-0.1, 0.3, inf, -inf),
      lambda v: BoundInputs(v, 0.0, 0.0, 5)),
     ("BoundInputs", "delta_prime", float, 0.0, (-1e-9, inf, -inf),
@@ -99,8 +108,28 @@ TABLE = [
     ("loo_coverage", "alpha", float, 0.1, (0.0, 1.0, inf, -inf), lambda v: loo_coverage(FIT, v)),
     ("holdout_coverage", "alpha", float, 0.1, (0.0, 1.0, inf, -inf),
      lambda v: holdout_coverage(FIT, X, Y, v)),
+    ("BoundReportRow", "n", int, 5, (0,), lambda v: BoundReportRow("x", v, 10, 0.1, 0.0, 0.25, True)),
+    ("BoundReportRow", "replications", int, 10, (0,),
+     lambda v: BoundReportRow("x", 5, v, 0.1, 0.0, 0.25, True)),
+    ("BoundReportRow", "empirical_mse", float, 0.1, (-0.1, inf, -inf),
+     lambda v: BoundReportRow("x", 5, 10, v, 0.0, 0.25, True)),
     ("BoundReportRow", "std_err", float, 0.0, (-0.1, -inf),
      lambda v: BoundReportRow("x", 5, 10, 0.1, v, 0.25, True)),
+    ("BoundReportRow", "bound", float, 0.25, (-0.1, inf, -inf),
+     lambda v: BoundReportRow("x", 5, 10, 0.1, 0.0, v, True)),
+    # The config layer: validate_config checks a ScenarioConfig, naming
+    # each param as params 'key'.
+    ("ScenarioConfig", "replications", int, 2, (0,),
+     lambda v: validate_config(ScenarioConfig("upset_chain", (12,), v))),
+    ("ScenarioConfig", "seed", int, 5, (-1, 2**64),
+     lambda v: validate_config(ScenarioConfig("upset_chain", (12,), 2, seed=v))),
+    ("ScenarioConfig", "n_grid entries", int, 12, (2,),
+     lambda v: validate_config(ScenarioConfig("upset_chain", (v,), 2))),
+    ("ScenarioConfig", "params 'N'", int, 100, (0,),
+     lambda v: validate_config(ScenarioConfig("unseen_uniform", (12,), 2, params={"N": v}))),
+    ("ScenarioConfig", "params 'x_scale'", float, 1.5, (10**400, inf, -inf),
+     lambda v: validate_config(
+         ScenarioConfig("coverage_linear", (12,), 2, params={"x_scale": v}))),
     ("run_scenario", "workers", int, 1, (0,),
      lambda v: run_scenario(ScenarioConfig("upset_chain", (12,), 2, seed=5), workers=v)),
     ("random_forest", "min_nodes", int, 2, (0, 6), lambda v: random_forest(rng(), v, 5)),
@@ -118,6 +147,12 @@ TABLE = [
     ("equicorrelation_cholesky", "corr", float, 0.2, (-0.5, 1.0, inf, -inf),
      lambda v: equicorrelation_cholesky(3, v)),
     ("cap_union_bracket", "c", float, 0.5, (0.0, -inf), lambda v: cap_union_bracket(np.eye(2), v, 3)),
+    ("child_seed", "seed", int, 5, (-1, 2**64), lambda v: child_seed(v, "t", 1, 1)),
+    ("child_seed", "n", int, 0, (-1,), lambda v: child_seed(5, "t", v, 1)),
+    ("child_seed", "k", int, 0, (-1,), lambda v: child_seed(5, "t", 1, v)),
+    ("rng_for", "seed", int, 5, (-1, 2**64), lambda v: rng_for(v, "t", 1, 1)),
+    ("rng_for", "n", int, 0, (-1,), lambda v: rng_for(5, "t", v, 1)),
+    ("rng_for", "k", int, 0, (-1,), lambda v: rng_for(5, "t", 1, v)),
 ]
 
 # Public callables that take no integer or number argument (a bool flag
@@ -137,11 +172,8 @@ UNCHECKED = {
     "OlsFit": "a result record that ols_fit builds",
     "PredictionInterval": "a result record that predict_interval builds",
     "VolumeEstimate": "a result record that volume_interval builds",
-    "ScenarioConfig": "the config layer: validate_config checks it, naming config keys",
     "default_config": "the config layer: validate_config checks what it returns",
     "mix64": "reduces any integer modulo 2**64",
-    "child_seed": "reduces any integer modulo 2**64; run_scenario passes checked values",
-    "rng_for": "reduces any integer modulo 2**64; run_scenario passes checked values",
 }
 
 
@@ -181,3 +213,21 @@ def test_every_public_callable_is_in_the_table_or_listed():
         fn = getattr(cascade, name, None) or getattr(sim_harness, name)
         annotations = [p.annotation for p in inspect.signature(fn).parameters.values()]
         assert not {"int", "float"} & set(annotations), name
+
+
+def _names_numbers(path) -> bool:
+    """Whether a module imports or reads the ``numbers`` ABCs."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and node.id == "numbers":
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            return True
+    return False
+
+
+def test_only_the_rules_and_good_turing_read_the_numbers_abcs():
+    # The two rules in loo_core are the one place a scalar's type is
+    # tested; good_turing keeps a per-type count test for speed.
+    src = Path(cascade.__file__).parent
+    readers = {p.relative_to(src).as_posix() for p in src.rglob("*.py") if _names_numbers(p)}
+    assert readers == {"loo_core.py", "unseen_species.py"}

@@ -24,6 +24,7 @@ from cascade.sim_harness import (
     rng_for,
     run_scenario,
     strip_comment_lines,
+    validate_config,
 )
 from cascade.sim_harness.samplers import (
     equicorrelation_cholesky,
@@ -227,6 +228,13 @@ def test_numpy_scalars_become_builtin_in_extras():
     assert back.extras == {"a": 1.5, "b": 3, "c": True}
 
 
+def test_a_nan_mse_row_does_not_parse():
+    text = report_text(_sample_rows(), fmt="csv", timestamp=False)
+    text = text.replace("0.0123456789012345", "nan")
+    with pytest.raises(ValueError, match="^empirical_mse must be finite and >= 0, got nan"):
+        parse_report_csv(text)
+
+
 def test_header_mismatch_rejected():
     with pytest.raises(ValueError, match="unexpected report header"):
         parse_report_csv("a,b,c\n1,2,3\n")
@@ -280,6 +288,18 @@ def test_config_validation():
         run_scenario(ScenarioConfig("upset_chain", (10,), 2, params=[1]))
     with pytest.raises(ValueError, match="seed must be an integer"):
         run_scenario(ScenarioConfig("upset_chain", (10,), 2, seed=2.7))
+
+
+def test_default_config_with_fewer_dims_keeps_the_default_boxes():
+    # default_config copies the default boxes into params, so dims alone
+    # may shrink without a stray-key error; a given box keyed 3 still fails.
+    cfg = default_config("hull_rect")
+    cfg.params["dims"] = [2]
+    params = validate_config(cfg)
+    assert params["dims"] == (2,) and params["boxes"] == {2: ((0.0, 4.0), (0.0, 2.0))}
+    cfg.params["boxes"] = {2: ((0.0, 4.0), (0.0, 2.0)), 3: ((0.0, 2.0),) * 3}
+    with pytest.raises(ValueError, match=r"params 'boxes' keys \['3'\] are not a d"):
+        validate_config(cfg)
 
 
 _TINY = {
