@@ -329,6 +329,12 @@ def _cmd_coverage(args) -> int:
 
 
 def _configs_from_args(args) -> list[ScenarioConfig]:
+    given = {"--config": args.config, "--all": args.all, "--scenario": args.scenario,
+             "--reps": args.reps is not None}
+    for first, second in (("--config", "--all"), ("--config", "--scenario"),
+                          ("--config", "--reps"), ("--all", "--scenario")):
+        if given[first] and given[second]:
+            raise ValueError(f"{first} cannot be combined with {second}")
     if args.config:
         raw = json.loads(_read_text(args.config))
         if isinstance(raw, dict):

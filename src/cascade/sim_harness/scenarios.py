@@ -16,16 +16,19 @@ and reports its half-width, and where that half-width exceeds
 probe count, reports the probe standard error, and is counted in
 ``probe_fallbacks``.
 
-A family supplies base cell contexts, one replication drawn from a
-given generator, and its rows.  A cell context is the scenario's params
-as ``validate_config`` returns them, each in its default's type, plus
+A family supplies base cell contexts, one replication's record drawn
+from a given generator, and the rows it builds from its cell and the
+cell's float columns.  A cell context is the scenario's params as
+``validate_config`` returns them, each in its default's type, plus
 what the family derives from them (a hull's d and support, a Kimura
 matrix); a family that derives nothing takes the params alone.  The
-runner expands the n grid, cuts the
-same chunks at any worker count and hands replication k the generator
-``rng_for(seed, tag, n, k)``, so results do not depend on scheduling;
-aggregation runs in replication order.  ``dna_split``'s population has
-its own stream (tag suffix "/population").
+runner adds the scenario name, the replication count and n, expands
+the n grid, cuts the same chunks at any worker count and hands
+replication k the generator ``rng_for(seed, tag, n, k)``, so results
+do not depend on scheduling.  It stacks a cell's records, in
+replication order, into one float column per record key; a None reads
+as NaN, the one "undefined" value.  ``dna_split``'s population has its
+own stream (tag suffix "/population").
 """
 
 from __future__ import annotations
@@ -303,24 +306,18 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
              f"hold the reference and both null samples, 2 * {split[0]} + {split[1]}")
 
 
-def _sq_err_row(scenario, n, reps, est, truth, bound, extras) -> BoundReportRow:
-    err = (np.asarray(est, dtype=float) - np.asarray(truth, dtype=float)) ** 2
-    mse = float(err.mean())
+def _row(ctx, value, std_err, bound, extras) -> BoundReportRow:
+    """The cell's report row: ``value`` is checked against ``bound``."""
+    return BoundReportRow(ctx["scenario"], ctx["n"], ctx["replications"], value, std_err,
+                          bound, bool(value <= bound), extras)
+
+
+def _sq_err_row(ctx, est, truth, bound, extras) -> BoundReportRow:
+    """The row of the columns' mean squared error and its standard error."""
+    err = (est - truth) ** 2
+    reps = ctx["replications"]
     se = float(err.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return BoundReportRow(
-        scenario=scenario,
-        n=n,
-        replications=reps,
-        empirical_mse=mse,
-        std_err=se,
-        bound=bound,
-        passed=bool(mse <= bound),
-        extras=extras,
-    )
-
-
-def _mean(values) -> float:
-    return float(np.mean(np.asarray(values, dtype=float)))
+    return _row(ctx, float(err.mean()), se, bound, extras)
 
 
 # ---------------------------------------------------------------- unseen
@@ -343,20 +340,18 @@ def _unseen_rep(ctx, rng):
     return {"est": est, "truth": truth}
 
 
-def _unseen_finish(ctx, cfg, records):
+def _unseen_finish(ctx, cols):
     n, N = ctx["n"], ctx["N"]
-    est = [r["est"] for r in records]
-    truth = [r["truth"] for r in records]
     three_term, cap = unseen_bound(n)
     extras = {
         "bound_three_term": three_term,
         "bound_cap": cap,
         "bound_general_dist": unseen_bound_general(ctx["probs"], n),
-        "mean_estimate": _mean(est),
-        "mean_truth": _mean(truth),
+        "mean_estimate": cols["est"].mean(),
+        "mean_truth": cols["truth"].mean(),
         "N": N,
     }
-    row = _sq_err_row(cfg.scenario, n, cfg.replications, est, truth, three_term, extras)
+    row = _sq_err_row(ctx, cols["est"], cols["truth"], three_term, extras)
     if "s" not in ctx:  # uniform labels
         finite = unseen_bound_finite_N(n, N)
         row.extras["bound_finite_N"] = finite
@@ -433,44 +428,38 @@ def _hull_rep(ctx, rng):
                 abs(est - defect) <= math.sqrt(conv_mse_bound(n, d) / alpha)
             )
         else:
-            rec["ratio"] = None
+            rec.update(dict.fromkeys(("ratio", "ci_cover", "ci_two_sided_cover", "mse_event")))
     return rec
 
 
-def _hull_finish(ctx, cfg, records):
+def _hull_finish(ctx, cols):
     n, d = ctx["n"], ctx["d"]
-    est = [r["est"] for r in records]
-    defect = [r["defect"] for r in records]
-    prev = [r["defect_prev"] for r in records]
-    steps = np.abs(np.asarray(defect) - np.asarray(prev))
+    est, defect, prev = cols["est"], cols["defect"], cols["defect_prev"]
+    steps = np.abs(defect - prev)
     step_bound = consecutive_defect_bound(n, d)
     extras = {
         "d": d,
-        "mean_extreme_count": _mean([r["extreme"] for r in records]),
-        "mean_hull_volume": _mean([r["hull_volume"] for r in records]),
-        "mean_defect": _mean(defect),
-        "mean_abs_defect_step": float(steps.mean()),
+        "mean_extreme_count": cols["extreme"].mean(),
+        "mean_hull_volume": cols["hull_volume"].mean(),
+        "mean_defect": defect.mean(),
+        "mean_abs_defect_step": steps.mean(),
         "defect_step_bound": step_bound,
         "defect_step_pass": bool(steps.mean() <= step_bound),
-        "mse_vs_prev_defect": _mean(
-            (np.asarray(est) - np.asarray(prev)) ** 2
-        ),
+        "mse_vs_prev_defect": ((est - prev) ** 2).mean(),
         # Every hull truth is exact: no probes, no probe error.
         "probe_se_max": 0.0,
         "probe_count": 0,
     }
     if ctx["support_volume"] is not None:
-        defined = [r for r in records if r["ratio"] is not None]
+        defined = ~np.isnan(cols["ratio"])
         extras["alpha"] = ctx["alpha"]
-        extras["ratio_defined"] = len(defined)
-        if defined:
-            extras["mean_volume_ratio"] = _mean([r["ratio"] for r in defined])
-            extras["ci_coverage"] = _mean([r["ci_cover"] for r in defined])
-            extras["ci_two_sided_coverage"] = _mean([r["ci_two_sided_cover"] for r in defined])
-            extras["mse_event_rate"] = _mean([r["mse_event"] for r in defined])
-    return [
-        _sq_err_row(cfg.scenario, n, cfg.replications, est, defect, conv_mse_bound(n, d), extras)
-    ]
+        extras["ratio_defined"] = int(defined.sum())
+        if defined.any():
+            extras["mean_volume_ratio"] = cols["ratio"][defined].mean()
+            extras["ci_coverage"] = cols["ci_cover"][defined].mean()
+            extras["ci_two_sided_coverage"] = cols["ci_two_sided_cover"][defined].mean()
+            extras["mse_event_rate"] = cols["mse_event"][defined].mean()
+    return [_sq_err_row(ctx, est, defect, conv_mse_bound(n, d), extras)]
 
 
 # ----------------------------------------------------------------- poset
@@ -551,23 +540,21 @@ def _poset_rep(ctx, rng):
     }
 
 
-def _poset_finish(ctx, cfg, records):
+def _poset_finish(ctx, cols):
     n = ctx["n"]
-    est = [r["est"] for r in records]
-    truth = [r["truth"] for r in records]
-    defined = [r["size_est"] for r in records if r["size_est"] is not None]
+    size_est = cols["size_est"][~np.isnan(cols["size_est"])]
     extras = {
         "variant": ctx["variant"],
         "bound_cap": (7.0 if ctx["convex"] else 3.5) / n,
-        "size_estimate_defined": len(defined),
-        "mean_size_estimate": _mean(defined) if defined else None,
+        "size_estimate_defined": size_est.size,
+        "mean_size_estimate": size_est.mean() if size_est.size else None,
     }
     if ctx["variant"] == "forest":
-        extras["mean_forest_size"] = _mean([r["ground"] for r in records])
+        extras["mean_forest_size"] = cols["ground"].mean()
     else:
         extras["ground_size"] = ctx["ground"]
     bound = poset_convex_mse_bound(n) if ctx["convex"] else upset_mse_bound(n)
-    return [_sq_err_row(cfg.scenario, n, cfg.replications, est, truth, bound, extras)]
+    return [_sq_err_row(ctx, cols["est"], cols["truth"], bound, extras)]
 
 
 # ------------------------------------------------------------- coincide
@@ -580,26 +567,20 @@ def _coincide_rep(ctx, rng):
     return {"w": w, "truth": disk_union_area(pts, ctx["radii"]).tolist()}
 
 
-def _coincide_finish(ctx, cfg, records):
-    n = ctx["n"]
+def _coincide_finish(ctx, cols):
     rows = []
-    for j, r in enumerate(ctx["radii"]):
-        est = [rec["w"][j] for rec in records]
-        truth = [rec["truth"][j] for rec in records]
+    # One column per radius: the transposes' rows.
+    for r, est, truth in zip(ctx["radii"], cols["w"].T, cols["truth"].T):
         extras = {
             "r": r,
-            "mean_coverage": _mean(est),
-            "mean_truth": _mean(truth),
+            "mean_coverage": est.mean(),
+            "mean_truth": truth.mean(),
             # The disk-union truth is exact: no probes, no probe error.
             "probe_count": 0,
             "probe_se_mean": 0.0,
             "probe_se_max": 0.0,
         }
-        rows.append(
-            _sq_err_row(
-                cfg.scenario, n, cfg.replications, est, truth, coincidence_mse_bound(n), extras
-            )
-        )
+        rows.append(_sq_err_row(ctx, est, truth, coincidence_mse_bound(ctx["n"]), extras))
     return rows
 
 
@@ -664,11 +645,10 @@ def _dna_rep(ctx, rng):
     return {"ad_obs": ad_obs, "ad_null": ad_null}
 
 
-def _dna_finish(ctx, cfg, records):
+def _dna_finish(ctx, cols):
     from scipy.stats import ks_2samp
 
-    obs = np.array([r["ad_obs"] for r in records])
-    null = np.array([r["ad_null"] for r in records])
+    obs, null = cols["ad_obs"], cols["ad_null"]
     ks = float(ks_2samp(obs, null).statistic)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     extras = {
@@ -680,19 +660,7 @@ def _dna_finish(ctx, cfg, records):
         "mean_ad_obs": float(obs.mean()),
         "mean_ad_null": float(null.mean()),
     }
-    bound = ctx["ks_threshold"]
-    return [
-        BoundReportRow(
-            scenario=cfg.scenario,
-            n=ctx["n"],
-            replications=cfg.replications,
-            empirical_mse=ks,
-            std_err=0.0,
-            bound=bound,
-            passed=bool(ks <= bound),
-            extras=extras,
-        )
-    ]
+    return [_row(ctx, ks, 0.0, ctx["ks_threshold"], extras)]
 
 
 # ------------------------------------------------------------- coverage
@@ -717,21 +685,16 @@ def _coverage_rep(ctx, rng):
     return {"est": est, "truth": truth}
 
 
-def _coverage_finish(ctx, cfg, records):
-    n = ctx["n"]
-    est = [r["est"] for r in records]
-    truth = [r["truth"] for r in records]
+def _coverage_finish(ctx, cols):
     extras = {
         "alpha": ctx["alpha"],
         "x_scale": ctx["x_scale"],
         "holdout_size": ctx["holdout"],
-        "mean_loo_coverage": _mean(est),
-        "mean_holdout_coverage": _mean(truth),
+        "mean_loo_coverage": cols["est"].mean(),
+        "mean_holdout_coverage": cols["truth"].mean(),
         "bound_kind": "calibrated_envelope_0.25_over_n",
     }
-    return [
-        _sq_err_row(cfg.scenario, n, cfg.replications, est, truth, 0.25 / n, extras)
-    ]
+    return [_sq_err_row(ctx, cols["est"], cols["truth"], 0.25 / ctx["n"], extras)]
 
 
 # ------------------------------------------------------------ aldous demo
@@ -783,13 +746,10 @@ def _aldous_rep(ctx, rng):
     return rec
 
 
-def _aldous_finish(ctx, cfg, records):
-    n = ctx["n"]
-    est = [r["est"] for r in records]
-    truth = [r["truth"] for r in records]
-    gaps = np.abs(np.asarray(est) - np.asarray(truth))
-    halfwidths = np.array([r["halfwidth"] for r in records])
-    origin_freq = _mean([r["origin"] for r in records])
+def _aldous_finish(ctx, cols):
+    est, truth, halfwidths = cols["est"], cols["truth"], cols["halfwidth"]
+    gaps = np.abs(est - truth)
+    origin_freq = cols["origin"].mean()
     extras = {
         "value_kind": (
             "mse_vs_truth: exact with a sampled origin, else the midpoint of a certified"
@@ -798,19 +758,17 @@ def _aldous_finish(ctx, cfg, records):
         ),
         "radius": _DEMO_RADIUS,
         "probe_count": ctx["probes"],
-        "probe_fallbacks": sum(r["fallback"] for r in records),
+        "probe_fallbacks": int(cols["fallback"].sum()),
         "mode_zero_freq": 1.0 - origin_freq,
         "mode_one_freq": origin_freq,
-        "mean_abs_gap": float(gaps.mean()),
-        "max_probe_se": float(max(r["probe_se"] for r in records)),
-        "truth_halfwidth_max": float(halfwidths.max()),
+        "mean_abs_gap": gaps.mean(),
+        "max_probe_se": cols["probe_se"].max(),
+        "truth_halfwidth_max": halfwidths.max(),
         # The squared error at the bracket's worst end, rep by rep.
-        "mse_upper": float(np.mean((gaps + halfwidths) ** 2)),
-        "mean_truth": _mean(truth),
+        "mse_upper": ((gaps + halfwidths) ** 2).mean(),
+        "mean_truth": truth.mean(),
     }
-    return [
-        _sq_err_row(cfg.scenario, n, cfg.replications, est, truth, 0.05**2, extras)
-    ]
+    return [_sq_err_row(ctx, est, truth, 0.05**2, extras)]
 
 
 # ------------------------------------------------------------ the runner
@@ -823,7 +781,7 @@ def _params_cell(cfg, params):
 class _Family(NamedTuple):
     cells: Callable  # (cfg, params) -> base contexts: one per hull d, else one
     rep: Callable  # (ctx, rng) -> one replication's record
-    finish: Callable  # (ctx, cfg, records) -> report rows
+    finish: Callable  # (ctx, cols) -> report rows
 
 
 _FAMILIES = {
@@ -839,19 +797,20 @@ _FAMILIES = {
 
 def _cells(cfg: ScenarioConfig) -> list:
     """The config's cell contexts, from ``validate_config``'s params: each
-    base context once per n of the grid, n inner (so hull cells run d by d)."""
+    base context once per n of the grid, n inner (so hull cells run d by d),
+    with the scenario name and replication count."""
     params = validate_config(cfg)
     family = _FAMILIES[_DEFAULTS[cfg.scenario]["family"]]
     return [
-        {"tag": cfg.scenario, **base, "n": n}
+        {"tag": cfg.scenario, **base, "scenario": cfg.scenario,
+         "replications": cfg.replications, "n": n}
         for base in family.cells(cfg, params)
         for n in cfg.n_grid
     ]
 
 
 def _run_chunk(args):
-    family, ctx, seed, lo, hi = args
-    rep = _FAMILIES[family].rep
+    rep, ctx, seed, lo, hi = args
     return [rep(ctx, rng_for(seed, ctx["tag"], ctx["n"], k)) for k in range(lo, hi)]
 
 
@@ -863,6 +822,8 @@ def validate_config(cfg: ScenarioConfig) -> dict:
         raise ValueError(f"scenario must be a string, got {cfg.scenario!r}")
     if cfg.scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
+    if not isinstance(cfg.n_grid, (list, tuple)):
+        raise ValueError(f"n_grid must be a list of sample sizes, got {cfg.n_grid!r}")
     if not cfg.n_grid:
         raise ValueError("n_grid is empty")
     for n in cfg.n_grid:
@@ -885,21 +846,23 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
     that is done with one cell moves on to the next instead of waiting
     for the other workers.  The pool holds at most one process per chunk
     and per CPU.  The result is byte-identical for any worker count
-    because replication k draws from ``rng_for(seed, tag, n, k)`` and
-    aggregation runs in replication order.
+    because replication k draws from ``rng_for(seed, tag, n, k)`` and a
+    cell's records are stacked into its columns in replication order.
     """
     _check_int("workers", workers, 1)
     cells = _cells(cfg)
-    family = _DEFAULTS[cfg.scenario]["family"]
+    family = _FAMILIES[_DEFAULTS[cfg.scenario]["family"]]
     bounds = np.linspace(0, cfg.replications, min(2 * workers, cfg.replications) + 1).astype(int)
     chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    jobs = [(family, cell, cfg.seed, lo, hi) for cell in cells for lo, hi in chunks]
+    jobs = [(family.rep, cell, cfg.seed, lo, hi) for cell in cells for lo, hi in chunks]
     pool_size = min(workers, len(chunks), os.cpu_count() or 1)
-    finish = _FAMILIES[family].finish
     rows = []
     with ProcessPoolExecutor(max_workers=pool_size) if workers > 1 else nullcontext() as pool:
         # Both maps yield in job order, which is replication order.
         results = (map if pool is None else pool.map)(_run_chunk, jobs)
         for cell in cells:
-            rows.extend(finish(cell, cfg, [rec for _ in chunks for rec in next(results)]))
+            records = [rec for _ in chunks for rec in next(results)]
+            # None reads as NaN; a list-valued key gives one column per entry.
+            cols = {k: np.array([r[k] for r in records], dtype=float) for k in records[0]}
+            rows.extend(family.finish(cell, cols))
     return rows

@@ -16,6 +16,8 @@ sequence population from "dna_split/population".
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..loo_core import _check_int
@@ -47,15 +49,23 @@ def mix64(z: int) -> int:
     return z
 
 
+@lru_cache(maxsize=256)
+def _tag_hash(tag: str) -> int:
+    # Every replication of a cell passes the same tag: hash it once.
+    return fnv1a64(tag.encode("utf-8"))
+
+
 def child_seed(seed: int, tag: str, n: int, k: int) -> int:
     """Derived 64-bit seed for replication k of cell (tag, n): ``seed`` is
     an integer in [0, 2**64), ``n`` and ``k`` integers >= 0 (integer rule),
-    read modulo 2**64."""
+    read modulo 2**64, and ``tag`` a string."""
     _check_int("seed", seed, 0, _MASK, rule="be an integer in [0, 2**64)")
     _check_int("n", n, 0)
     _check_int("k", k, 0)
+    if not isinstance(tag, str):
+        raise ValueError(f"tag must be a string, got {tag!r}")
     # mix64 reduces its argument modulo 2**64.
-    z = mix64(fnv1a64(tag.encode("utf-8")) ^ seed)
+    z = mix64(_tag_hash(tag) ^ seed)
     z = mix64(z ^ n)
     return mix64(z ^ k)
 

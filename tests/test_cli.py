@@ -1031,6 +1031,33 @@ def test_verify_requires_some_selection(capsys):
     assert "--all" in err
 
 
+@pytest.mark.parametrize(
+    "flags, first, second",
+    [
+        (["--all"], "--config", "--all"),
+        (["--scenario", "unseen_uniform"], "--config", "--scenario"),
+        (["--reps", "50"], "--config", "--reps"),
+        (["--reps", "50", "--scenario", "unseen_uniform", "--all"], "--config", "--all"),
+    ],
+)
+def test_verify_config_conflicts_with_other_selection_flags(
+    tmp_path, capsys, monkeypatch, flags, first, second
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "upset_chain", "n_grid": [10], "replications": 3}))
+    monkeypatch.setattr(cascade.cli, "run_scenario", lambda *a, **k: pytest.fail("ran"))
+    rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path), *flags)
+    assert rc == 2 and out == ""
+    assert f"{first} cannot be combined with {second}" in err
+
+
+def test_verify_all_conflicts_with_scenario(capsys, monkeypatch):
+    monkeypatch.setattr(cascade.cli, "run_scenario", lambda *a, **k: pytest.fail("ran"))
+    rc, out, err = run_cli(capsys, "verify", "--scenario", "upset_chain", "--all", "--reps", "3")
+    assert rc == 2 and out == ""
+    assert "--all cannot be combined with --scenario" in err
+
+
 def test_verify_coverage_at_a_tiny_design_scale(tmp_path, capsys):
     # The intervals do not depend on the scale of the design, so the
     # holdout coverage stays near the leave-one-out coverage at 1e-200.

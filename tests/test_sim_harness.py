@@ -58,6 +58,13 @@ def test_child_seeds_are_deterministic_and_distinct():
     }
     assert base not in others
     assert len(others) == 4
+    # The documented chain; the tag's hash is cached across calls.
+    for tag in ("scen", "other", "scen"):
+        h = fnv1a64(tag.encode("utf-8"))
+        assert child_seed(43, tag, 11, 4) == mix64(mix64(mix64(h ^ 43) ^ 11) ^ 4)
+    for bad in (None, ["scen"], b"scen"):
+        with pytest.raises(ValueError, match="tag must be a string"):
+            child_seed(42, bad, 10, 3)
 
 
 def test_mix_is_a_bijection_probe():
@@ -288,6 +295,10 @@ def test_config_validation():
         run_scenario(ScenarioConfig("upset_chain", (10,), 2, params=[1]))
     with pytest.raises(ValueError, match="seed must be an integer"):
         run_scenario(ScenarioConfig("upset_chain", (10,), 2, seed=2.7))
+    # An int is not iterable, and a string would be read letter by letter.
+    for bad in (20, "abc"):
+        with pytest.raises(ValueError, match="n_grid must be a list"):
+            validate_config(ScenarioConfig("upset_chain", bad, 2))
 
 
 def test_default_config_with_fewer_dims_keeps_the_default_boxes():
@@ -375,6 +386,29 @@ def test_every_scenario_produces_valid_rows(name):
         # report confirms the rows serialize.
         texts.append(report_text(rows, timestamp=False))
     assert texts[0] == texts[1], name
+
+
+def test_a_hull_whose_every_point_is_extreme_defines_no_ratio():
+    # Four points in 3-D are all extreme, so no replication has a volume
+    # ratio, and the NaN columns leave the ratio keys out.
+    (row,) = run_scenario(ScenarioConfig("hull_rect", (4,), 3, params={"dims": [3]}))
+    assert row.extras["ratio_defined"] == 0
+    for key in ("mean_volume_ratio", "ci_coverage", "ci_two_sided_coverage", "mse_event_rate"):
+        assert key not in row.extras
+
+
+def test_an_antichain_without_collisions_defines_no_size_estimate():
+    # Three labels out of 10**9 do not collide at this seed, so hits is 0.
+    (row,) = run_scenario(ScenarioConfig("upset_antichain", (3,), 3, params={"labels": 10**9}))
+    assert row.extras["size_estimate_defined"] == 0
+    assert row.extras["mean_size_estimate"] is None
+
+
+def test_a_chain_of_any_size_runs_without_building_its_ground_set():
+    # 10**15 integers would take 8 PB: the replications draw indices only.
+    (row,) = run_scenario(ScenarioConfig("upset_chain", (30,), 3, params={"size": 10**15}))
+    assert row.extras["ground_size"] == 10**15
+    assert row.extras["size_estimate_defined"] == 3
 
 
 def test_worker_count_does_not_change_results():
