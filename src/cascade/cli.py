@@ -49,7 +49,7 @@ from .sim_harness import (
     emit_plot_data,
     emit_report,
     report_text,
-    run_scenario,
+    run_scenarios,
     validate_config,
 )
 from .unseen_species import good_turing, unseen_bound
@@ -388,9 +388,7 @@ def _check_out_paths(paths: dict) -> None:
 
 def _cmd_verify(args) -> int:
     _check_out_paths({"--out": args.out, "--plot-out": args.plot_out})
-    rows = []
-    for cfg in _configs_from_args(args):
-        rows.extend(run_scenario(cfg, workers=args.workers))
+    rows = run_scenarios(_configs_from_args(args), workers=args.workers)
     _write_report(rows, args)
     if args.plot_out:
         emit_plot_data(rows, args.plot_out)
@@ -403,7 +401,7 @@ def _cmd_demo_aldous(args) -> int:
     _check_out_paths({"--out": args.out})
     cfg = default_config("aldous_demo", seed=args.seed, replications=args.reps)
     cfg.n_grid = (args.n,)
-    rows = run_scenario(cfg, workers=args.workers)
+    rows = run_scenarios([cfg], workers=args.workers)
     _write_report(rows, args)
     row = rows[0]
     print(

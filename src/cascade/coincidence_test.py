@@ -16,6 +16,7 @@ Anderson-Darling statistic used to compare distance distributions.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -85,11 +86,14 @@ def nn_test_pvalue(reference_nn, query_nn_distance: float) -> float:
     distance is suspiciously small.  Number rule: the query is not NaN.
     """
     _check_number("query_nn_distance", query_nn_distance, "be a number, not NaN", lambda q: True)
-    ref = np.asarray(reference_nn, dtype=float).reshape(-1)
+    try:  # asarray would read None as one NaN
+        ref = np.asarray(() if reference_nn is None else reference_nn, dtype=float).reshape(-1)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        ref = np.empty(0)
     if ref.size == 0:
-        raise ValueError("empty reference sample")
+        raise ValueError("reference_nn must be a nonempty list of distances")
     if np.isnan(ref).any():
-        raise ValueError("reference distances must not be NaN")
+        raise ValueError("reference_nn must not hold NaN")
     count = int(np.sum(ref <= query_nn_distance))
     return (1 + count) / (ref.size + 1)
 
@@ -114,6 +118,8 @@ class SequenceRecord:
     __slots__ = ("id", "bases")
 
     def __init__(self, id: str, bases: str, mask_ambiguous: bool = False):
+        if not isinstance(bases, str):
+            raise ValueError(f"bases must be a string, got {bases!r}")
         bases = bases.upper()
         if not bases:
             raise ValueError("empty sequence")
@@ -155,6 +161,8 @@ def kimura_matrix(records) -> np.ndarray:
     the high bit is a transversion; one in the low bit alone is a
     transition.
     """
+    if not isinstance(records, Iterable):
+        raise ValueError(f"records must be an iterable of SequenceRecord, got {records!r}")
     records = list(records)
     m = len(records)
     if m < 2:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -257,7 +258,11 @@ class TreeAncestor:
 
 def _as_sample(sample):
     # Arrays pass straight to the numpy witnesses; other iterables are listed.
-    return sample if isinstance(sample, np.ndarray) else list(sample)
+    if isinstance(sample, np.ndarray):
+        return sample
+    if not isinstance(sample, Iterable):
+        raise ValueError(f"sample must be an array or an iterable of elements, got {sample!r}")
+    return list(sample)
 
 
 def _witnesses(sample, oracle):

@@ -29,15 +29,23 @@ do not depend on scheduling.  It stacks a cell's records, in
 replication order, into one float column per record key; a None reads
 as NaN, the one "undefined" value.  ``dna_split``'s population has its
 own stream (tag suffix "/population").
+
+``run_scenarios`` runs a list of configs on one process pool: every
+chunk of every scenario is queued before any result is read, each
+worker receives the run's cell table once, and a job is a cell index
+and a replication range.  While it runs, the OpenBLAS libraries numpy
+and scipy loaded hold one thread each; their earlier counts come back
+when it returns or raises.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -87,6 +95,7 @@ __all__ = [
     "SCENARIO_NAMES",
     "default_config",
     "run_scenario",
+    "run_scenarios",
     "validate_config",
 ]
 
@@ -285,6 +294,9 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
         radii = params["radii"]
         need(radii and min(radii) >= 0.0 and len(set(radii)) == len(radii), "radii",
              "be a nonempty list of distinct numbers >= 0")
+    for key in ("size", "labels"):  # a poset ground set, drawn from as int64
+        if key in params:
+            need(params[key] <= 2**63 - 1, key, "be at most 2**63 - 1")
     if "max_nodes" in params:
         need(params["min_nodes"] <= params["max_nodes"], "min_nodes", "not exceed 'max_nodes'")
     if "beta" in params:
@@ -809,11 +821,6 @@ def _cells(cfg: ScenarioConfig) -> list:
     ]
 
 
-def _run_chunk(args):
-    rep, ctx, seed, lo, hi = args
-    return [rep(ctx, rng_for(seed, ctx["tag"], ctx["n"], k)) for k in range(lo, hi)]
-
-
 def validate_config(cfg: ScenarioConfig) -> dict:
     """Check a config's scenario, n grid, replications, seed and params
     without building its cells; return the params, each in its default's
@@ -836,33 +843,113 @@ def validate_config(cfg: ScenarioConfig) -> dict:
     return _merged_params(cfg)
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
-    """Run one scenario; returns its BoundReportRow list.
+# The run's cell table in a pool worker, stored once by _take_table.
+_WORKER_TABLE = ()
 
-    ``workers`` is an integer >= 1 (integer rule).  Each cell's replications
-    are cut into up to ``2 * workers`` contiguous chunks.  One worker
-    runs the chunks in this process; more queue every chunk of every
-    cell on one process pool before any result is read, so a worker
-    that is done with one cell moves on to the next instead of waiting
-    for the other workers.  The pool holds at most one process per chunk
-    and per CPU.  The result is byte-identical for any worker count
-    because replication k draws from ``rng_for(seed, tag, n, k)`` and a
-    cell's records are stacked into its columns in replication order.
+
+def _take_table(table) -> None:
+    global _WORKER_TABLE
+    _WORKER_TABLE = table
+
+
+def _run_chunk(job, table=None):
+    """Replications lo to hi - 1 of cell i of ``table``; a pool worker
+    reads the table ``_take_table`` stored."""
+    i, lo, hi = job
+    rep, ctx, seed = (_WORKER_TABLE if table is None else table)[i]
+    return [rep(ctx, rng_for(seed, ctx["tag"], ctx["n"], k)) for k in range(lo, hi)]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS that numpy and scipy loaded at one thread, and
+    restore each earlier count on exit; yields the names of the libraries
+    it capped.  A library or symbol it cannot find is skipped, and that
+    library keeps its own setting."""
+    import ctypes
+    import glob
+
+    import scipy
+
+    capped = []  # (name, setter, earlier count)
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+            try:  # RTLD_NOLOAD: only a library this process already loaded
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            # numpy's is the 64-bit-integer build, whose symbols end in 64_.
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    capped.append((os.path.basename(path), put, get()))
+                    put(1)
+                    break
+    try:
+        yield [name for name, _, _ in capped]
+    finally:
+        for _, put, earlier in capped:
+            put(earlier)
+
+
+def run_scenarios(cfgs, workers: int = 1) -> list:
+    """Run the scenarios of ``cfgs`` (a nonempty list of ScenarioConfig);
+    returns their BoundReportRow lists joined, in ``cfgs`` order.
+
+    Every config is checked and its cells built before any replication
+    runs.  ``workers`` is an integer >= 1 (integer rule).  Each cell's
+    replications are cut into up to ``2 * workers`` contiguous chunks.
+    One worker runs the chunks in this process; more share one process
+    pool, which holds at most one process per chunk of a cell and per
+    CPU, and which gets every chunk of every scenario before any result
+    is read, so a worker that is done with one cell moves on to the next.
+    The pool's initializer hands each worker the cell table (inherited
+    under fork, pickled once per worker otherwise).  OpenBLAS runs one
+    thread throughout (``_one_blas_thread``).  The result is
+    byte-identical for any worker count because replication k draws from
+    ``rng_for(seed, tag, n, k)`` and a cell's records are stacked into
+    its columns in replication order.
     """
     _check_int("workers", workers, 1)
-    cells = _cells(cfg)
-    family = _FAMILIES[_DEFAULTS[cfg.scenario]["family"]]
-    bounds = np.linspace(0, cfg.replications, min(2 * workers, cfg.replications) + 1).astype(int)
-    chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    jobs = [(family.rep, cell, cfg.seed, lo, hi) for cell in cells for lo, hi in chunks]
-    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
+    if not (isinstance(cfgs, (list, tuple)) and cfgs
+            and all(isinstance(cfg, ScenarioConfig) for cfg in cfgs)):
+        raise ValueError(f"cfgs must be a nonempty list of ScenarioConfig, got {cfgs!r}")
+    # table: (rep, ctx, seed) per cell; cells: (finish, ctx, chunk count) per cell.
+    table, cells, jobs = [], [], []
+    for cfg in cfgs:
+        ctxs = _cells(cfg)
+        family = _FAMILIES[_DEFAULTS[cfg.scenario]["family"]]
+        bounds = np.linspace(0, cfg.replications,
+                             min(2 * workers, cfg.replications) + 1).astype(int)
+        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        for ctx in ctxs:
+            jobs.extend((len(table), lo, hi) for lo, hi in chunks)
+            table.append((family.rep, ctx, cfg.seed))
+            cells.append((family.finish, ctx, len(chunks)))
+    table = tuple(table)
+    pool_size = min(workers, max(count for *_, count in cells), os.cpu_count() or 1)
+    pool = (ProcessPoolExecutor(max_workers=pool_size, initializer=_take_table, initargs=(table,))
+            if workers > 1 else nullcontext())
     rows = []
-    with ProcessPoolExecutor(max_workers=pool_size) if workers > 1 else nullcontext() as pool:
+    with _one_blas_thread(), pool:
         # Both maps yield in job order, which is replication order.
-        results = (map if pool is None else pool.map)(_run_chunk, jobs)
-        for cell in cells:
-            records = [rec for _ in chunks for rec in next(results)]
+        if workers > 1:
+            results = pool.map(_run_chunk, jobs)
+        else:
+            results = map(functools.partial(_run_chunk, table=table), jobs)
+        for finish, ctx, count in cells:
+            records = [rec for _ in range(count) for rec in next(results)]
             # None reads as NaN; a list-valued key gives one column per entry.
             cols = {k: np.array([r[k] for r in records], dtype=float) for k in records[0]}
-            rows.extend(family.finish(cell, cols))
+            rows.extend(finish(ctx, cols))
     return rows
+
+
+def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> list:
+    """Run one scenario; returns its BoundReportRow list.  The same as
+    ``run_scenarios([cfg], workers)``."""
+    return run_scenarios([cfg], workers)

@@ -18,7 +18,7 @@ import math
 import numbers
 import operator
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -39,8 +39,9 @@ def good_turing(sample) -> LooEstimate:
     Labels are opaque hashable values.  A mapping (a ``Counter``, say) is
     read as label counts, so ``good_turing(Counter(labels))`` equals
     ``good_turing(labels)``; raises ``ValueError`` naming ``sample``
-    unless every count is an integer >= 1 (a bool is not a count).
-    Raises on an empty sample.
+    unless every count is an integer >= 1 (a bool is not a count), or
+    ``sample`` is neither a mapping nor an iterable.  Raises on an empty
+    sample.
     """
     if isinstance(sample, Mapping):
         values = sample.values()
@@ -51,8 +52,11 @@ def good_turing(sample) -> LooEstimate:
         least = min(values, default=1)
         if least < 1:
             raise ValueError(f"sample counts must be >= 1, got {least!r}")
-    else:
+    elif isinstance(sample, Iterable):
         values = Counter(sample).values()
+    else:
+        raise ValueError(
+            f"sample must be an iterable of labels or a mapping of counts, got {sample!r}")
     n = int(sum(values))
     if n == 0:
         raise ValueError("empty sample")

@@ -839,6 +839,10 @@ def test_verify_config_wrong_param_shape_or_range_fails(
         ({"scenario": "dna_split", "n_grid": [40], "params": {"split": [40, 161]}}, "'split'"),
         ({"scenario": "dna_split", "n_grid": [40], "params": {"null_population": 239}},
          "'null_population'"),
+        # A poset ground set past numpy's int64 range.
+        ({"scenario": "upset_chain", "n_grid": [30], "params": {"size": 2**63}}, "'size'"),
+        ({"scenario": "upset_antichain", "n_grid": [30], "params": {"labels": 2**63}},
+         "'labels'"),
         # A boxes key that is no d in dims.
         ({"params": {"dims": [2], "boxes": {"2": [[0, 1], [0, 1]], "3": "oops", "x": None}}},
          "'boxes' keys ['3', 'x']"),
@@ -850,7 +854,7 @@ def test_verify_config_checks_every_entry_before_any_scenario(
     def no_run(*args, **kwargs):
         raise AssertionError("a scenario ran before every config entry was checked")
 
-    monkeypatch.setattr(cascade.cli, "run_scenario", no_run)
+    monkeypatch.setattr(cascade.cli, "run_scenarios", no_run)
     good = {"scenario": "hull_gauss", "n_grid": [200], "replications": 1000}
     later = {"scenario": "hull_rect", "n_grid": [20], "replications": 2, **bad}
     cfg_path = tmp_path / "cfg.json"
@@ -1004,7 +1008,7 @@ def test_bad_output_path_fails_before_any_scenario(tmp_path, capsys, monkeypatch
     def no_run(*args, **kwargs):
         raise AssertionError("a scenario ran before the output paths were checked")
 
-    monkeypatch.setattr(cascade.cli, "run_scenario", no_run)
+    monkeypatch.setattr(cascade.cli, "run_scenarios", no_run)
     paths = {"missing": str(tmp_path / "absent" / "o.csv"), "dir": str(tmp_path)}
     rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert (rc, out) == (2, "")
@@ -1045,14 +1049,14 @@ def test_verify_config_conflicts_with_other_selection_flags(
 ):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "upset_chain", "n_grid": [10], "replications": 3}))
-    monkeypatch.setattr(cascade.cli, "run_scenario", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(cascade.cli, "run_scenarios", lambda *a, **k: pytest.fail("ran"))
     rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_path), *flags)
     assert rc == 2 and out == ""
     assert f"{first} cannot be combined with {second}" in err
 
 
 def test_verify_all_conflicts_with_scenario(capsys, monkeypatch):
-    monkeypatch.setattr(cascade.cli, "run_scenario", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(cascade.cli, "run_scenarios", lambda *a, **k: pytest.fail("ran"))
     rc, out, err = run_cli(capsys, "verify", "--scenario", "upset_chain", "--all", "--reps", "3")
     assert rc == 2 and out == ""
     assert "--all cannot be combined with --scenario" in err

@@ -102,6 +102,12 @@ def test_pvalue_rejects_nan():
         nn_test_pvalue([0.1, math.nan, 0.3], 0.2)
 
 
+@pytest.mark.parametrize("reference", [None, [], "far"])
+def test_pvalue_names_a_reference_that_is_no_list_of_distances(reference):
+    with pytest.raises(ValueError, match="^reference_nn must be a nonempty list of distances"):
+        nn_test_pvalue(reference, 1.0)
+
+
 # -------------------------------------------------------------- kimura
 
 def test_kimura_identical_is_zero():
@@ -128,6 +134,16 @@ def test_kimura_saturation_rejected():
 def test_kimura_length_mismatch():
     with pytest.raises(ValueError, match="lengths differ"):
         kimura2p(SequenceRecord("a", "ACGT"), SequenceRecord("b", "ACG"))
+
+
+def test_kimura_matrix_names_records_that_are_no_iterable():
+    with pytest.raises(ValueError, match="^records must be an iterable of SequenceRecord"):
+        kimura_matrix(None)
+
+
+def test_bases_that_are_no_string_are_a_value_error_naming_them():
+    with pytest.raises(ValueError, match="^bases must be a string, got None"):
+        SequenceRecord("a", None)
 
 
 def test_ambiguous_bases_rejected_unless_masked():

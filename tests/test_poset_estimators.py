@@ -493,6 +493,11 @@ def test_count_and_closure_rejects_an_empty_sample(order, convex):
         count_and_closure([], order, convex)
 
 
+def test_count_and_closure_rejects_a_sample_that_is_no_iterable():
+    with pytest.raises(ValueError, match="^sample must be an array or an iterable"):
+        count_and_closure(None, ReversedNaturals(), False)
+
+
 def test_chain_counts_on_numpy_samples():
     sample = np.array([4, 9, 9, 1, 4])
     assert upset_dominated_count(sample, ReversedNaturals()) == 5

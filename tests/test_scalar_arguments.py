@@ -43,6 +43,7 @@ from cascade.sim_harness import (
     child_seed,
     rng_for,
     run_scenario,
+    run_scenarios,
     validate_config,
 )
 from cascade.sim_harness.ball_mass import cap_union_bracket
@@ -132,6 +133,8 @@ TABLE = [
          ScenarioConfig("coverage_linear", (12,), 2, params={"x_scale": v}))),
     ("run_scenario", "workers", int, 1, (0,),
      lambda v: run_scenario(ScenarioConfig("upset_chain", (12,), 2, seed=5), workers=v)),
+    ("run_scenarios", "workers", int, 1, (0,),
+     lambda v: run_scenarios([ScenarioConfig("upset_chain", (12,), 2, seed=5)], workers=v)),
     ("random_forest", "min_nodes", int, 2, (0, 6), lambda v: random_forest(rng(), v, 5)),
     ("random_forest", "max_nodes", int, 5, (0,), lambda v: random_forest(rng(), 1, v)),
     ("sample_distribution", "n", int, 3, (0,),

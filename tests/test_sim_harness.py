@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from cascade.sim_harness import (
     report_text,
     rng_for,
     run_scenario,
+    run_scenarios,
     strip_comment_lines,
     validate_config,
 )
@@ -411,6 +415,20 @@ def test_a_chain_of_any_size_runs_without_building_its_ground_set():
     assert row.extras["size_estimate_defined"] == 3
 
 
+@pytest.mark.parametrize(
+    "name, key", [("upset_chain", "size"), ("poset_convex_interval", "size"),
+                  ("upset_antichain", "labels")]
+)
+def test_a_poset_ground_set_past_int64_is_rejected_by_name(name, key):
+    # The replications draw from the ground set with numpy's int64 integers.
+    cfg = ScenarioConfig(name, (30,), 3, params={key: 2**63})
+    with pytest.raises(ValueError, match=rf"^params '{key}' must be at most 2\*\*63 - 1"):
+        run_scenario(cfg)
+    cfg.params[key] = 2**63 - 1
+    (row,) = run_scenario(cfg)
+    assert row.extras["ground_size"] == 2**63 - 1
+
+
 def test_worker_count_does_not_change_results():
     cfg = ScenarioConfig("upset_chain", (12,), 8, seed=5)
     seq = report_text(run_scenario(cfg, workers=1), timestamp=False)
@@ -437,13 +455,16 @@ def test_run_scenario_rejects_a_bad_worker_count(workers):
 
 
 class _InlinePool:
-    """A stand-in for ProcessPoolExecutor that records its size and runs
-    every chunk in this process."""
+    """A stand-in for ProcessPoolExecutor that records its size and the
+    pickled size of each job, and runs its initializer and every chunk in
+    this process."""
 
     sizes: list = []
+    job_bytes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -451,23 +472,128 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.job_bytes.extend(len(pickle.dumps(job)) for job in jobs)
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "job_bytes", [])
+    # The initializer stores the cell table here, in this process.
+    monkeypatch.setattr(scenarios, "_WORKER_TABLE", ())
+    return _InlinePool
 
 
 @pytest.mark.parametrize(
     "workers, reps, cpus, size", [(5000, 10, 4, 4), (3, 2, 4, 2), (5000, 10, None, 1)]
 )
 def test_pool_holds_at_most_one_process_per_chunk_and_cpu(
-    monkeypatch, workers, reps, cpus, size
+    monkeypatch, inline_pool, workers, reps, cpus, size
 ):
-    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
     cfg = ScenarioConfig("upset_chain", (12, 20), reps, seed=5)
     par = report_text(run_scenario(cfg, workers=workers), timestamp=False)
-    assert _InlinePool.sizes == [size]
+    assert inline_pool.sizes == [size]
     assert par == report_text(run_scenario(cfg, workers=1), timestamp=False)
+
+
+def test_one_pool_runs_every_scenario_as_one_worker_runs_each():
+    cfgs = [
+        ScenarioConfig("upset_chain", (12,), 8, seed=5),
+        ScenarioConfig("hull_gauss_corr", (10, 16), 5, seed=9),
+        tiny_config("dna_split", seed=3),
+    ]
+    alone = [row for cfg in cfgs for row in run_scenario(cfg, workers=1)]
+    together = run_scenarios(cfgs, workers=2)
+    assert report_text(together, timestamp=False) == report_text(alone, timestamp=False)
+
+
+def test_run_scenarios_forks_one_pool_for_every_scenario(inline_pool):
+    cfgs = [ScenarioConfig("upset_chain", (12,), 3, seed=5), tiny_config("unseen_zipf")]
+    run_scenarios(cfgs, workers=2)
+    assert inline_pool.sizes == [2]
+
+
+def test_a_job_carries_a_cell_index_not_the_cell(inline_pool):
+    # dna_split's cell holds two Kimura matrices, 8.3 MB pickled.
+    run_scenario(default_config("dna_split", replications=4), workers=2)
+    assert len(inline_pool.job_bytes) == 4
+    assert max(inline_pool.job_bytes) < 100
+
+
+@pytest.mark.parametrize(
+    "cfgs", [[], (), None, default_config("upset_chain"), ["upset_chain"], [None]]
+)
+def test_run_scenarios_names_cfgs_that_are_no_list_of_configs(cfgs):
+    with pytest.raises(ValueError, match="^cfgs must be a nonempty list of ScenarioConfig"):
+        run_scenarios(cfgs)
+
+
+def _blas_thread_counts() -> dict:
+    """Each OpenBLAS that numpy and scipy loaded, by file name, with its thread
+    count getter and setter, found apart from the runner's own search."""
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
+    out = {}
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*.so")):
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            out[os.path.basename(path)] = (get, put)
+    return out
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every OpenBLAS at 2 threads, so that a cap to 1 shows; restored after."""
+    libs = _blas_thread_counts()
+    earlier = {name: get() for name, (get, _) in libs.items()}
+    for _, put in libs.values():
+        put(2)
+    yield {name: get for name, (get, _) in libs.items()}
+    for name, (_, put) in libs.items():
+        put(earlier[name])
+
+
+def test_the_blas_cap_holds_one_thread_and_restores_the_count(blas_at_two_threads):
+    # numpy's and scipy's wheels each bundle an OpenBLAS.
+    assert len(blas_at_two_threads) == 2
+    with scenarios._one_blas_thread() as capped:
+        assert sorted(capped) == sorted(blas_at_two_threads)
+        assert [get() for get in blas_at_two_threads.values()] == [1, 1]
+    assert [get() for get in blas_at_two_threads.values()] == [2, 2]
+
+
+def _failing_rep(ctx, rng):
+    raise RuntimeError("a replication failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_run_leaves_no_worker_and_every_blas_count_restored(
+    monkeypatch, blas_at_two_threads, workers, fails
+):
+    if fails:
+        poset = scenarios._FAMILIES["poset"]
+        monkeypatch.setitem(scenarios._FAMILIES, "poset", poset._replace(rep=_failing_rep))
+    cfgs = [tiny_config("unseen_uniform"), ScenarioConfig("upset_chain", (12,), 6, seed=5)]
+    with pytest.raises(RuntimeError, match="a replication failed") if fails else nullcontext():
+        run_scenarios(cfgs, workers=workers)
+    assert multiprocessing.active_children() == []
+    assert [get() for get in blas_at_two_threads.values()] == [2, 2]
 
 
 # ----------------------------------------------- Gaussian ground truth

@@ -41,6 +41,11 @@ def test_mapping_counts_must_be_integers_of_at_least_one(counts, message):
         good_turing(counts)
 
 
+def test_a_sample_that_is_no_iterable_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match="^sample must be an iterable"):
+        good_turing(5)
+
+
 def test_mapping_is_read_as_label_counts():
     est = good_turing({"a": 2, "b": 1, "c": np.int64(1)})
     assert (est.n, est.hits) == (4, 2) and type(est.n) is int
