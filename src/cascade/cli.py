@@ -32,7 +32,7 @@ from .coincidence_test import (
 )
 from .convex_volume import hull_summary, volume_interval
 from .coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
-from .loo_core import _check_alpha, size_estimate
+from .loo_core import _check_alpha, _check_number, size_estimate
 from .poset_estimators import (
     Antichain,
     ProductOrder,
@@ -66,6 +66,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+@contextlib.contextmanager
+def _naming(flag: str, value: str):
+    """A ``ValueError`` raised inside names the flag (or ``input``) and
+    its value, the path or token it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag} {value!r}: {exc}") from None
+
+
 def _matrix_from_text(text: str) -> np.ndarray:
     """The numeric rows of ``text``, parsed in one streaming pass.
 
@@ -96,8 +106,9 @@ def _matrix_from_text(text: str) -> np.ndarray:
     return values.reshape(-1, widths.pop()).copy()
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    return _matrix_from_text(_read_text(path))
+def _load_matrix(flag: str, path: str) -> np.ndarray:
+    with _naming(flag, path):
+        return _matrix_from_text(_read_text(path))
 
 
 def _emit_json(obj) -> None:
@@ -133,7 +144,7 @@ def _cmd_unseen(args) -> int:
 
 def _cmd_hull(args) -> int:
     _check_alpha(args.alpha)
-    cloud = _load_matrix(args.input)
+    cloud = _load_matrix("input", args.input)
     summary = hull_summary(cloud, tol=args.tol)
     n, d = cloud.shape
     out = {
@@ -170,7 +181,8 @@ def _parse_poset_sample(kind: str, text: str):
 
 
 def _cmd_poset(args) -> int:
-    sample = _parse_poset_sample(args.kind, _read_text(args.input))
+    with _naming("input", args.input):
+        sample = _parse_poset_sample(args.kind, _read_text(args.input))
     n = len(sample)
     if args.kind == "product":
         widths = {len(x) for x in sample}
@@ -216,8 +228,10 @@ def _parse_fasta(text: str) -> list[tuple[str, str]]:
 
 
 def _cmd_coincide(args) -> int:
-    if args.radius is not None and not math.isfinite(args.radius):
-        raise ValueError("--radius must be finite")
+    if args.radius is not None:
+        _check_number("--radius", args.radius, "be finite", math.isfinite)
+    _check_number("--threshold-percentile", args.threshold_percentile, "lie in [0, 100]",
+                  lambda p: 0 <= p <= 100)
     text = _read_text(args.input)
     stripped = text.lstrip()
     if stripped.startswith(">"):
@@ -229,7 +243,8 @@ def _cmd_coincide(args) -> int:
         ids = [r.id for r in records]
         dist = kimura_matrix(records)
     else:
-        dist = _matrix_from_text(text)
+        with _naming("input", args.input):
+            dist = _matrix_from_text(text)
         if dist.shape[0] != dist.shape[1]:
             raise ValueError("distance matrix must be square")
         ids = [f"item{i}" for i in range(dist.shape[0])]
@@ -287,7 +302,7 @@ def _cmd_coincide(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    data = _load_matrix(args.input)
+    data = _load_matrix("input", args.input)
     if data.shape[1] < 2:
         raise ValueError("need at least one feature column plus the response")
     X, y = data[:, :-1], data[:, -1]
@@ -306,7 +321,8 @@ def _cmd_coverage(args) -> int:
         "sigma_hat": fit.sigma_hat,
     }
     if args.predict_at is not None:
-        x_new = np.array([float(t) for t in args.predict_at.split(",")])
+        with _naming("--predict-at", args.predict_at):
+            x_new = np.array([float(t) for t in args.predict_at.split(",")])
         if x_new.shape[0] != X.shape[1]:
             raise ValueError(
                 f"--predict-at has {x_new.shape[0]} values but the data have {X.shape[1]} features"
@@ -318,7 +334,7 @@ def _cmd_coverage(args) -> int:
             "high": interval.high + y_shift,
         }
     if args.holdout_file is not None:
-        hold = _load_matrix(args.holdout_file)
+        hold = _load_matrix("--holdout-file", args.holdout_file)
         if hold.shape[1] != data.shape[1]:
             raise ValueError("holdout file must match the training column count")
         out["holdout_coverage"] = holdout_coverage(

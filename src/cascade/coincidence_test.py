@@ -16,11 +16,10 @@ Anderson-Darling statistic used to compare distance distributions.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable
 
 import numpy as np
 
-from .loo_core import LooEstimate, _check_bound_n, _check_number
+from .loo_core import LooEstimate, _check_array, _check_bound_n, _check_number
 
 __all__ = [
     "SequenceRecord",
@@ -34,27 +33,21 @@ __all__ = [
 ]
 
 
-def _check_distance_matrix(D) -> np.ndarray:
-    d = np.asarray(D, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distance matrix entries must be finite")
-    if np.any(d < 0):
-        raise ValueError("distance matrix entries must be nonnegative")
-    if np.any(np.abs(d - d.T) > 1e-12):
-        raise ValueError("distance matrix must be symmetric within 1e-12")
-    if np.any(np.diag(d) != 0):
-        raise ValueError("distance matrix must have a zero diagonal")
-    return d
-
-
 def nn_loo_distances(D) -> np.ndarray:
-    """values[i] = min over j != i of D[i, j].  Requires n >= 2."""
-    d = _check_distance_matrix(D)
-    n = d.shape[0]
-    if n < 2:
-        raise ValueError("need at least two objects for nearest-neighbor distances")
+    """values[i] = min over j != i of D[i, j].
+
+    ``D`` follows the array rule: a square matrix of finite distances
+    between n >= 2 objects, nonnegative and symmetric within 1e-12, with a
+    zero diagonal.
+    """
+    d = _check_array("D", D, "be a square matrix of finite distances between at least two objects",
+                     ndim=2, ok=lambda a: a.shape[0] == a.shape[1] >= 2)
+    if np.any(d < 0):
+        raise ValueError("D must hold nonnegative distances")
+    if np.any(np.abs(d - d.T) > 1e-12):
+        raise ValueError("D must be symmetric within 1e-12")
+    if np.any(np.diag(d) != 0):
+        raise ValueError("D must have a zero diagonal")
     masked = d.copy()
     np.fill_diagonal(masked, np.inf)
     return masked.min(axis=1)
@@ -83,17 +76,12 @@ def nn_test_pvalue(reference_nn, query_nn_distance: float) -> float:
     p = (1 + #{i : reference[i] <= query}) / (n + 1).  Ties count as
     at-most; the plus-one correction makes the test exact under
     exchangeability.  Small p means the query's nearest-neighbor
-    distance is suspiciously small.  Number rule: the query is not NaN.
+    distance is suspiciously small.  Number rule: the query is not NaN;
+    array rule: ``reference_nn`` is a nonempty vector of finite distances.
     """
     _check_number("query_nn_distance", query_nn_distance, "be a number, not NaN", lambda q: True)
-    try:  # asarray would read None as one NaN
-        ref = np.asarray(() if reference_nn is None else reference_nn, dtype=float).reshape(-1)
-    except (TypeError, ValueError):  # not numbers, or ragged
-        ref = np.empty(0)
-    if ref.size == 0:
-        raise ValueError("reference_nn must be a nonempty list of distances")
-    if np.isnan(ref).any():
-        raise ValueError("reference_nn must not hold NaN")
+    ref = _check_array("reference_nn", reference_nn,
+                       "be a nonempty list of distances, none NaN or infinite")
     count = int(np.sum(ref <= query_nn_distance))
     return (1 + count) / (ref.size + 1)
 
@@ -159,14 +147,13 @@ def kimura_matrix(records) -> np.ndarray:
     later rows with ``np.bitwise_count`` (numpy >= 2.0) on three bit
     planes: unmasked, high code bit and low code bit.  A difference in
     the high bit is a transversion; one in the low bit alone is a
-    transition.
+    transition.  ``records`` follows the array rule: an iterable of at
+    least two ``SequenceRecord``.
     """
-    if not isinstance(records, Iterable):
-        raise ValueError(f"records must be an iterable of SequenceRecord, got {records!r}")
-    records = list(records)
+    records = _check_array("records", records, "be an iterable of SequenceRecord, at least two",
+                           kind=None, ok=lambda r: len(r) >= 2 and all(
+                               isinstance(x, SequenceRecord) for x in r))
     m = len(records)
-    if m < 2:
-        raise ValueError("need at least two sequences")
     length = len(records[0])
     if any(len(r) != length for r in records):
         raise ValueError("sequence lengths differ")
@@ -205,14 +192,7 @@ def kimura_matrix(records) -> np.ndarray:
     return out
 
 
-def _two_samples(x, y):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("both samples must be nonempty")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("both samples must be finite (no NaN or inf)")
-    return x, y
+_SAMPLE_RULE = "be a nonempty vector of finite numbers"
 
 
 def ad_two_sample(x, y) -> float:
@@ -228,9 +208,11 @@ def ad_two_sample(x, y) -> float:
     multiplicity of value j, B_j the midrank cumulative count, and
     M_ij the midrank count of sample i at value j.  Its null mean is
     k - 1 = 1; see ``ad_two_sample_normalized`` for the standardized
-    version.
+    version.  ``x`` and ``y`` follow the array rule: nonempty vectors of
+    finite numbers.
     """
-    x, y = (np.sort(v) for v in _two_samples(x, y))
+    x = np.sort(_check_array("x", x, _SAMPLE_RULE))
+    y = np.sort(_check_array("y", y, _SAMPLE_RULE))
     pooled = np.sort(np.concatenate([x, y]))
     z_star, counts = np.unique(pooled, return_counts=True)
     if z_star.size < 2:
@@ -258,7 +240,7 @@ def ad_two_sample_normalized(x, y) -> float:
     """
     from scipy import stats
 
-    x, y = _two_samples(x, y)
+    x, y = _check_array("x", x, _SAMPLE_RULE), _check_array("y", y, _SAMPLE_RULE)
     pooled = np.concatenate([x, y])
     if pooled.min() == pooled.max():
         raise ValueError("pooled sample is constant; statistic undefined")

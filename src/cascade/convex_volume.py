@@ -34,7 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .loo_core import _check_alpha, _check_bound_n, _check_int, _check_number, size_estimate
+from .loo_core import (
+    _check_alpha,
+    _check_array,
+    _check_bound_n,
+    _check_int,
+    _check_number,
+    size_estimate,
+)
 
 __all__ = [
     "HullSummary",
@@ -89,15 +96,7 @@ class VolumeEstimate:
     rel_halfwidth: float
 
 
-def _as_cloud(cloud) -> np.ndarray:
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("point cloud must be a 2-D array (n rows, d columns)")
-    if pts.shape[0] < 1 or pts.shape[1] < 1:
-        raise ValueError("point cloud must have at least one row and one column")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point cloud coordinates must be finite")
-    return pts
+_CLOUD_RULE = "be a nonempty 2-D array (n rows, d columns) of finite coordinates"
 
 
 def in_hull(query, cloud, tol: float = DEFAULT_TOL) -> bool:
@@ -106,22 +105,19 @@ def in_hull(query, cloud, tol: float = DEFAULT_TOL) -> bool:
     Decided by LP feasibility: minimize the L1 violation of
     sum(lambda_i * x_i) = query, sum(lambda_i) = 1, lambda >= 0, via
     slack variables.  The query is inside iff the optimum is <= tol,
-    so boundary points within tol count as inside.  An empty cloud has
-    an empty hull.  ``tol`` follows the number rule: it must be positive.
+    so boundary points within tol count as inside.  ``tol`` follows the
+    number rule: it must be positive.  ``query`` (a d-vector) and ``cloud``
+    (m rows of d columns) follow the array rule, except that a cloud of no
+    rows, a (0, d) array, is an empty hull.
     """
     from scipy.optimize import linprog
 
     _check_number("tol", tol, "be positive", lambda t: t > 0)
-    q = np.asarray(query, dtype=float).reshape(-1)
-    pts = np.asarray(cloud, dtype=float)
-    if pts.size == 0:
+    q = _check_array("query", query, "be a nonempty vector of finite coordinates")
+    if isinstance(cloud, np.ndarray) and cloud.ndim == 2 and cloud.shape[0] == 0:
         return False
-    if pts.ndim != 2 or pts.shape[1] != q.shape[0]:
-        raise ValueError("query dimension does not match cloud dimension")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query coordinates must be finite")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("cloud coordinates must be finite")
+    pts = _check_array("cloud", cloud, f"{_CLOUD_RULE}, with the query's dimension d = {q.size}",
+                       ndim=2, ok=lambda p: p.shape[1] == q.size)
     m, d = pts.shape
     # Shift so the query is the origin; improves conditioning, same LP.
     centered = (pts - q).T  # d x m
@@ -191,7 +187,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     spread overflows the float range raises ``ValueError``.
     """
     _check_number("tol", tol, "be positive, and tol must be below 1", lambda t: 0 < t < 1)
-    pts = _as_cloud(cloud)
+    pts = _check_array("cloud", cloud, _CLOUD_RULE, ndim=2)
     n, d = pts.shape
     unique_pts, inverse, counts = _unique_rows(pts)
     with np.errstate(over="ignore"):
@@ -251,7 +247,7 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
 def volume_ci(cloud, alpha: float) -> VolumeEstimate:
     """Volume estimate of a point cloud with its level 1-alpha
     one-sided interval, from one ``hull_summary``."""
-    pts = _as_cloud(cloud)
+    pts = _check_array("cloud", cloud, _CLOUD_RULE, ndim=2)
     return volume_interval(hull_summary(pts), pts.shape[1], alpha)
 
 

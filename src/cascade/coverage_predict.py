@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .loo_core import LooEstimate, _check_alpha
+from .loo_core import LooEstimate, _check_alpha, _check_array
 
 __all__ = [
     "OlsFit",
@@ -79,30 +79,17 @@ class PredictionInterval:
         return abs(value - self.center) <= self.halfwidth
 
 
-def _check_design(X, y):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if X.ndim != 2:
-        raise ValueError("design matrix must be 2-D")
-    n, p = X.shape
-    if p < 1:
-        raise ValueError("need at least one feature column")
-    if y.shape[0] != n:
-        raise ValueError("response length does not match design rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("design and response must be finite")
-    return X, y, n, p
-
-
 def ols_fit(X, y) -> OlsFit:
     """Fit y ~ X with no intercept.  Requires n > p and full rank.
 
     Rank deficiency (some |R_jj| of the QR factor at most 1e-10 times the
     norm of column j of X, at any column scale) raises "singular design".
+    ``X`` and ``y`` follow the array rule.
     """
-    X, y, n, p = _check_design(X, y)
-    if n <= p:
-        raise ValueError("need more rows than features")
+    X = _check_array("X", X, "be a 2-D design of finite numbers with more rows than features",
+                     ndim=2, ok=lambda a: a.shape[0] > a.shape[1])
+    y = _check_array("y", y, f"be a vector of n = {X.shape[0]} finite responses, one per row of X",
+                     ok=lambda v: v.size == X.shape[0])
     return _qr_fit(X.copy(), y.copy())
 
 
@@ -140,13 +127,11 @@ def _intervals(fit: OlsFit, X, alpha: float, name: str):
 
 
 def predict_interval(fit: OlsFit, x_new, alpha: float) -> PredictionInterval:
-    """Level 1-alpha prediction interval at design point x_new."""
-    x = np.asarray(x_new, dtype=float).reshape(1, -1)
-    if x.shape[1] != fit.p:
-        raise ValueError("x_new dimension does not match the fit")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x_new must be finite")
-    (center,), (halfwidth,) = _intervals(fit, x, alpha, "x_new")
+    """Level 1-alpha prediction interval at design point x_new, a vector
+    of the fit's p finite features (the array rule)."""
+    x = _check_array("x_new", x_new, f"be finite, a vector of p = {fit.p} features",
+                     ok=lambda v: v.size == fit.p)
+    (center,), (halfwidth,) = _intervals(fit, x[None, :], alpha, "x_new")
     return PredictionInterval(center=float(center), halfwidth=float(halfwidth), alpha=alpha)
 
 
@@ -219,12 +204,15 @@ def holdout_coverage(fit: OlsFit, test_X, test_y, alpha: float) -> float:
     """Fraction of held-out rows inside ``fit``'s intervals.
 
     The Monte Carlo stand-in for the interval's true conditional
-    coverage, given a large fresh test set.
+    coverage, given a large fresh test set: ``test_X`` holds its m >= 1
+    rows, ``test_y`` their responses (the array rule).
     """
-    test_X, test_y, m, p = _check_design(test_X, test_y)
-    if p != fit.p:
-        raise ValueError("test design must have the fit's feature count")
-    if m == 0:
-        raise ValueError("empty test set")
+    test_X = _check_array("test_X", test_X,
+                          f"be a 2-D array of finite rows of p = {fit.p} features, "
+                          "not an empty test set", ndim=2, ok=lambda a: a.shape[1] == fit.p)
+    m = test_X.shape[0]
+    test_y = _check_array("test_y", test_y,
+                          f"be a vector of m = {m} finite responses, one per row of test_X",
+                          ok=lambda v: v.size == m)
     centers, halfwidths = _intervals(fit, test_X, alpha, "test_X")
     return float(np.mean(np.abs(test_y - centers) <= halfwidths))

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["LooEstimate", "BoundInputs", "loo_estimate", "loo_mse_bound", "size_estimate"]
 
@@ -103,6 +107,42 @@ def _check_number(name, value, rule, ok) -> None:
         raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
+def _check_array(name, value, rule, ndim=1, kind="f", ok=None):
+    """The array rule: ``value`` converts once with ``np.asarray`` to a
+    nonempty ``ndim``-D array for which ``ok`` holds, of finite reals
+    (``kind`` "f", returned as float64) or of integers ("i": a bool,
+    float or string is not converted); else ``ValueError`` says ``name``
+    must ``rule``.  ``kind`` None takes elements of any type: a nonempty
+    array, list, or other iterable (listed) that is no string or mapping.
+    An array of the wanted kind is returned as it is, not copied.
+    """
+    if kind is None:
+        if isinstance(value, (np.ndarray, list)):
+            arr = value
+        elif isinstance(value, Iterable) and not isinstance(value, (str, bytes, Mapping)):
+            arr = list(value)
+        else:
+            arr = None
+        good = arr is not None and getattr(arr, "ndim", 1) > 0 and len(arr) > 0
+    else:
+        try:
+            arr = np.asarray(value)
+        except (TypeError, ValueError):  # ragged, or no array at all
+            arr = None
+        # dtype kinds: f float, i/u (un)signed integer; bools, strings,
+        # complex and object arrays are neither.
+        good = (arr is not None and arr.ndim == ndim and arr.size > 0
+                and arr.dtype.kind in ("fiu" if kind == "f" else "iu"))
+        if good and kind == "f":
+            arr = arr.astype(float, copy=False)
+            good = bool(np.isfinite(arr).all())
+    if not good or ok is not None and not ok(arr):
+        shown = (f"a {value.dtype} array of shape {value.shape}"
+                 if isinstance(value, np.ndarray) else reprlib.repr(value))
+        raise ValueError(f"{name} must {rule}, got {shown}")
+    return arr
+
+
 def _check_bound_n(n) -> None:
     """Every MSE bound's sample-size precondition: the integer rule, at least 3."""
     _check_int("n", n, 3, rule="be an integer >= 3, as every MSE bound requires n >= 3")
@@ -111,15 +151,6 @@ def _check_bound_n(n) -> None:
 def _check_alpha(alpha) -> None:
     """Every interval's level precondition: the number rule, in (0, 1)."""
     _check_number("alpha", alpha, "lie in (0, 1)", lambda a: 0 < a < 1)
-
-
-def _member_fn(oracle):
-    # An oracle is either a callable member(candidate, rest) or an
-    # object exposing .member with that signature.
-    member = getattr(oracle, "member", oracle)
-    if not callable(member):
-        raise TypeError("oracle must be callable or have a member method")
-    return member
 
 
 def loo_estimate(oracle, sample) -> LooEstimate:
@@ -131,8 +162,8 @@ def loo_estimate(oracle, sample) -> LooEstimate:
         ``member(candidate, rest)`` decides whether ``candidate`` lies
         in the region built from the sample ``rest``.  It must be a
         pure function of the candidate and the unordered sample.
-    sample : sequence
-        The observed points, length n >= 1.
+    sample : iterable
+        The observed points, n >= 1 of them (the array rule, any elements).
 
     Returns
     -------
@@ -146,11 +177,14 @@ def loo_estimate(oracle, sample) -> LooEstimate:
     is invariant under permutation of the sample whenever the oracle is
     symmetric in its second argument.
     """
-    sample = list(sample)
+    sample = list(_check_array("sample", sample, "be an iterable of points, not an empty sample",
+                               kind=None))
     n = len(sample)
-    if n == 0:
-        raise ValueError("empty sample")
-    member = _member_fn(oracle)
+    # An oracle is either a callable member(candidate, rest) or an
+    # object exposing .member with that signature.
+    member = getattr(oracle, "member", oracle)
+    if not callable(member):
+        raise ValueError(f"oracle must be callable or have a member method, got {oracle!r}")
     hits = 0
     for i in range(n):
         rest = sample[:i] + sample[i + 1:]

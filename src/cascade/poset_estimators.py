@@ -38,12 +38,12 @@ supplies ``count_and_closure(sample, convex)``, and
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import Counter
-from collections.abc import Iterable
 
 import numpy as np
 
-from .loo_core import _check_bound_n, _check_int
+from .loo_core import _check_array, _check_bound_n, _check_int
 
 __all__ = [
     "Antichain",
@@ -60,16 +60,25 @@ __all__ = [
 ]
 
 _GRID_CELL_CAP = 2_000_000
+_SAMPLE_RULE = "be an array or an iterable of elements, not an empty sample"
+_INTEGERS_RULE = "be positive integers below 2**63"
+_PATHS_RULE = "be paths: sequences of hashable child indices"
 
 
-def _positive_integers(values, ndim: int) -> np.ndarray:
-    # Python ints of 2**63 or more make a float or object array; a uint64
-    # array may hold them, but its arithmetic with int64 turns to float.
-    arr = np.asarray(values)
-    ok = arr.ndim == ndim and arr.dtype.kind in "iu"  # signed or unsigned integers
-    if not ok or arr.min() < 1 or (arr.dtype == np.uint64 and arr.max() >= 2**63):
-        raise ValueError("elements must be positive integers below 2**63")
-    return arr
+def _positive_below_2_63(arr) -> bool:
+    # Python ints of 2**63 or more make a float or object array, which
+    # the integer kind rejects; a uint64 array may hold them, but its
+    # arithmetic with int64 turns to float.
+    return arr.min() >= 1 and (arr.dtype != np.uint64 or arr.max() < 2**63)
+
+
+def _elements(sample, rule, fn):
+    """``fn(sample)``, whose ``TypeError`` (an unhashable or wrongly typed
+    element) becomes a ``ValueError`` saying ``sample`` must ``rule``."""
+    try:
+        return fn(sample)
+    except TypeError:
+        raise ValueError(f"sample must {rule}, got {reprlib.repr(sample)}") from None
 
 
 class Antichain:
@@ -84,7 +93,7 @@ class Antichain:
         # A repeated label is its own witness on both sides.  Python
         # ints hash faster than numpy scalars.
         labels = sample.tolist() if isinstance(sample, np.ndarray) else sample
-        counts = Counter(labels)
+        counts = _elements(labels, "be hashable labels", Counter)
         repeats = np.array([counts[x] > 1 for x in labels], dtype=bool)
         return repeats, repeats
 
@@ -92,7 +101,7 @@ class Antichain:
     def closure_size(sample, convex: bool) -> int:
         # Sandwiching forces equality, so the convex hull is the
         # sample's distinct values too.
-        return len(set(sample))
+        return len(_elements(sample, "be hashable labels", set))
 
 
 class ReversedNaturals:
@@ -110,14 +119,14 @@ class ReversedNaturals:
     def witnesses(sample):
         # Only a unique maximum has nothing below it, and only a unique
         # minimum nothing above it.
-        x = _positive_integers(sample, 1)
+        x = _check_array("sample", sample, _INTEGERS_RULE, kind="i", ok=_positive_below_2_63)
         hi, lo = x == x.max(), x == x.min()
         return ~hi | (np.count_nonzero(hi) > 1), ~lo | (np.count_nonzero(lo) > 1)
 
     @staticmethod
     def closure_size(sample, convex: bool) -> int:
         # {1..max} for up-sets, {min..max} for convex sets.
-        x = _positive_integers(sample, 1)
+        x = _check_array("sample", sample, _INTEGERS_RULE, kind="i", ok=_positive_below_2_63)
         return int(x.max()) - (int(x.min()) if convex else 1) + 1
 
 
@@ -143,13 +152,9 @@ class ProductOrder:
         return all(yv <= xv for xv, yv in zip(x, y))
 
     def _points(self, sample) -> np.ndarray:
-        try:
-            pts = np.asarray(sample)
-        except ValueError:  # ragged
-            pts = None
-        if pts is None or pts.ndim != 2 or pts.shape[1] != self.d:
-            raise ValueError(f"every element must have {self.d} coordinates")
-        return _positive_integers(pts, 2)
+        return _check_array("sample", sample, f"{_INTEGERS_RULE}, {self.d} coordinates per element",
+                            ndim=2, kind="i",
+                            ok=lambda a: a.shape[1] == self.d and _positive_below_2_63(a))
 
     def _below(self, pts) -> np.ndarray:
         # [i, j]: j != i and pts[j] >= pts[i] everywhere, i.e. pts[j]
@@ -232,8 +237,8 @@ class TreeAncestor:
         # sets, above: a duplicate, or a descendant of another sampled
         # node, that is a non-root node whose parent is in the hull.
         # Up-sets need neither ``above`` nor the hull.
-        points = list(map(tuple, sample))
-        counts = Counter(points)
+        points = _elements(sample, _PATHS_RULE, lambda s: list(map(tuple, s)))
+        counts = _elements(points, _PATHS_RULE, Counter)
         ancestors = TreeAncestor._ancestors(counts)
         below = np.array([counts[x] > 1 or x in ancestors for x in points], dtype=bool)
         if not convex:
@@ -256,27 +261,18 @@ class TreeAncestor:
         return int(np.count_nonzero(below & above if convex else below)), closure
 
 
-def _as_sample(sample):
-    # Arrays pass straight to the numpy witnesses; other iterables are listed.
-    if isinstance(sample, np.ndarray):
-        return sample
-    if not isinstance(sample, Iterable):
-        raise ValueError(f"sample must be an array or an iterable of elements, got {sample!r}")
-    return list(sample)
-
-
 def _witnesses(sample, oracle):
     """(below, above): whether some other sample point lies below, and
-    above, each point.  The oracle's own ``witnesses`` answers when it
-    has one; otherwise every pair is compared once each way by ``leq``.
+    above, each point of a checked sample.  The oracle's own
+    ``witnesses`` answers when it has one; otherwise every pair is
+    compared once each way by ``leq``.
     """
-    sample = _as_sample(sample)
     fn = getattr(oracle, "witnesses", None)
-    if fn is not None and len(sample):
+    if fn is not None:
         return fn(sample)
     leq = getattr(oracle, "leq", oracle)
     if not callable(leq):
-        raise TypeError("order oracle must be callable or expose a leq method")
+        raise ValueError(f"oracle must be callable or expose a leq method, got {oracle!r}")
     n = len(sample)
     below, above = [False] * n, [False] * n
     for i in range(n):
@@ -289,24 +285,22 @@ def _witnesses(sample, oracle):
 
 
 def _closure_size(sample, oracle, convex: bool) -> int:
-    sample = _as_sample(sample)
-    if len(sample) == 0:
-        raise ValueError("empty sample")
     fn = getattr(oracle, "closure_size", None)
     if fn is None:
-        raise TypeError("closure enumeration needs a closure_size(sample, convex) method")
+        raise ValueError("oracle must have a closure_size(sample, convex) method for closure "
+                         f"enumeration, got {oracle!r}")
     return int(fn(sample, convex))
 
 
 def upset_dominated_count(sample, oracle) -> int:
     """N_n = #{i : some other sample point is below sample[i]}."""
-    below, _ = _witnesses(sample, oracle)
+    below, _ = _witnesses(_check_array("sample", sample, _SAMPLE_RULE, kind=None), oracle)
     return int(np.count_nonzero(below))
 
 
 def upset_closure_size(sample, oracle) -> int:
     """Size of the union of everything above some sample point."""
-    return _closure_size(sample, oracle, convex=False)
+    return _closure_size(_check_array("sample", sample, _SAMPLE_RULE, kind=None), oracle, False)
 
 
 def upset_mse_bound(n: int) -> float:
@@ -322,13 +316,13 @@ def convex_sandwiched_count(sample, oracle) -> int:
     indices, so a single duplicate supplies both at once (equality
     chains count).
     """
-    below, above = _witnesses(sample, oracle)
+    below, above = _witnesses(_check_array("sample", sample, _SAMPLE_RULE, kind=None), oracle)
     return int(np.count_nonzero(below & above))
 
 
 def convex_closure_size(sample, oracle) -> int:
     """Size of the order-convex hull of the sample."""
-    return _closure_size(sample, oracle, convex=True)
+    return _closure_size(_check_array("sample", sample, _SAMPLE_RULE, kind=None), oracle, True)
 
 
 def count_and_closure(sample, oracle, convex: bool) -> tuple:
@@ -339,14 +333,16 @@ def count_and_closure(sample, oracle, convex: bool) -> tuple:
     ``upset_closure_size``.  An order with a ``count_and_closure(sample,
     convex)`` method answers both from one pass (``TreeAncestor`` walks
     the sample's ancestors once); any other order gets the two calls.
+    The sample is checked once, by the array rule for elements of any
+    type, and the list or array it gives is passed on as it is.
     """
-    sample = _as_sample(sample)
+    sample = _check_array("sample", sample, _SAMPLE_RULE, kind=None)
     fn = getattr(oracle, "count_and_closure", None)
-    if fn is not None and len(sample):
+    if fn is not None:
         return fn(sample, convex)
-    if convex:
-        return convex_sandwiched_count(sample, oracle), convex_closure_size(sample, oracle)
-    return upset_dominated_count(sample, oracle), upset_closure_size(sample, oracle)
+    below, above = _witnesses(sample, oracle)
+    count = int(np.count_nonzero(below & above if convex else below))
+    return count, _closure_size(sample, oracle, convex)
 
 
 def poset_convex_mse_bound(n: int) -> float:

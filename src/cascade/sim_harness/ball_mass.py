@@ -34,7 +34,7 @@ import numpy as np
 from scipy.spatial import Voronoi
 from scipy.special import betainc
 
-from ..loo_core import _check_number
+from ..loo_core import _check_array, _check_number
 
 __all__ = ["cap_mass", "cap_union_bracket", "disk_union_area"]
 
@@ -110,16 +110,15 @@ def disk_union_area(pts, radii) -> np.ndarray:
     """area(union of disk(x_i, r) with [0, 1]^2) for each r in ``radii``.
 
     ``pts`` is an (n, 2) array of sites in the closed unit square;
-    duplicate sites are allowed.  Returns one area per radius.
+    duplicate sites are allowed; ``radii`` is a vector of finite
+    nonnegative radii.  Both follow the array rule.  Returns one area per
+    radius.
     """
-    sites = np.asarray(pts, dtype=float)
-    radii = np.asarray(radii, dtype=float).reshape(-1)
-    if sites.ndim != 2 or sites.shape[1] != 2 or sites.shape[0] == 0:
-        raise ValueError("pts must be a nonempty (n, 2) array")
-    if not np.all((sites >= 0.0) & (sites <= 1.0)):  # NaN fails too
-        raise ValueError("pts must lie in the closed unit square")
-    if not np.all((radii >= 0.0) & np.isfinite(radii)):
-        raise ValueError("radii must be finite and nonnegative")
+    sites = _check_array("pts", pts,
+                         "be a nonempty (n, 2) array of sites in the closed unit square", ndim=2,
+                         ok=lambda a: a.shape[1] == 2 and ((a >= 0.0) & (a <= 1.0)).all())
+    radii = _check_array("radii", radii, "be a nonempty vector of finite nonnegative radii",
+                         ok=lambda r: r.min() >= 0.0)
     sites = np.unique(sites, axis=0)
     vor = Voronoi(_mirrored(sites))
     ridges = np.asarray(vor.ridge_points)
@@ -151,9 +150,12 @@ def cap_mass(t, n: int) -> np.ndarray:
 def cap_union_bracket(gram: np.ndarray, c: float, dim: int) -> tuple:
     """(lower, upper) on P(u . x_i >= c for some i), for u uniform on the
     unit sphere of R^dim and unit vectors x_i with Gram matrix ``gram``;
-    needs c > 0 (number rule).  upper = S1; lower = S1 minus pair bounds.
+    needs c > 0 (number rule) and a square ``gram`` of finite entries
+    (array rule).  upper = S1; lower = S1 minus pair bounds.
     """
     _check_number("c", c, "be positive", lambda v: v > 0)
+    gram = _check_array("gram", gram, "be a square matrix of finite inner products", ndim=2,
+                        ok=lambda g: g.shape[0] == g.shape[1])
     upper = gram.shape[0] * float(cap_mass(c, dim))
     rho = gram[np.triu_indices(gram.shape[0], k=1)]
     with np.errstate(divide="ignore"):

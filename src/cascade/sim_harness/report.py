@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from ..loo_core import _check_int, _check_number
+from ..loo_core import _check_array, _check_int, _check_number
 
 __all__ = [
     "BoundReportRow",
@@ -98,11 +98,16 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _check_rows(rows) -> list:
+    """The array rule for elements of any type: a nonempty sequence of
+    ``BoundReportRow``."""
+    return _check_array("rows", rows, "be a nonempty sequence of BoundReportRow", kind=None,
+                        ok=lambda rs: all(isinstance(r, BoundReportRow) for r in rs))
+
+
 def report_text(rows, fmt: str = "csv", timestamp: bool = True) -> str:
     """Render rows in the given format; see module docs for schemas."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to report")
+    rows = _check_rows(rows)
     if fmt == "csv":
         buf = io.StringIO()
         if timestamp:
@@ -174,9 +179,7 @@ def parse_report_csv(text: str) -> list[BoundReportRow]:
 
 def emit_plot_data(rows, path) -> None:
     """CSV of (scenario, n, 1/n, empirical_mse) for error-decay plots."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to report")
+    rows = _check_rows(rows)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

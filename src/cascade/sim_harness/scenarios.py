@@ -67,7 +67,7 @@ from ..convex_volume import (
     volume_interval,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage, ols_fit
-from ..loo_core import _check_int, _check_number, size_estimate
+from ..loo_core import _check_array, _check_int, _check_number, size_estimate
 from ..poset_estimators import (
     Antichain,
     ProductOrder,
@@ -897,8 +897,9 @@ def _one_blas_thread():
 
 
 def run_scenarios(cfgs, workers: int = 1) -> list:
-    """Run the scenarios of ``cfgs`` (a nonempty list of ScenarioConfig);
-    returns their BoundReportRow lists joined, in ``cfgs`` order.
+    """Run the scenarios of ``cfgs`` (a nonempty list of ScenarioConfig,
+    by the array rule); returns their BoundReportRow lists joined, in
+    ``cfgs`` order.
 
     Every config is checked and its cells built before any replication
     runs.  ``workers`` is an integer >= 1 (integer rule).  Each cell's
@@ -915,9 +916,8 @@ def run_scenarios(cfgs, workers: int = 1) -> list:
     its columns in replication order.
     """
     _check_int("workers", workers, 1)
-    if not (isinstance(cfgs, (list, tuple)) and cfgs
-            and all(isinstance(cfg, ScenarioConfig) for cfg in cfgs)):
-        raise ValueError(f"cfgs must be a nonempty list of ScenarioConfig, got {cfgs!r}")
+    cfgs = _check_array("cfgs", cfgs, "be a nonempty list of ScenarioConfig", kind=None,
+                        ok=lambda c: all(isinstance(cfg, ScenarioConfig) for cfg in c))
     # table: (rep, ctx, seed) per cell; cells: (finish, ctx, chunk count) per cell.
     table, cells, jobs = [], [], []
     for cfg in cfgs:

@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
-from .loo_core import LooEstimate, _check_bound_n, _check_int
+from .loo_core import LooEstimate, _check_array, _check_bound_n, _check_int
 
 __all__ = [
     "good_turing",
@@ -32,6 +33,14 @@ __all__ = [
     "unseen_bound_general",
 ]
 
+_SAMPLE_RULE = "be an iterable of hashable labels or a mapping of counts, not an empty sample"
+_PROBABILITIES_RULE = ("be a nonempty vector of finite nonnegative numbers that sum to 1 "
+                       "within 1e-12")
+
+
+def _sums_to_one(p) -> bool:
+    return p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-12
+
 
 def good_turing(sample) -> LooEstimate:
     """T_n / n: fraction of labels in the sample seen exactly once.
@@ -39,9 +48,10 @@ def good_turing(sample) -> LooEstimate:
     Labels are opaque hashable values.  A mapping (a ``Counter``, say) is
     read as label counts, so ``good_turing(Counter(labels))`` equals
     ``good_turing(labels)``; raises ``ValueError`` naming ``sample``
-    unless every count is an integer >= 1 (a bool is not a count), or
-    ``sample`` is neither a mapping nor an iterable.  Raises on an empty
-    sample.
+    unless every count is an integer >= 1 (a bool is not a count).  Any
+    other ``sample`` follows the array rule for elements of any type, and
+    a label that is not hashable raises ``ValueError`` naming ``sample``
+    too, as does an empty sample.
     """
     if isinstance(sample, Mapping):
         values = sample.values()
@@ -52,26 +62,16 @@ def good_turing(sample) -> LooEstimate:
         least = min(values, default=1)
         if least < 1:
             raise ValueError(f"sample counts must be >= 1, got {least!r}")
-    elif isinstance(sample, Iterable):
-        values = Counter(sample).values()
     else:
-        raise ValueError(
-            f"sample must be an iterable of labels or a mapping of counts, got {sample!r}")
+        labels = _check_array("sample", sample, _SAMPLE_RULE, kind=None)
+        try:
+            values = Counter(labels).values()
+        except TypeError:  # an unhashable label
+            raise ValueError(f"sample must {_SAMPLE_RULE}, got {reprlib.repr(sample)}") from None
     n = int(sum(values))
     if n == 0:
-        raise ValueError("empty sample")
+        raise ValueError(f"sample must {_SAMPLE_RULE}, got {reprlib.repr(sample)}")
     return LooEstimate(n=n, hits=operator.countOf(values, 1))
-
-
-def _check_probabilities(probabilities) -> np.ndarray:
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probabilities must be a nonempty vector")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite and nonnegative")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must sum to 1 within 1e-12")
-    return p
 
 
 def missing_mass(probabilities, sample) -> float:
@@ -79,18 +79,18 @@ def missing_mass(probabilities, sample) -> float:
 
     ``probabilities`` lists p_1, ..., p_N; sample labels are 1-based
     indices into it, of an integer dtype (a bool, float or string label
-    is rejected, not converted).  This is the simulation ground truth;
-    the estimator itself never needs the distribution.
+    is rejected, not converted).  Both follow the array rule.  This is
+    the simulation ground truth; the estimator itself never needs the
+    distribution.
     """
-    p = _check_probabilities(probabilities)
+    p = _check_array("probabilities", probabilities, _PROBABILITIES_RULE, ok=_sums_to_one)
     n_species = p.size
-    labels = np.asarray(sample)
-    if labels.size and labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, not {labels.dtype.name} values")
+    labels = _check_array("sample", sample, "be a nonempty vector of 1-based integer labels",
+                          kind="i")
     out_of_range = (labels < 1) | (labels > n_species)
     if out_of_range.any():
         label = labels[out_of_range][0].item()
-        raise ValueError(f"label {label!r} out of range 1..{n_species}")
+        raise ValueError(f"sample must hold labels in 1..{n_species}: label {label!r} out of range")
     seen = np.zeros(n_species, dtype=bool)
     seen[labels.astype(np.intp) - 1] = True
     return float(p[~seen].sum())
@@ -133,7 +133,7 @@ def unseen_bound_general(probabilities, n: int) -> float:
     Always at most the distribution-free three-term bound.
     """
     _check_bound_n(n)
-    p = _check_probabilities(probabilities)
+    p = _check_array("probabilities", probabilities, _PROBABILITIES_RULE, ok=_sums_to_one)
     q = 1.0 - p
     s1 = float(np.sum(p * p * q ** (n - 1)))
     s2 = float(np.sum(p * p * q ** (n - 2)))

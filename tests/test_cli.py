@@ -266,16 +266,13 @@ def test_poset_product_convex_command(tmp_path, capsys):
     assert obj["estimate"] == pytest.approx(3 * 9 / 1)
 
 
-@pytest.mark.parametrize(
-    "mode, names",
-    [
-        ([], ("upset_dominated_count", "upset_closure_size")),
-        (["--convex"], ("convex_sandwiched_count", "convex_closure_size")),
-    ],
-)
-def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, names):
+@pytest.mark.parametrize("mode", [[], ["--convex"]])
+def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode):
+    # count_and_closure checks the sample once and hands it to the
+    # witness scan and the closure, once each.
     path = tmp_path / "pts.txt"
     path.write_text("1,1\n3,3\n2,2\n2,3\n")
+    names = ("_witnesses", "_closure_size")
     calls = []
     for name in names:
         real = getattr(cascade.poset_estimators, name)
@@ -548,6 +545,52 @@ def test_analysis_output_is_strict_json_or_an_error(tmp_path, capsys, argv, text
     else:
         assert rc == 0
         assert isinstance(_strict_json(out), dict)
+
+
+@pytest.mark.parametrize("percentile", ["150", "-1", "nan"])
+def test_coincide_bad_threshold_percentile_names_the_flag(tmp_path, capsys, percentile):
+    path = tmp_path / "dist.csv"
+    path.write_text("0,1,3\n1,0,2\n3,2,0\n")
+    rc, out, err = run_cli(capsys, "coincide", str(path), f"--threshold-percentile={percentile}")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --threshold-percentile must lie in [0, 100], got ")
+
+
+def test_coverage_unparsable_predict_at_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("0,1\n1,2.1\n2,2.9\n3,4.2\n4,4.8\n")
+    rc, out, err = run_cli(capsys, "coverage", str(path), "--predict-at", "abc")
+    assert (rc, out) == (2, "")
+    assert err == "error: --predict-at 'abc': could not convert string to float: 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["hull"], "1,2\n3,x\n", "could not convert string to float: 'x'"),
+        (["coverage"], "0,1\n1,x\n", "could not convert string to float: 'x'"),
+        (["coincide"], "0,1\n1,x\n", "could not convert string to float: 'x'"),
+        (["poset", "--kind", "chain"], "1 2\nx\n", "invalid literal for int() with base 10: 'x'"),
+        (["poset", "--kind", "tree"], "1/2\n1/y\n", "invalid literal for int() with base 10: 'y'"),
+    ],
+)
+def test_a_bad_token_in_an_input_file_names_the_file(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (rc, out) == (2, "")
+    assert err == f"error: input {str(path)!r}: {message}\n"
+
+
+def test_a_bad_token_in_the_holdout_file_names_the_flag_and_file(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("0,1\n1,2.1\n2,2.9\n3,4.2\n4,4.8\n")
+    hold = tmp_path / "hold.csv"
+    hold.write_text("1,2\n2,oops\n")
+    rc, out, err = run_cli(capsys, "coverage", str(path), "--holdout-file", str(hold))
+    assert (rc, out) == (2, "")
+    message = "could not convert string to float: 'oops'"
+    assert err == f"error: --holdout-file {str(hold)!r}: {message}\n"
 
 
 @pytest.mark.parametrize("radius", ["inf", "-inf", "nan"])

@@ -132,7 +132,7 @@ def test_grid_closure_needs_no_coordinate_sized_array():
 
 
 def test_closure_needs_enumeration_support():
-    with pytest.raises(TypeError, match="closure enumeration"):
+    with pytest.raises(ValueError, match="^oracle must .* closure enumeration"):
         upset_closure_size([1, 2], lambda a, b: a == b)
 
 
@@ -482,7 +482,7 @@ class _OldClosureNames:
     ],
 )
 def test_order_without_closure_size_is_rejected(fn, args):
-    with pytest.raises(TypeError, match=r"closure_size\(sample, convex\)"):
+    with pytest.raises(ValueError, match=r"^oracle must have a closure_size\(sample, convex\)"):
         fn([2, 5, 5, 3], _OldClosureNames(), *args)
 
 

@@ -214,7 +214,7 @@ def test_json_report_shape():
 
 
 def test_report_validation():
-    with pytest.raises(ValueError, match="no rows"):
+    with pytest.raises(ValueError, match="^rows must be a nonempty sequence of BoundReportRow"):
         report_text([], fmt="csv")
     with pytest.raises(ValueError, match="unknown report format"):
         report_text(_sample_rows(), fmt="yaml")
