@@ -40,6 +40,7 @@ from .loo_core import (
     _check_bound_n,
     _check_int,
     _check_number,
+    _check_record,
     size_estimate,
 )
 
@@ -230,8 +231,10 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
     its level 1-alpha one-sided interval (see ``VolumeEstimate``).
 
     Raises ``ValueError`` when alpha or d breaks its rule (alpha in (0, 1),
-    d an integer >= 1) or when every point is extreme.
+    d an integer >= 1), when ``summary`` is no ``HullSummary`` (the record
+    rule) or when every point is extreme.
     """
+    _check_record("summary", summary, HullSummary)
     _check_alpha(alpha)
     _check_int("d", d, 1)
     n = summary.extreme_flags.shape[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .loo_core import LooEstimate, _check_alpha, _check_array
+from .loo_core import LooEstimate, _check_alpha, _check_array, _check_record
 
 __all__ = [
     "OlsFit",
@@ -128,7 +128,9 @@ def _intervals(fit: OlsFit, X, alpha: float, name: str):
 
 def predict_interval(fit: OlsFit, x_new, alpha: float) -> PredictionInterval:
     """Level 1-alpha prediction interval at design point x_new, a vector
-    of the fit's p finite features (the array rule)."""
+    of the fit's p finite features (the array rule); ``fit`` is an
+    ``OlsFit`` (the record rule)."""
+    _check_record("fit", fit, OlsFit)
     x = _check_array("x_new", x_new, f"be finite, a vector of p = {fit.p} features",
                      ok=lambda v: v.size == fit.p)
     (center,), (halfwidth,) = _intervals(fit, x[None, :], alpha, "x_new")
@@ -186,8 +188,10 @@ def loo_coverage(fit: OlsFit, alpha: float, method: str = "refit") -> LooEstimat
     n >= p + 2 so every sub-fit has a residual degree of freedom.
 
     ``method`` selects literal refitting or the algebraically
-    equivalent leverage downdate (much faster, same contract).
+    equivalent leverage downdate (much faster, same contract).  ``fit``
+    is an ``OlsFit`` (the record rule).
     """
+    _check_record("fit", fit, OlsFit)
     _check_alpha(alpha)
     if fit.n < fit.p + 2:
         raise ValueError("need n >= p + 2 for leave-one-out fits")
@@ -205,8 +209,10 @@ def holdout_coverage(fit: OlsFit, test_X, test_y, alpha: float) -> float:
 
     The Monte Carlo stand-in for the interval's true conditional
     coverage, given a large fresh test set: ``test_X`` holds its m >= 1
-    rows, ``test_y`` their responses (the array rule).
+    rows, ``test_y`` their responses (the array rule); ``fit`` is an
+    ``OlsFit`` (the record rule).
     """
+    _check_record("fit", fit, OlsFit)
     test_X = _check_array("test_X", test_X,
                           f"be a 2-D array of finite rows of p = {fit.p} features, "
                           "not an empty test set", ndim=2, ok=lambda a: a.shape[1] == fit.p)

@@ -143,6 +143,12 @@ def _check_array(name, value, rule, ndim=1, kind="f", ok=None):
     return arr
 
 
+def _check_record(name, value, cls) -> None:
+    """The record rule: ``value`` is a ``cls``, else ``ValueError`` names ``name``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be of type {cls.__name__}, got {reprlib.repr(value)}")
+
+
 def _check_bound_n(n) -> None:
     """Every MSE bound's sample-size precondition: the integer rule, at least 3."""
     _check_int("n", n, 3, rule="be an integer >= 3, as every MSE bound requires n >= 3")
@@ -198,8 +204,10 @@ def loo_mse_bound(b: BoundInputs) -> float:
 
     Returns ``4*delta_prime + 4*(n-1)*delta_double_prime/n + 2*theta/n``.
     The bound controls E[(true mass - estimate)^2] for any symmetric
-    region family, for samples of size n >= 3.
+    region family, for samples of size n >= 3.  Raises ``ValueError``
+    naming ``b`` unless it is a ``BoundInputs``.
     """
+    _check_record("b", b, BoundInputs)
     n = b.n
     return 4.0 * b.delta_prime + 4.0 * (n - 1) * b.delta_double_prime / n + 2.0 * b.theta / n
 

@@ -116,17 +116,21 @@ class ReversedNaturals:
         return y <= x
 
     @staticmethod
+    def _points(sample) -> np.ndarray:
+        return _check_array("sample", sample, _INTEGERS_RULE, kind="i", ok=_positive_below_2_63)
+
+    @staticmethod
     def witnesses(sample):
         # Only a unique maximum has nothing below it, and only a unique
         # minimum nothing above it.
-        x = _check_array("sample", sample, _INTEGERS_RULE, kind="i", ok=_positive_below_2_63)
+        x = ReversedNaturals._points(sample)
         hi, lo = x == x.max(), x == x.min()
         return ~hi | (np.count_nonzero(hi) > 1), ~lo | (np.count_nonzero(lo) > 1)
 
     @staticmethod
     def closure_size(sample, convex: bool) -> int:
         # {1..max} for up-sets, {min..max} for convex sets.
-        x = _check_array("sample", sample, _INTEGERS_RULE, kind="i", ok=_positive_below_2_63)
+        x = ReversedNaturals._points(sample)
         return int(x.max()) - (int(x.min()) if convex else 1) + 1
 
 

@@ -4,12 +4,12 @@ The CSV schema is fixed:
 
     scenario,n,replications,empirical_mse,std_err,bound,pass,extras_json
 
-prefixed by a single ``# generated <timestamp>`` comment line (which
-consumers exclude when comparing reports byte for byte).  Floats are
-written with ``repr`` so they round-trip exactly; ``extras_json`` is a
-compact JSON object with sorted keys.  The JSON format mirrors the
-same rows.  A separate plot-data CSV (scenario, n, 1/n, mse) supports
-error-against-1/n plots.
+with no comment line, so the same rows give the same bytes on every
+run.  Floats are written with ``repr`` so they round-trip exactly;
+``extras_json`` is a compact JSON object with sorted keys.  The JSON
+format is an object whose one key, ``rows``, mirrors the same rows.  A
+separate plot-data CSV (scenario, n, 1/n, mse) supports error-against-1/n
+plots.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from ..loo_core import _check_array, _check_int, _check_number
 
@@ -27,9 +26,7 @@ __all__ = [
     "BoundReportRow",
     "emit_report",
     "report_text",
-    "parse_report_csv",
     "emit_plot_data",
-    "strip_comment_lines",
 ]
 
 _COLUMNS = ("scenario", "n", "replications", "empirical_mse", "std_err", "bound", "pass", "extras_json")
@@ -56,7 +53,7 @@ class BoundReportRow:
 
     ``n`` and ``replications`` follow the integer rule, >= 1;
     ``empirical_mse`` and ``bound`` the number rule, finite and >= 0, and
-    ``std_err`` the number rule, >= 0.  ``passed`` must equal
+    ``std_err`` the number rule, >= 0.  ``passed`` is
     ``empirical_mse <= bound``; extras carry scenario-specific
     diagnostics (probe counts, companion bounds, mean estimates, ...).
     """
@@ -67,7 +64,6 @@ class BoundReportRow:
     empirical_mse: float
     std_err: float
     bound: float
-    passed: bool
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -78,8 +74,11 @@ class BoundReportRow:
             _check_number(name, getattr(self, name), "be finite and >= 0",
                           lambda v: 0 <= v < math.inf)
         _check_number("std_err", self.std_err, "be nonnegative", lambda v: v >= 0)
-        if self.passed != (self.empirical_mse <= self.bound):
-            raise ValueError("pass flag inconsistent with the two values")
+
+    @property
+    def passed(self) -> bool:
+        # bool(): an np.float64 comparison gives an np.bool_, which json rejects.
+        return bool(self.empirical_mse <= self.bound)
 
     def as_record(self) -> dict:
         return {
@@ -94,10 +93,6 @@ class BoundReportRow:
         }
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def _check_rows(rows) -> list:
     """The array rule for elements of any type: a nonempty sequence of
     ``BoundReportRow``."""
@@ -105,13 +100,11 @@ def _check_rows(rows) -> list:
                         ok=lambda rs: all(isinstance(r, BoundReportRow) for r in rs))
 
 
-def report_text(rows, fmt: str = "csv", timestamp: bool = True) -> str:
+def report_text(rows, fmt: str = "csv") -> str:
     """Render rows in the given format; see module docs for schemas."""
     rows = _check_rows(rows)
     if fmt == "csv":
         buf = io.StringIO()
-        if timestamp:
-            buf.write(f"# generated {_timestamp()}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_COLUMNS)
         for row in rows:
@@ -129,10 +122,7 @@ def report_text(rows, fmt: str = "csv", timestamp: bool = True) -> str:
             )
         return buf.getvalue()
     if fmt == "json":
-        payload = {"rows": [r.as_record() for r in rows]}
-        if timestamp:
-            payload["generated"] = _timestamp()
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps({"rows": [r.as_record() for r in rows]}, sort_keys=True, indent=2) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
 
@@ -144,37 +134,6 @@ def emit_report(rows, path, fmt: str = "csv") -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"could not write report to {path}: {exc}") from exc
-
-
-def strip_comment_lines(text: str) -> str:
-    """Drop '#'-prefixed lines (the timestamp header) for comparisons."""
-    return "".join(
-        line for line in text.splitlines(keepends=True) if not line.startswith("#")
-    )
-
-
-def parse_report_csv(text: str) -> list[BoundReportRow]:
-    """Read the text of a CSV report back into rows (inverse of the csv format)."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    if tuple(header) != _COLUMNS:
-        raise ValueError("unexpected report header")
-    rows = []
-    for rec in reader:
-        rows.append(
-            BoundReportRow(
-                scenario=rec[0],
-                n=int(rec[1]),
-                replications=int(rec[2]),
-                empirical_mse=float(rec[3]),
-                std_err=float(rec[4]),
-                bound=float(rec[5]),
-                passed=rec[6] == "true",
-                extras=json.loads(rec[7]),
-            )
-        )
-    return rows
 
 
 def emit_plot_data(rows, path) -> None:

@@ -6,15 +6,17 @@ aggregates the squared error across replications into a
 ``BoundReportRow`` that is compared against the module's theoretical
 bound.
 
-Ground truths are exact (enumeration or closed form).  The Gaussian
-hull scenarios take the hull's exact normal mass from ``gauss_mass``,
-and ``coincide_uniform_square`` its exact disk-union area from
-``ball_mass``.  The one exception is ``aldous_demo``'s cap-union mass:
-a replication takes the midpoint of ``ball_mass``'s certified bracket
-and reports its half-width, and where that half-width exceeds
-``_BRACKET_HALFWIDTH_MAX`` (small n) it falls back to a Monte Carlo
-probe count, reports the probe standard error, and is counted in
-``probe_fallbacks``.
+Ground truths are exact (enumeration or closed form), with two
+exceptions.  The Gaussian hull scenarios take the hull's exact normal
+mass from ``gauss_mass``, and ``coincide_uniform_square`` its exact
+disk-union area from ``ball_mass``.  The ``coverage_*`` truth is a Monte
+Carlo count: the fraction of a fresh holdout sample (``holdout`` draws,
+2,000 by default) inside the fitted intervals.  ``aldous_demo``'s
+cap-union mass is the other exception: a replication takes the
+midpoint of ``ball_mass``'s certified bracket and reports its
+half-width, and where that half-width exceeds ``_BRACKET_HALFWIDTH_MAX``
+(small n) it falls back to a Monte Carlo probe count, reports the probe
+standard error, and is counted in ``probe_fallbacks``.
 
 A family supplies base cell contexts, one replication's record drawn
 from a given generator, and the rows it builds from its cell and the
@@ -67,7 +69,7 @@ from ..convex_volume import (
     volume_interval,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage, ols_fit
-from ..loo_core import _check_array, _check_int, _check_number, size_estimate
+from ..loo_core import _check_array, _check_int, _check_number, _check_record, size_estimate
 from ..poset_estimators import (
     Antichain,
     ProductOrder,
@@ -321,7 +323,7 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
 def _row(ctx, value, std_err, bound, extras) -> BoundReportRow:
     """The cell's report row: ``value`` is checked against ``bound``."""
     return BoundReportRow(ctx["scenario"], ctx["n"], ctx["replications"], value, std_err,
-                          bound, bool(value <= bound), extras)
+                          bound, extras)
 
 
 def _sq_err_row(ctx, est, truth, bound, extras) -> BoundReportRow:
@@ -822,9 +824,11 @@ def _cells(cfg: ScenarioConfig) -> list:
 
 
 def validate_config(cfg: ScenarioConfig) -> dict:
-    """Check a config's scenario, n grid, replications, seed and params
-    without building its cells; return the params, each in its default's
-    type (``boxes`` maps each d in ``dims`` to its intervals)."""
+    """Check a config (a ScenarioConfig, by the record rule): its scenario,
+    n grid, replications, seed and params, without building its cells;
+    return the params, each in its default's type (``boxes`` maps each d
+    in ``dims`` to its intervals)."""
+    _check_record("cfg", cfg, ScenarioConfig)
     if not isinstance(cfg.scenario, str):
         raise ValueError(f"scenario must be a string, got {cfg.scenario!r}")
     if cfg.scenario not in _DEFAULTS:

@@ -3,9 +3,9 @@ argument converts once with ``np.asarray`` to a nonempty array of its
 dimension, of finite reals or of integers, that passes its function's
 test; every sequence of other elements is a nonempty iterable that is no
 string or mapping, each element of the right type; every oracle has the
-method its function calls.  A bad one raises ``ValueError`` whose message
-starts with the argument's name, never a ``TypeError`` or an
-``AttributeError``."""
+method its function calls, and every record is of its type.  A bad one
+raises ``ValueError`` whose message starts with the argument's name,
+never a ``TypeError`` or an ``AttributeError``."""
 
 import inspect
 import math
@@ -17,6 +17,7 @@ import pytest
 import cascade
 from cascade import (
     Antichain,
+    BoundInputs,
     ProductOrder,
     ReversedNaturals,
     SequenceRecord,
@@ -32,7 +33,9 @@ from cascade import (
     hull_summary,
     in_hull,
     kimura_matrix,
+    loo_coverage,
     loo_estimate,
+    loo_mse_bound,
     missing_mass,
     nn_loo_distances,
     nn_test_pvalue,
@@ -42,6 +45,7 @@ from cascade import (
     upset_closure_size,
     upset_dominated_count,
     volume_ci,
+    volume_interval,
 )
 from cascade import sim_harness
 from cascade.sim_harness import (
@@ -51,6 +55,7 @@ from cascade.sim_harness import (
     emit_report,
     report_text,
     run_scenarios,
+    validate_config,
 )
 from cascade.loo_core import _check_array
 from cascade.sim_harness.ball_mass import cap_union_bracket, disk_union_area
@@ -61,9 +66,10 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
 X = np.array([[1.0], [2.0], [3.0], [4.0]])
 Y = np.array([1.1, 1.9, 3.2, 3.9])
 FIT = ols_fit(X, Y)
+SUMMARY = hull_summary(SQUARE)
 D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 RECORDS = [SequenceRecord("a", "ACGTACGT"), SequenceRecord("b", "ACGAACGT")]
-ROW = BoundReportRow("x", 5, 10, 0.1, 0.0, 0.25, True)
+ROW = BoundReportRow("x", 5, 10, 0.1, 0.0, 0.25)
 
 # The bad values every argument in TABLE rejects, unless its row lists
 # one as valid input: None, a ragged list, a list of strings, a bare
@@ -122,6 +128,9 @@ TABLE = [
      hull_summary),
     ("volume_ci", "cloud", True, SQUARE, (), {"vector": [0.5, 0.5]},
      lambda v: volume_ci(v, 0.05)),
+    # Records: each must be of its type; a bad one is any other value.
+    ("volume_interval", "summary", False, SUMMARY, (), {"fit": FIT},
+     lambda v: volume_interval(v, 2, 0.1)),
     ("in_hull", "query", True, [0.5, 0.5], (), {"matrix": [[0.5, 0.5]]},
      lambda v: in_hull(v, SQUARE)),
     ("in_hull", "cloud", True, SQUARE, (), {"wrong dimension": SQUARE[:, :1]},
@@ -129,6 +138,15 @@ TABLE = [
     ("ols_fit", "X", True, X, (), {"vector": [1.0, 2.0], "square": X[:1]},
      lambda v: ols_fit(v, Y[:len(v)] if isinstance(v, np.ndarray) else Y)),
     ("ols_fit", "y", True, Y, (), {"short": Y[:3]}, lambda v: ols_fit(X, v)),
+    ("predict_interval", "fit", False, FIT, (), {"summary": SUMMARY},
+     lambda v: predict_interval(v, [1.0], 0.1)),
+    ("loo_coverage", "fit", False, FIT, (), {"summary": SUMMARY},
+     lambda v: loo_coverage(v, 0.1)),
+    ("holdout_coverage", "fit", False, FIT, (), {"summary": SUMMARY},
+     lambda v: holdout_coverage(v, X, Y, 0.1)),
+    ("loo_mse_bound", "b", False, BoundInputs(0.1, 0.01, 0.01, 10), (),
+     {"record": {"theta": 0.1, "delta_prime": 0.01, "delta_double_prime": 0.01, "n": 10}},
+     loo_mse_bound),
     ("predict_interval", "x_new", True, [1.0], (), {"wrong dimension": [1.0, 2.0]},
      lambda v: predict_interval(FIT, v, 0.1)),
     ("holdout_coverage", "test_X", True, X, (), {"no rows": np.empty((0, 1))},
@@ -186,6 +204,8 @@ TABLE = [
      lambda v: emit_report(v, os.devnull)),
     ("emit_plot_data", "rows", False, [ROW], (), {"records": [ROW.as_record()]},
      lambda v: emit_plot_data(v, os.devnull)),
+    ("validate_config", "cfg", False, ScenarioConfig("upset_chain", (12,), 2, seed=5), (),
+     {"name": "upset_chain"}, validate_config),
     ("run_scenarios", "cfgs", False, [ScenarioConfig("upset_chain", (12,), 2, seed=5)], (),
      {"names": ["upset_chain"]}, run_scenarios),
     ("disk_union_area", "pts", True, [[0.2, 0.3], [0.7, 0.6]], (),
@@ -206,15 +226,9 @@ UNCHECKED = {
     ("OlsFit", "r_inverse"): "a result record that ols_fit builds",
     ("OlsFit", "X"): "a result record that ols_fit builds",
     ("OlsFit", "y"): "a result record that ols_fit builds",
-    ("volume_interval", "summary"): "a HullSummary record that hull_summary builds",
-    ("predict_interval", "fit"): "an OlsFit record that ols_fit builds",
-    ("loo_coverage", "fit"): "an OlsFit record that ols_fit builds",
-    ("holdout_coverage", "fit"): "an OlsFit record that ols_fit builds",
-    ("loo_mse_bound", "b"): "a BoundInputs record, which checks its own fields",
     ("BoundReportRow", "extras"): "free-form diagnostics, made JSON-ready as they are stored",
     ("ScenarioConfig", "n_grid"): "validate_config checks it and names it",
     ("ScenarioConfig", "params"): "validate_config checks each param and names it",
-    ("validate_config", "cfg"): "a ScenarioConfig record, whose fields it checks by name",
     ("run_scenario", "cfg"): "run_scenarios checks it as cfgs",
     ("emit_report", "path"): "a file path; a bad one is an OSError naming it",
     ("emit_plot_data", "path"): "a file path; a bad one is an OSError naming it",

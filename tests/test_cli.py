@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import math
@@ -16,12 +18,10 @@ import cascade.sim_harness.scenarios
 from cascade.cli import main
 from cascade.convex_volume import volume_ci
 from cascade.loo_core import size_estimate
-from cascade.poset_estimators import ProductOrder, count_and_closure
+from cascade.poset_estimators import ProductOrder, ReversedNaturals, count_and_closure
 from cascade.sim_harness import (
     SCENARIO_NAMES,
     default_config,
-    parse_report_csv,
-    strip_comment_lines,
     validate_config,
 )
 from cascade.unseen_species import good_turing
@@ -266,28 +266,33 @@ def test_poset_product_convex_command(tmp_path, capsys):
     assert obj["estimate"] == pytest.approx(3 * 9 / 1)
 
 
+@pytest.mark.parametrize("kind, text, sample, oracle", [
+    ("product", "1,1\n3,3\n2,2\n2,3\n", [(1, 1), (3, 3), (2, 2), (2, 3)], ProductOrder(2)),
+    ("chain", "3 7 2 5 7 1\n", [3, 7, 2, 5, 7, 1], ReversedNaturals()),
+], ids=["product", "chain"])
 @pytest.mark.parametrize("mode", [[], ["--convex"]])
-def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode):
-    # count_and_closure checks the sample once and hands it to the
-    # witness scan and the closure, once each.
+def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, kind, text, sample,
+                                      oracle):
+    # The command converts the sample to one integer array, and
+    # count_and_closure hands it to the witness scan and the closure,
+    # once each.
     path = tmp_path / "pts.txt"
-    path.write_text("1,1\n3,3\n2,2\n2,3\n")
+    path.write_text(text)
     names = ("_witnesses", "_closure_size")
     calls = []
     for name in names:
         real = getattr(cascade.poset_estimators, name)
 
         def spy(*args, _real=real, _name=name):
-            calls.append(_name)
+            calls.append((_name, type(args[0])))
             return _real(*args)
 
         monkeypatch.setattr(cascade.poset_estimators, name, spy)
-    rc, out, _ = run_cli(capsys, "poset", str(path), "--kind", "product", *mode)
+    rc, out, _ = run_cli(capsys, "poset", str(path), "--kind", kind, *mode)
     assert rc == 0
-    assert sorted(calls) == sorted(names)
+    assert sorted(calls) == [(name, np.ndarray) for name in sorted(names)]
     monkeypatch.undo()
-    sample = [(1, 1), (3, 3), (2, 2), (2, 3)]
-    count, closure = count_and_closure(sample, ProductOrder(2), bool(mode))
+    count, closure = count_and_closure(sample, oracle, bool(mode))
     assert json.loads(out)["estimate"] == size_estimate(closure, count, len(sample))
 
 
@@ -629,10 +634,24 @@ def test_verify_single_scenario(tmp_path, capsys):
     )
     assert rc == 0
     assert "2/2 rows within bounds" in err
-    rows = parse_report_csv(out_path.read_text(encoding="utf-8"))
-    assert [r.n for r in rows] == [30, 100]
-    assert all(r.passed for r in rows)
+    rows = list(csv.DictReader(io.StringIO(out_path.read_text(encoding="utf-8"))))
+    assert [r["n"] for r in rows] == ["30", "100"]
+    assert all(r["pass"] == "true" for r in rows)
     assert plot_path.read_text().startswith("scenario,n,inv_n")
+
+
+def test_verify_report_is_the_same_bytes_at_any_worker_count(tmp_path, capsys):
+    argv = ["verify", "--scenario", "upset_chain", "--scenario", "unseen_uniform", "--reps", "20"]
+    paths = [tmp_path / f"report{workers}.csv" for workers in (1, 2)]
+    for path, workers in zip(paths, ("1", "2")):
+        rc, _, _ = run_cli(capsys, *argv, "--workers", workers, "--out", str(path))
+        assert rc == 0
+    one, two = (p.read_bytes() for p in paths)
+    assert one == two
+    header = b"scenario,n,replications,empirical_mse,std_err,bound,pass,extras_json"
+    assert one.split(b"\n", 1)[0] == header
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0 and list(json.loads(out)) == ["rows"]
 
 
 def test_verify_config_file(tmp_path, capsys):
@@ -897,7 +916,7 @@ def test_verify_config_checks_every_entry_before_any_scenario(
     def no_run(*args, **kwargs):
         raise AssertionError("a scenario ran before every config entry was checked")
 
-    monkeypatch.setattr(cascade.cli, "run_scenarios", no_run)
+    monkeypatch.setattr(cascade.sim_harness.scenarios, "_run_chunk", no_run)
     good = {"scenario": "hull_gauss", "n_grid": [200], "replications": 1000}
     later = {"scenario": "hull_rect", "n_grid": [20], "replications": 2, **bad}
     cfg_path = tmp_path / "cfg.json"
@@ -947,10 +966,11 @@ def test_every_config_entry_field_validates_or_names_its_key(tmp_path_factory, f
     args = cascade.cli._build_parser().parse_args(["verify", "--config", str(cfg_path)])
     try:
         (cfg,) = cascade.cli._configs_from_args(args)
+        validate_config(cfg)  # as run_scenarios does before any replication
     except ValueError as exc:
         assert field in str(exc)
     else:
-        assert getattr(cfg, field) == (tuple(value) if field == "n_grid" else value)
+        assert getattr(cfg, field) == value
 
 
 _PARAM_KEYS = [(name, key) for name in SCENARIO_NAMES for key in default_config(name).params]
@@ -1019,7 +1039,7 @@ def test_int_spelled_params_give_the_float_spelling_report(tmp_path, capsys):
         cfg_path.write_text(json.dumps(entries))
         rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg_path))
         assert rc in (0, 1) and out
-        return strip_comment_lines(out)
+        return out
 
     ints = report([
         ("coverage_linear", {"x_scale": 2}),

@@ -1,7 +1,7 @@
 """The seed-42 report of every scenario at 10 replications, byte for byte.
 
-``golden_report_seed42_reps10.csv`` holds ``report_text(rows,
-timestamp=False)`` for all scenarios in ``SCENARIO_NAMES`` order.  A
+``golden_report_seed42_reps10.csv`` holds ``report_text(rows)`` for all
+scenarios in ``SCENARIO_NAMES`` order.  A
 change that alters any value fails here.  If the change is meant, rewrite
 the file with
 
@@ -21,7 +21,7 @@ def _report() -> str:
     rows = []
     for name in SCENARIO_NAMES:
         rows.extend(run_scenario(default_config(name, seed=42, replications=10)))
-    return report_text(rows, timestamp=False)
+    return report_text(rows)
 
 
 def test_report_matches_golden_file():

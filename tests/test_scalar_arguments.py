@@ -109,15 +109,15 @@ TABLE = [
     ("loo_coverage", "alpha", float, 0.1, (0.0, 1.0, inf, -inf), lambda v: loo_coverage(FIT, v)),
     ("holdout_coverage", "alpha", float, 0.1, (0.0, 1.0, inf, -inf),
      lambda v: holdout_coverage(FIT, X, Y, v)),
-    ("BoundReportRow", "n", int, 5, (0,), lambda v: BoundReportRow("x", v, 10, 0.1, 0.0, 0.25, True)),
+    ("BoundReportRow", "n", int, 5, (0,), lambda v: BoundReportRow("x", v, 10, 0.1, 0.0, 0.25)),
     ("BoundReportRow", "replications", int, 10, (0,),
-     lambda v: BoundReportRow("x", 5, v, 0.1, 0.0, 0.25, True)),
+     lambda v: BoundReportRow("x", 5, v, 0.1, 0.0, 0.25)),
     ("BoundReportRow", "empirical_mse", float, 0.1, (-0.1, inf, -inf),
-     lambda v: BoundReportRow("x", 5, 10, v, 0.0, 0.25, True)),
+     lambda v: BoundReportRow("x", 5, 10, v, 0.0, 0.25)),
     ("BoundReportRow", "std_err", float, 0.0, (-0.1, -inf),
-     lambda v: BoundReportRow("x", 5, 10, 0.1, v, 0.25, True)),
+     lambda v: BoundReportRow("x", 5, 10, 0.1, v, 0.25)),
     ("BoundReportRow", "bound", float, 0.25, (-0.1, inf, -inf),
-     lambda v: BoundReportRow("x", 5, 10, 0.1, 0.0, v, True)),
+     lambda v: BoundReportRow("x", 5, 10, 0.1, 0.0, v)),
     # The config layer: validate_config checks a ScenarioConfig, naming
     # each param as params 'key'.
     ("ScenarioConfig", "replications", int, 2, (0,),
@@ -165,8 +165,8 @@ NO_SCALAR_ARGUMENT = frozenset({
     "ad_two_sample_normalized", "convex_closure_size", "convex_sandwiched_count",
     "count_and_closure", "good_turing", "kimura_matrix", "loo_estimate", "loo_mse_bound",
     "missing_mass", "nn_loo_distances", "ols_fit", "upset_closure_size",
-    "upset_dominated_count", "emit_plot_data", "emit_report", "fnv1a64", "parse_report_csv",
-    "report_text", "strip_comment_lines", "validate_config",
+    "upset_dominated_count", "emit_plot_data", "emit_report", "fnv1a64", "report_text",
+    "validate_config",
 })
 
 # Public callables with integer or number arguments that neither rule checks.

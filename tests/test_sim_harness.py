@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import multiprocessing
@@ -22,12 +24,10 @@ from cascade.sim_harness import (
     default_config,
     emit_plot_data,
     emit_report,
-    parse_report_csv,
     report_text,
     rng_for,
     run_scenario,
     run_scenarios,
-    strip_comment_lines,
     validate_config,
 )
 from cascade.sim_harness.samplers import (
@@ -175,7 +175,6 @@ def _sample_rows():
             empirical_mse=0.0123456789012345,
             std_err=0.001,
             bound=0.5,
-            passed=True,
             extras={"d": 2, "note": "x", "seq": [1, 2.5], "gap": None},
         ),
         BoundReportRow(
@@ -185,30 +184,37 @@ def _sample_rows():
             empirical_mse=0.9,
             std_err=0.0,
             bound=0.25,
-            passed=False,
             extras={},
         ),
+    ]
+
+
+def _records(text):
+    """The records of a CSV report, read back with ``csv.DictReader``:
+    floats through ``float`` (the writer uses ``repr``), extras through
+    ``json.loads``."""
+    return [
+        {"scenario": r["scenario"], "n": int(r["n"]), "replications": int(r["replications"]),
+         "empirical_mse": float(r["empirical_mse"]), "std_err": float(r["std_err"]),
+         "bound": float(r["bound"]), "pass": {"true": True, "false": False}[r["pass"]],
+         "extras": json.loads(r["extras_json"])}
+        for r in csv.DictReader(io.StringIO(text))
     ]
 
 
 def test_csv_round_trip_is_exact():
     rows = _sample_rows()
     text = report_text(rows, fmt="csv")
-    assert text.startswith("# generated ")
-    back = parse_report_csv(text)
-    assert [r.as_record() for r in back] == [r.as_record() for r in rows]
-
-
-def test_strip_comment_lines():
-    text = report_text(_sample_rows(), fmt="csv")
-    stripped = strip_comment_lines(text)
-    assert stripped == report_text(_sample_rows(), fmt="csv", timestamp=False)
-    assert stripped.splitlines()[0].startswith("scenario,")
+    # No comment line: the header comes first, and the same rows give
+    # the same bytes on every call.
+    assert text.startswith("scenario,n,replications,empirical_mse,std_err,bound,pass,extras_json\n")
+    assert text == report_text(_sample_rows(), fmt="csv")
+    assert _records(text) == [r.as_record() for r in rows]
 
 
 def test_json_report_shape():
     payload = json.loads(report_text(_sample_rows(), fmt="json"))
-    assert "generated" in payload
+    assert list(payload) == ["rows"]
     assert [r["scenario"] for r in payload["rows"]] == ["alpha", "beta"]
     assert payload["rows"][0]["extras"]["seq"] == [1, 2.5]
 
@@ -218,45 +224,41 @@ def test_report_validation():
         report_text([], fmt="csv")
     with pytest.raises(ValueError, match="unknown report format"):
         report_text(_sample_rows(), fmt="yaml")
-    with pytest.raises(ValueError, match="inconsistent"):
-        BoundReportRow("x", 5, 10, 0.9, 0.0, 0.25, True)
     with pytest.raises(ValueError, match="nonnegative"):
-        BoundReportRow("x", 5, 10, 0.1, -0.1, 0.25, True)
+        BoundReportRow("x", 5, 10, 0.1, -0.1, 0.25)
     with pytest.raises(ValueError, match="NaN"):
-        BoundReportRow("x", 5, 10, 0.1, 0.0, 0.25, True, extras={"bad": float("nan")})
+        BoundReportRow("x", 5, 10, 0.1, 0.0, 0.25, extras={"bad": float("nan")})
+
+
+def test_passed_is_read_from_the_two_values():
+    # No stored flag to contradict them; a float64 comparison still
+    # gives a Python bool, which the JSON report can hold.
+    above = BoundReportRow("x", 5, 10, 0.9, 0.0, 0.25)
+    assert above.passed is False
+    with pytest.raises(AttributeError):
+        above.passed = True
+    row = BoundReportRow("x", 5, 10, np.float64(0.1), np.float64(0.0), np.float64(0.25))
+    assert row.passed is True
+    assert json.loads(report_text([row], fmt="json"))["rows"][0]["pass"] is True
 
 
 def test_numpy_scalars_become_builtin_in_extras():
     row = BoundReportRow(
-        "x", 5, 10, 0.1, 0.0, 0.25, True,
+        "x", 5, 10, 0.1, 0.0, 0.25,
         extras={"a": np.float64(1.5), "b": np.int64(3), "c": np.bool_(True)},
     )
     assert type(row.extras["a"]) is float
     assert type(row.extras["b"]) is int
     assert row.extras["c"] in (True,)
-    text = report_text([row], fmt="csv", timestamp=False)
-    back = parse_report_csv(text)[0]
-    assert back.extras == {"a": 1.5, "b": 3, "c": True}
-
-
-def test_a_nan_mse_row_does_not_parse():
-    text = report_text(_sample_rows(), fmt="csv", timestamp=False)
-    text = text.replace("0.0123456789012345", "nan")
-    with pytest.raises(ValueError, match="^empirical_mse must be finite and >= 0, got nan"):
-        parse_report_csv(text)
-
-
-def test_header_mismatch_rejected():
-    with pytest.raises(ValueError, match="unexpected report header"):
-        parse_report_csv("a,b,c\n1,2,3\n")
+    (back,) = _records(report_text([row], fmt="csv"))
+    assert back["extras"] == {"a": 1.5, "b": 3, "c": True}
 
 
 def test_emit_report_and_plot_data(tmp_path):
     rows = _sample_rows()
     out = tmp_path / "report.csv"
     emit_report(rows, out)
-    back = parse_report_csv(out.read_text(encoding="utf-8"))
-    assert [r.as_record() for r in back] == [r.as_record() for r in rows]
+    assert out.read_text(encoding="utf-8") == report_text(rows)
 
     plot = tmp_path / "plot.csv"
     emit_plot_data(rows, plot)
@@ -386,9 +388,8 @@ def test_every_scenario_produces_valid_rows(name):
             assert row.empirical_mse >= 0.0
             assert row.std_err >= 0.0
             assert math.isfinite(row.bound)
-        # Construction enforces passed == (mse <= bound); encoding the
-        # report confirms the rows serialize.
-        texts.append(report_text(rows, timestamp=False))
+        # Encoding the report confirms the rows serialize.
+        texts.append(report_text(rows))
     assert texts[0] == texts[1], name
 
 
@@ -431,19 +432,19 @@ def test_a_poset_ground_set_past_int64_is_rejected_by_name(name, key):
 
 def test_worker_count_does_not_change_results():
     cfg = ScenarioConfig("upset_chain", (12,), 8, seed=5)
-    seq = report_text(run_scenario(cfg, workers=1), timestamp=False)
-    par = report_text(run_scenario(cfg, workers=2), timestamp=False)
+    seq = report_text(run_scenario(cfg, workers=1))
+    par = report_text(run_scenario(cfg, workers=2))
     assert seq == par
 
     cfg2 = tiny_config("coincide_uniform_square", seed=9)
-    seq2 = report_text(run_scenario(cfg2, workers=1), timestamp=False)
-    par2 = report_text(run_scenario(cfg2, workers=3), timestamp=False)
+    seq2 = report_text(run_scenario(cfg2, workers=1))
+    par2 = report_text(run_scenario(cfg2, workers=3))
     assert seq2 == par2
 
     # Several cells and several chunks per worker, all queued at once.
     cfg3 = ScenarioConfig("hull_gauss_corr", (10, 16), 5, seed=9)
-    seq3 = report_text(run_scenario(cfg3, workers=1), timestamp=False)
-    par3 = report_text(run_scenario(cfg3, workers=2), timestamp=False)
+    seq3 = report_text(run_scenario(cfg3, workers=1))
+    par3 = report_text(run_scenario(cfg3, workers=2))
     assert seq3 == par3
 
 
@@ -496,9 +497,9 @@ def test_pool_holds_at_most_one_process_per_chunk_and_cpu(
 ):
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
     cfg = ScenarioConfig("upset_chain", (12, 20), reps, seed=5)
-    par = report_text(run_scenario(cfg, workers=workers), timestamp=False)
+    par = report_text(run_scenario(cfg, workers=workers))
     assert inline_pool.sizes == [size]
-    assert par == report_text(run_scenario(cfg, workers=1), timestamp=False)
+    assert par == report_text(run_scenario(cfg, workers=1))
 
 
 def test_one_pool_runs_every_scenario_as_one_worker_runs_each():
@@ -509,7 +510,7 @@ def test_one_pool_runs_every_scenario_as_one_worker_runs_each():
     ]
     alone = [row for cfg in cfgs for row in run_scenario(cfg, workers=1)]
     together = run_scenarios(cfgs, workers=2)
-    assert report_text(together, timestamp=False) == report_text(alone, timestamp=False)
+    assert report_text(together) == report_text(alone)
 
 
 def test_run_scenarios_forks_one_pool_for_every_scenario(inline_pool):
@@ -944,7 +945,7 @@ def test_skipping_the_drop_hull_leaves_exact_reports_unchanged(monkeypatch):
             # and so may the two values read from defect(n - 1).
             for key in ("mean_abs_defect_step", "mse_vs_prev_defect"):
                 assert abs(a.extras.pop(key) - b.extras.pop(key)) <= 1e-15
-        assert report_text([a], timestamp=False) == report_text([b], timestamp=False)
+        assert report_text([a]) == report_text([b])
 
 
 def test_random_forest_paths_form_a_convex_forest():
