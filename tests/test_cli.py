@@ -455,14 +455,15 @@ def test_coverage_command(tmp_path, capsys):
 def test_coverage_fits_each_training_set_once(monkeypatch, tmp_path, capsys):
     # The leave-one-out downdate, --predict-at and --holdout-file all read
     # the one fit of the training rows, and so does a coverage replication.
+    # Each call of the one fit routine records its count of fits and rows.
     shapes = []
-    qr_fit = cascade.coverage_predict._qr_fit
+    fits = cascade.coverage_predict._fits
 
-    def counting(X, y):
-        shapes.append(X.shape)
-        return qr_fit(X, y)
+    def counting(r, n):
+        shapes.append((len(r), n))
+        return fits(r, n)
 
-    monkeypatch.setattr(cascade.coverage_predict, "_qr_fit", counting)
+    monkeypatch.setattr(cascade.coverage_predict, "_fits", counting)
     rng = np.random.default_rng(3)
     path, hold = tmp_path / "data.csv", tmp_path / "hold.csv"
     for f, m in ((path, 30), (hold, 20)):
@@ -470,13 +471,13 @@ def test_coverage_fits_each_training_set_once(monkeypatch, tmp_path, capsys):
         f.write_text("".join(f"{a!r},{b!r},{a - b + rng.normal()!r}\n" for a, b in x.tolist()))
     rc, _, _ = run_cli(capsys, "coverage", str(path), "--method", "downdate",
                        "--predict-at", "0.1,0.2", "--holdout-file", str(hold))
-    assert rc == 0 and shapes == [(30, 2)]
+    assert rc == 0 and shapes == [(1, 30)]
     shapes.clear()
     scenarios = cascade.sim_harness.scenarios
     for name in ("coverage_linear", "coverage_quadratic_misspec"):
         (ctx,) = scenarios._cells(scenarios.ScenarioConfig(name, n_grid=(25,), replications=1))
         scenarios._coverage_rep(ctx, np.random.default_rng(0))
-    assert shapes == [(25, 2), (25, 2)]
+    assert shapes == [(1, 25), (1, 25)]
 
 
 @pytest.mark.parametrize("row", ["1,1,nan", "inf,2,3"])

@@ -253,6 +253,67 @@ def test_refit_keeps_the_non_finite_interval_error():
     assert str(got.value) == str(oracle.value)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_refit_sub_fits_are_the_bits_of_fitting_the_deleted_rows(seed, monkeypatch):
+    # One route: the refit hands all n R factors of [X | y] without row i
+    # to the routine behind ols_fit in one call, and fit i is, bit for
+    # bit, the fit of np.delete's rows.
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(4, 40)), int(rng.integers(1, 4))
+    n = max(n, p + 2)
+    X = rng.normal(size=(n, p)) * rng.uniform(0.01, 100.0, size=p)
+    y = X @ rng.normal(size=p) + rng.normal(size=n)
+    fit = ols_fit(X, y)
+    calls = []
+    fits = cascade.coverage_predict._fits
+
+    def keeping(r, rows):
+        calls.append(fits(r, rows))
+        return calls[-1]
+
+    monkeypatch.setattr(cascade.coverage_predict, "_fits", keeping)
+    loo_coverage(fit, 0.1, "refit")
+    ((beta, sigma_hat, r_inverse),) = calls
+    assert len(beta) == n
+    for i in range(n):
+        sub = ols_fit(np.delete(X, i, axis=0), np.delete(y, i))
+        assert beta[i].tolist() == sub.beta.tolist()
+        assert sigma_hat[i] == sub.sigma_hat
+        assert r_inverse[i].tolist() == sub.r_inverse.tolist()
+
+
+@pytest.mark.parametrize("overflow_row, singular_row", [(0, 3), (3, 0)])
+def test_refit_raises_the_first_failing_rows_error(overflow_row, singular_row):
+    # Column 2 is nonzero only in singular_row, so the fit without it is
+    # singular; x = [1e300, 0] in overflow_row makes the interval there
+    # overflow.  Whichever row comes first names the error, as in the
+    # delete-and-fit oracle.
+    X = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    X[singular_row, 1] = 1.0
+    X[overflow_row, 0] = 1e300
+    y = np.arange(6.0) ** 2
+    first = "too large" if overflow_row < singular_row else "singular design"
+    with pytest.raises(ValueError, match=first):
+        _refit_oracle_flags(X, y, 0.1)
+    with pytest.raises(ValueError, match=first) as got:
+        loo_coverage(ols_fit(X, y), alpha=0.1, method="refit")
+    if first == "singular design":
+        assert str(got.value).startswith(f"leave-one-out fit failed excluding row {singular_row}:")
+
+
+@pytest.mark.parametrize("c", [1e300, 1e-300])
+def test_sigma_hat_is_read_from_the_corner_of_r_at_any_response_scale(c):
+    # |R[p, p]| is the residual norm itself, never squared, so sigma_hat
+    # scales with y from 1e-300 to 1e300 instead of reaching 0 or inf,
+    # and so does every refit.
+    X = np.arange(1.0, 7.0).reshape(-1, 1)
+    y = np.array([1.0, 2.1, 2.9, 4.2, 5.0, 5.8])
+    base, fit = ols_fit(X, y), ols_fit(X, y * c)
+    assert fit.sigma_hat == pytest.approx(c * base.sigma_hat, rel=1e-12)
+    assert fit.beta == pytest.approx(c * base.beta, rel=1e-12)
+    assert loo_coverage(fit, 0.1, "refit") == loo_coverage(base, 0.1, "refit")
+
+
 def test_a_design_whose_columns_differ_by_1e300_has_full_rank():
     # Row 0 = [1, 1e300] puts the columns 1e300 apart in scale.  The rank
     # test reads each |R_jj| against its own column's norm, so the full fit
