@@ -32,7 +32,7 @@ from .coincidence_test import (
 )
 from .convex_volume import hull_summary, volume_interval
 from .coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
-from .loo_core import _check_alpha, _check_number, size_estimate
+from .loo_core import _check_alpha, _check_array, _check_int, _check_number, size_estimate
 from .poset_estimators import (
     Antichain,
     ProductOrder,
@@ -191,10 +191,6 @@ def _cmd_poset(args) -> int:
     else:
         orders = {"antichain": Antichain, "chain": ReversedNaturals, "tree": TreeAncestor}
         oracle = orders[args.kind]()
-    if args.kind in ("chain", "product"):
-        # One integer array, by the order's own check, for the witness
-        # scan and the closure to share.
-        sample = oracle._points(sample)
     count, closure = count_and_closure(sample, oracle, args.convex)
     bound = poset_convex_mse_bound if args.convex else upset_mse_bound
     _emit_json(
@@ -325,7 +321,8 @@ def _cmd_coverage(args) -> int:
     }
     if args.predict_at is not None:
         with _naming("--predict-at", args.predict_at):
-            x_new = np.array([float(t) for t in args.predict_at.split(",")])
+            x_new = _check_array("x_new", [float(t) for t in args.predict_at.split(",")],
+                                 "be finite")
         if x_new.shape[0] != X.shape[1]:
             raise ValueError(
                 f"--predict-at has {x_new.shape[0]} values but the data have {X.shape[1]} features"
@@ -411,6 +408,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_demo_aldous(args) -> int:
     _check_out_paths({"--out": args.out})
+    _check_int("--n", args.n, 3)
     cfg = default_config("aldous_demo", seed=args.seed, replications=args.reps)
     cfg.n_grid = (args.n,)
     rows = run_scenarios([cfg], workers=args.workers)

@@ -23,7 +23,9 @@ Every coverage function reads one ``OlsFit``; leave-one-out fits come
 from literal refitting of its rows (one R-only QR per left-out row, then
 the same fit and interval code as the full fit, over all n at once) or a
 rank-one leverage downdate of the fit itself, two routes cross-checked
-in the test suite.
+in the test suite.  Both read sigma_hat from R's corner, and the
+downdate squares only residuals in units of it, so neither route's
+coverage depends on the scale of y.
 """
 
 from __future__ import annotations
@@ -180,20 +182,19 @@ def _loo_flags_refit(fit, alpha):
 
 
 def _loo_flags_downdate(fit, alpha):
-    X, y, n, p = fit.X, fit.y, fit.n, fit.p
-    slack = 1.0 - _leverages(X, fit.r_inverse)
+    n, p, sigma_hat = fit.n, fit.p, fit.sigma_hat
+    slack = 1.0 - _leverages(fit.X, fit.r_inverse)
     if np.any(slack <= _RANK_TOL):
         i = int(np.argmax(slack <= _RANK_TOL))
         raise ValueError(f"leave-one-out fit failed excluding row {i}: singular design")
-    resid = y - X @ fit.beta
-    rss = float(resid @ resid)
-    # Deleting row i changes the residual sum by e_i^2/(1-h_i) and
-    # costs one degree of freedom; the prediction variance factor at
-    # x_i under the deleted fit collapses to 1/(1-h_i).
-    sub_rss = np.maximum(rss - resid**2 / slack, 0.0)
-    sub_sigma = np.sqrt(sub_rss / (n - 1 - p))
-    halfwidth = _critical_value(alpha) * sub_sigma / np.sqrt(slack)
-    return np.abs(resid / slack) <= halfwidth
+    # Residuals in units of sigma_hat, so their squares sum to n - p at
+    # any scale of y; an exact fit (sigma_hat 0) leaves them 0.
+    u = np.divide(fit.y - fit.X @ fit.beta, sigma_hat, out=np.zeros(n), where=sigma_hat > 0)
+    # Deleting row i takes u_i^2/(1-h_i) off that sum and costs one
+    # degree of freedom; the prediction variance factor at x_i under the
+    # deleted fit collapses to 1/(1-h_i).
+    sub_sigma = np.sqrt(np.maximum(n - p - u**2 / slack, 0.0) / (n - 1 - p))
+    return np.abs(u / slack) <= _critical_value(alpha) * sub_sigma / np.sqrt(slack)
 
 
 def loo_coverage(fit: OlsFit, alpha: float, method: str = "refit") -> LooEstimate:

@@ -143,6 +143,15 @@ def _check_array(name, value, rule, ndim=1, kind="f", ok=None):
     return arr
 
 
+def _elements(sample, rule, fn):
+    """``fn(sample)``, whose ``TypeError`` (an unhashable or wrongly typed
+    element) becomes a ``ValueError`` saying ``sample`` must ``rule``."""
+    try:
+        return fn(sample)
+    except TypeError:
+        raise ValueError(f"sample must {rule}, got {reprlib.repr(sample)}") from None
+
+
 def _check_record(name, value, cls) -> None:
     """The record rule: ``value`` is a ``cls``, else ``ValueError`` names ``name``."""
     if not isinstance(value, cls):

@@ -38,12 +38,11 @@ supplies ``count_and_closure(sample, convex)``, and
 from __future__ import annotations
 
 import math
-import reprlib
 from collections import Counter
 
 import numpy as np
 
-from .loo_core import _check_array, _check_bound_n, _check_int
+from .loo_core import _check_array, _check_bound_n, _check_int, _elements
 
 __all__ = [
     "Antichain",
@@ -70,15 +69,6 @@ def _positive_below_2_63(arr) -> bool:
     # the integer kind rejects; a uint64 array may hold them, but its
     # arithmetic with int64 turns to float.
     return arr.min() >= 1 and (arr.dtype != np.uint64 or arr.max() < 2**63)
-
-
-def _elements(sample, rule, fn):
-    """``fn(sample)``, whose ``TypeError`` (an unhashable or wrongly typed
-    element) becomes a ``ValueError`` saying ``sample`` must ``rule``."""
-    try:
-        return fn(sample)
-    except TypeError:
-        raise ValueError(f"sample must {rule}, got {reprlib.repr(sample)}") from None
 
 
 class Antichain:
@@ -338,9 +328,13 @@ def count_and_closure(sample, oracle, convex: bool) -> tuple:
     convex)`` method answers both from one pass (``TreeAncestor`` walks
     the sample's ancestors once); any other order gets the two calls.
     The sample is checked once, by the array rule for elements of any
-    type, and the list or array it gives is passed on as it is.
+    type; a list from it becomes one array through the order's own
+    ``_points`` (``ReversedNaturals``, ``ProductOrder``) for both calls to
+    share, and an array is passed on as it is.
     """
     sample = _check_array("sample", sample, _SAMPLE_RULE, kind=None)
+    if not isinstance(sample, np.ndarray) and hasattr(oracle, "_points"):
+        sample = oracle._points(sample)
     fn = getattr(oracle, "count_and_closure", None)
     if fn is not None:
         return fn(sample, convex)

@@ -460,9 +460,9 @@ def _hull_finish(ctx, cols):
         "defect_step_bound": step_bound,
         "defect_step_pass": bool(steps.mean() <= step_bound),
         "mse_vs_prev_defect": ((est - prev) ** 2).mean(),
-        # Every hull truth is exact: no probes, no probe error.
+        # Every hull truth is exact, but perfbench's identity check
+        # still reads this key.
         "probe_se_max": 0.0,
-        "probe_count": 0,
     }
     if ctx["support_volume"] is not None:
         defined = ~np.isnan(cols["ratio"])
@@ -585,15 +585,7 @@ def _coincide_finish(ctx, cols):
     rows = []
     # One column per radius: the transposes' rows.
     for r, est, truth in zip(ctx["radii"], cols["w"].T, cols["truth"].T):
-        extras = {
-            "r": r,
-            "mean_coverage": est.mean(),
-            "mean_truth": truth.mean(),
-            # The disk-union truth is exact: no probes, no probe error.
-            "probe_count": 0,
-            "probe_se_mean": 0.0,
-            "probe_se_max": 0.0,
-        }
+        extras = {"r": r, "mean_coverage": est.mean(), "mean_truth": truth.mean()}
         rows.append(_sq_err_row(ctx, est, truth, coincidence_mse_bound(ctx["n"]), extras))
     return rows
 

@@ -23,7 +23,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .loo_core import LooEstimate, _check_array, _check_bound_n, _check_int
+from .loo_core import LooEstimate, _check_array, _check_bound_n, _check_int, _elements
 
 __all__ = [
     "good_turing",
@@ -64,10 +64,7 @@ def good_turing(sample) -> LooEstimate:
             raise ValueError(f"sample counts must be >= 1, got {least!r}")
     else:
         labels = _check_array("sample", sample, _SAMPLE_RULE, kind=None)
-        try:
-            values = Counter(labels).values()
-        except TypeError:  # an unhashable label
-            raise ValueError(f"sample must {_SAMPLE_RULE}, got {reprlib.repr(sample)}") from None
+        values = _elements(labels, _SAMPLE_RULE, Counter).values()
     n = int(sum(values))
     if n == 0:
         raise ValueError(f"sample must {_SAMPLE_RULE}, got {reprlib.repr(sample)}")

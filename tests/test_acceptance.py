@@ -219,9 +219,8 @@ def test_criterion_07_ball_coverage_bounds():
     for row in rows:
         assert row.bound == pytest.approx(9.0 / row.n)
         assert row.passed, (row.n, row.extras["r"])
-        # The disk-union truth is exact: no probes.
-        assert row.extras["probe_count"] == 0
-        assert row.extras["probe_se_max"] == 0.0
+        # The disk-union truth is exact, so the row carries no probe keys.
+        assert not {"probe_count", "probe_se_mean", "probe_se_max"} & row.extras.keys()
 
 
 # ------------------------------------------------------------ criterion 8

@@ -273,9 +273,9 @@ def test_poset_product_convex_command(tmp_path, capsys):
 @pytest.mark.parametrize("mode", [[], ["--convex"]])
 def test_poset_counts_and_closes_once(tmp_path, capsys, monkeypatch, mode, kind, text, sample,
                                       oracle):
-    # The command converts the sample to one integer array, and
-    # count_and_closure hands it to the witness scan and the closure,
-    # once each.
+    # count_and_closure converts the command's list to one integer array,
+    # through the order's own _points, and hands it to the witness scan
+    # and the closure, once each.
     path = tmp_path / "pts.txt"
     path.write_text(text)
     names = ("_witnesses", "_closure_size")
@@ -480,6 +480,16 @@ def test_coverage_fits_each_training_set_once(monkeypatch, tmp_path, capsys):
     assert shapes == [(1, 25), (1, 25)]
 
 
+@pytest.mark.parametrize("scale, want", [(1e300, 0.5), (1e-300, 0.5), (0.0, 1.0)])
+def test_coverage_methods_agree_at_any_response_scale(tmp_path, capsys, scale, want):
+    path = tmp_path / "data.csv"
+    y = [1.0, 2.1, 2.9, 4.2, 5.0, 5.8]
+    path.write_text("".join(f"{x},{v * scale!r}\n" for x, v in enumerate(y, 1)))
+    for method in ("refit", "downdate"):
+        rc, out, _ = run_cli(capsys, "coverage", str(path), "--alpha", "0.5", "--method", method)
+        assert rc == 0 and json.loads(out)["loo_coverage"] == want, method
+
+
 @pytest.mark.parametrize("row", ["1,1,nan", "inf,2,3"])
 def test_coverage_non_finite_holdout_row_fails(tmp_path, capsys, row):
     path = tmp_path / "data.csv"
@@ -509,7 +519,10 @@ def test_coverage_center_shifts_consistently(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "predict_at, message",
-    [("nan,1", "x_new must be finite"), ("1", "--predict-at has 1"), ("1e308,1e308", "x_new")],
+    [("nan,1", "x_new must be finite"), ("1", "--predict-at has 1"), ("1e308,1e308", "x_new"),
+     ("1,nan", "error: --predict-at '1,nan': x_new must be finite, got [1.0, nan]"),
+     ("inf", "error: --predict-at 'inf': x_new must be finite, got [inf]"),
+     ("1e400,1", "error: --predict-at '1e400,1': x_new must be finite, got [inf, 1.0]")],
 )
 def test_coverage_bad_predict_at_fails(tmp_path, capsys, predict_at, message):
     rng = np.random.default_rng(57)
@@ -1155,6 +1168,13 @@ def test_verify_json_format(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert {r["scenario"] for r in payload["rows"]} == {"upset_antichain"}
+
+
+@pytest.mark.parametrize("n", ["2", "0", "-5"])
+def test_demo_aldous_small_n_names_the_flag(capsys, n):
+    rc, out, err = run_cli(capsys, "demo-aldous", "--n", n, "--reps", "5")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --n must be an integer >= 3, got {n}\n"
 
 
 def test_demo_aldous_command(capsys):

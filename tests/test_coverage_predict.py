@@ -301,17 +301,22 @@ def test_refit_raises_the_first_failing_rows_error(overflow_row, singular_row):
         assert str(got.value).startswith(f"leave-one-out fit failed excluding row {singular_row}:")
 
 
-@pytest.mark.parametrize("c", [1e300, 1e-300])
+@pytest.mark.parametrize("c", [1e300, 1e-300, 0.0])
 def test_sigma_hat_is_read_from_the_corner_of_r_at_any_response_scale(c):
     # |R[p, p]| is the residual norm itself, never squared, so sigma_hat
     # scales with y from 1e-300 to 1e300 instead of reaching 0 or inf,
-    # and so does every refit.
+    # and so does every refit; the downdate reads that sigma_hat and
+    # squares only residuals in its units.  At c = 0 the fit is exact
+    # (sigma_hat 0), and both routes cover every row with no 0/0.
     X = np.arange(1.0, 7.0).reshape(-1, 1)
     y = np.array([1.0, 2.1, 2.9, 4.2, 5.0, 5.8])
     base, fit = ols_fit(X, y), ols_fit(X, y * c)
     assert fit.sigma_hat == pytest.approx(c * base.sigma_hat, rel=1e-12)
     assert fit.beta == pytest.approx(c * base.beta, rel=1e-12)
-    assert loo_coverage(fit, 0.1, "refit") == loo_coverage(base, 0.1, "refit")
+    for alpha, hits in ((0.5, 3), (0.05, 5)):
+        for method in ("refit", "downdate"):
+            assert loo_coverage(base, alpha, method).hits == hits, (alpha, method)
+            assert loo_coverage(fit, alpha, method).hits == (hits if c else 6), (alpha, method)
 
 
 def test_a_design_whose_columns_differ_by_1e300_has_full_rank():
@@ -356,13 +361,15 @@ def test_loo_coverage_unknown_method():
         loo_coverage(ols_fit(X, np.ones(4)), alpha=0.05, method="jackboot")
 
 
-@given(st.integers(0, 2**32 - 1))
+@given(st.integers(0, 2**32 - 1), st.integers(-300, 300))
 @settings(max_examples=40, deadline=None)
-def test_downdate_refit_agreement_property(seed):
+def test_downdate_refit_agreement_property(seed, k):
+    # Pure-noise responses keep the residuals far above rounding level,
+    # where both routes score the same rows at any response scale 10^k.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 16))
     X = rng.normal(size=(n, 2))
-    y = rng.normal(size=n)
+    y = rng.normal(size=n) * 10.0**k
     if abs(np.linalg.det(X.T @ X)) < 1e-8:
         return
     fit = ols_fit(X, y)
