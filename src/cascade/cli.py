@@ -323,11 +323,10 @@ def _cmd_coverage(args) -> int:
         with _naming("--predict-at", args.predict_at):
             x_new = _check_array("x_new", [float(t) for t in args.predict_at.split(",")],
                                  "be finite")
-        if x_new.shape[0] != X.shape[1]:
-            raise ValueError(
-                f"--predict-at has {x_new.shape[0]} values but the data have {X.shape[1]} features"
-            )
-        interval = predict_interval(fit, x_new - x_shift, args.alpha)
+            if x_new.shape[0] != X.shape[1]:
+                raise ValueError(f"x_new has {x_new.shape[0]} values but the data have "
+                                 f"{X.shape[1]} features")
+            interval = predict_interval(fit, x_new - x_shift, args.alpha)
         out["prediction_interval"] = {
             "center": interval.center + y_shift,
             "low": interval.low + y_shift,
@@ -395,8 +394,17 @@ def _check_out_paths(paths: dict) -> None:
             raise ValueError(f"{flag} {path!r}: its directory does not exist")
 
 
+def _check_run_flags(args) -> None:
+    """--seed, --reps and --workers under their own names, before any config is built."""
+    _check_int("--seed", args.seed, 0, 2**64 - 1, rule="be an integer in [0, 2**64)")
+    if args.reps is not None:
+        _check_int("--reps", args.reps, 1)
+    _check_int("--workers", args.workers, 1)
+
+
 def _cmd_verify(args) -> int:
     _check_out_paths({"--out": args.out, "--plot-out": args.plot_out})
+    _check_run_flags(args)
     rows = run_scenarios(_configs_from_args(args), workers=args.workers)
     _write_report(rows, args)
     if args.plot_out:
@@ -409,6 +417,7 @@ def _cmd_verify(args) -> int:
 def _cmd_demo_aldous(args) -> int:
     _check_out_paths({"--out": args.out})
     _check_int("--n", args.n, 3)
+    _check_run_flags(args)
     cfg = default_config("aldous_demo", seed=args.seed, replications=args.reps)
     cfg.n_grid = (args.n,)
     rows = run_scenarios([cfg], workers=args.workers)

@@ -617,8 +617,6 @@ def _mutate_population(ancestor: np.ndarray, count: int, mutation: float, rng) -
 
 
 def _dna_cells(cfg, params):
-    import scipy.stats  # noqa: F401 -- loaded before the pool forks, so workers inherit it
-
     pop = params["population"]
     rng = rng_for(cfg.seed, cfg.scenario + "/population", 0, 0)
     ancestor = rng.choice(4, size=params["length"], p=params["freqs"]).astype(np.uint8)
@@ -651,11 +649,25 @@ def _dna_rep(ctx, rng):
     return {"ad_obs": ad_obs, "ad_null": ad_null}
 
 
-def _dna_finish(ctx, cols):
-    from scipy.stats import ks_2samp
+def _ks_distance(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov distance max |F_a - F_b|, rounded to
+    the 1/lcm(len(a), len(b)) lattice that its exact values lie on.
 
+    This is scipy's ``ks_2samp(a, b).statistic`` whenever both sizes
+    are at most 10,000: above that, scipy switches to its asymptotic mode
+    and returns the difference unrounded.
+    """
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    diff = (np.searchsorted(a, pooled, side="right") / a.size
+            - np.searchsorted(b, pooled, side="right") / b.size)
+    lcm = math.lcm(a.size, b.size)
+    return round(float(np.abs(diff).max()) * lcm) / lcm
+
+
+def _dna_finish(ctx, cols):
     obs, null = cols["ad_obs"], cols["ad_null"]
-    ks = float(ks_2samp(obs, null).statistic)
+    ks = _ks_distance(obs, null)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     extras = {
         "value_kind": "ks_distance_between_ad_statistic_samples",

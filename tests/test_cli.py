@@ -519,7 +519,9 @@ def test_coverage_center_shifts_consistently(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "predict_at, message",
-    [("nan,1", "x_new must be finite"), ("1", "--predict-at has 1"), ("1e308,1e308", "x_new"),
+    [("nan,1", "error: --predict-at 'nan,1': x_new must be finite, got [nan, 1.0]"),
+     ("1", "error: --predict-at '1': x_new has 1 values but the data have 2 features"),
+     ("1e308,1e308", "error: --predict-at '1e308,1e308': x_new is too large"),
      ("1,nan", "error: --predict-at '1,nan': x_new must be finite, got [1.0, nan]"),
      ("inf", "error: --predict-at 'inf': x_new must be finite, got [inf]"),
      ("1e400,1", "error: --predict-at '1e400,1': x_new must be finite, got [inf, 1.0]")],
@@ -531,7 +533,7 @@ def test_coverage_bad_predict_at_fails(tmp_path, capsys, predict_at, message):
     path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
     rc, out, err = run_cli(capsys, "coverage", str(path), "--predict-at", predict_at)
     assert (rc, out) == (2, "")
-    assert message in err
+    assert err.startswith(message)
 
 
 def _strict_json(text):
@@ -1093,11 +1095,24 @@ def test_bad_output_path_fails_before_any_scenario(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("workers", ["0", "-4"])
-def test_verify_rejects_a_bad_worker_count(capsys, workers):
-    rc, out, err = run_cli(capsys, "verify", "--scenario", "upset_chain", "--workers", workers)
+@pytest.mark.parametrize("command", [["verify", "--scenario", "upset_chain"],
+                                     ["demo-aldous", "--n", "30"]])
+@pytest.mark.parametrize(
+    "flag, value, rule",
+    [("--reps", "0", "be an integer >= 1"), ("--reps", "-3", "be an integer >= 1"),
+     ("--workers", "0", "be an integer >= 1"), ("--workers", "-4", "be an integer >= 1"),
+     ("--seed", "-1", "be an integer in [0, 2**64)"),
+     ("--seed", str(2**64), "be an integer in [0, 2**64)")],
+)
+def test_run_flags_are_checked_under_their_own_names(capsys, monkeypatch, command, flag, value,
+                                                     rule):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scenario ran before the flags were checked")
+
+    monkeypatch.setattr(cascade.cli, "run_scenarios", no_run)
+    rc, out, err = run_cli(capsys, *command, flag, value)
     assert (rc, out) == (2, "")
-    assert "workers" in err
+    assert err == f"error: {flag} must {rule}, got {value}\n"
 
 
 def test_verify_unknown_scenario(capsys):

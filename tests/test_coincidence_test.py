@@ -352,3 +352,40 @@ def test_null_distribution_matches_published_quantiles():
     below_95 = float((stats <= 1.960).mean())
     assert abs(below_90 - 0.90) <= 0.05
     assert abs(below_95 - 0.95) <= 0.05
+
+
+def _sample_pairs(seed, tied):
+    """Seeded samples of unequal sizes, pooled sizes 4 to 119; ``tied``
+    draws small integers so that values repeat within and across samples."""
+    rng = np.random.default_rng(seed)
+    sizes = [(1, 3), (3, 1), (1, 4), (2, 3)] + [
+        tuple(rng.choice(np.arange(1, 61), size=2, replace=False)) for _ in range(296)
+    ]
+    for n1, n2 in sizes:
+        if tied:
+            x, y = rng.integers(0, 5, n1).astype(float), rng.integers(0, 5, n2).astype(float)
+        else:
+            x, y = rng.normal(size=n1), rng.normal(0.3, 1.5, size=n2)
+        if np.ptp(np.concatenate([x, y])) > 0:
+            yield x, y
+
+
+@pytest.mark.filterwarnings("ignore:p-value (capped|floored):UserWarning")
+@pytest.mark.parametrize("tied", [False, True])
+def test_normalized_statistic_is_scipys_midrank_statistic(tied):
+    from scipy.stats import anderson_ksamp
+
+    count = 0
+    for x, y in _sample_pairs(60 + tied, tied):
+        want = anderson_ksamp([x, y], variant="midrank").statistic
+        assert ad_two_sample_normalized(x, y) == want, (x, y)
+        count += 1
+    assert count >= 290
+
+
+def test_normalization_needs_a_pooled_size_of_four():
+    with pytest.raises(ValueError, match="pooled size of at least 4"):
+        ad_two_sample_normalized([0.1, 0.5], [0.9])
+    with pytest.raises(ValueError, match="constant"):
+        ad_two_sample_normalized([0.5], [0.5, 0.5])
+    assert math.isfinite(ad_two_sample_normalized([0.1, 0.5], [0.9, 0.2]))

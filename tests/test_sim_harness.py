@@ -1037,3 +1037,19 @@ def test_poset_rows_match_library_counts():
     closure = TreeAncestor.closure_size(sample, True)
     assert row.empirical_mse == (hits / n - closure / len(paths)) ** 2
     assert row.extras["mean_forest_size"] == len(paths)
+
+
+@pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 2), (5, 5), (37, 37), (500, 500), (10_000, 10_000),
+                                   (3, 7), (40, 60), (499, 500), (9_999, 10_000)])
+def test_ks_distance_is_scipys_exact_statistic(sizes, tied):
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng([sizes[0], sizes[1], tied])
+    for _ in range(3):
+        if tied:
+            a, b = (rng.integers(0, 8, size).astype(float) for size in sizes)
+        else:
+            a, b = rng.normal(size=sizes[0]), rng.normal(0.1, 1.0, size=sizes[1])
+        assert scenarios._ks_distance(a, b) == ks_2samp(a, b).statistic
