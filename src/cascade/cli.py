@@ -24,6 +24,7 @@ import numpy as np
 
 from .coincidence_test import (
     SequenceRecord,
+    _check_radius,
     coincidence_mse_bound,
     coverage_fraction,
     kimura_matrix,
@@ -32,7 +33,8 @@ from .coincidence_test import (
 )
 from .convex_volume import hull_summary, volume_interval
 from .coverage_predict import holdout_coverage, loo_coverage, ols_fit, predict_interval
-from .loo_core import _check_alpha, _check_array, _check_int, _check_number, size_estimate
+from .loo_core import (_check_array, _check_int, _check_number, _check_seed, _check_unit_interval,
+                       size_estimate)
 from .poset_estimators import (
     Antichain,
     ProductOrder,
@@ -142,7 +144,6 @@ def _cmd_unseen(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    _check_alpha(args.alpha)
     cloud = _load_matrix("input", args.input)
     summary = hull_summary(cloud, tol=args.tol)
     n, d = cloud.shape
@@ -172,11 +173,7 @@ def _parse_poset_sample(kind: str, text: str):
         return [int(tok) for ln in lines for tok in ln.replace(",", " ").split()]
     if kind == "product":
         return [tuple(int(t) for t in ln.replace(",", " ").split()) for ln in lines]
-    sample = []
-    for ln in lines:
-        parts = [p for p in ln.split("/") if p]
-        sample.append(tuple(int(p) for p in parts))
-    return sample
+    return [tuple(int(p) for p in ln.split("/") if p) for ln in lines]
 
 
 def _cmd_poset(args) -> int:
@@ -227,10 +224,6 @@ def _parse_fasta(text: str) -> list[tuple[str, str]]:
 
 
 def _cmd_coincide(args) -> int:
-    if args.radius is not None:
-        _check_number("--radius", args.radius, "be finite", math.isfinite)
-    _check_number("--threshold-percentile", args.threshold_percentile, "lie in [0, 100]",
-                  lambda p: 0 <= p <= 100)
     text = _read_text(args.input)
     stripped = text.lstrip()
     if stripped.startswith(">"):
@@ -254,7 +247,7 @@ def _cmd_coincide(args) -> int:
     nn = nn_loo_distances(dist)
     if args.query_id is not None:
         if args.query_id not in ids:
-            raise ValueError(f"query id {args.query_id!r} not found")
+            raise ValueError(f"--query-id {args.query_id!r} not found")
         q = ids.index(args.query_id)
         keep = [i for i in range(n) if i != q]
         ref_nn = nn_loo_distances(dist[np.ix_(keep, keep)])
@@ -383,28 +376,7 @@ def _write_report(rows, args) -> None:
         sys.stdout.write(report_text(rows, fmt=args.format))
 
 
-def _check_out_paths(paths: dict) -> None:
-    """Reject an output path (by flag) that cannot be a file, before any scenario runs."""
-    for flag, path in paths.items():
-        if not path:
-            continue
-        if os.path.isdir(path):
-            raise ValueError(f"{flag} {path!r} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{flag} {path!r}: its directory does not exist")
-
-
-def _check_run_flags(args) -> None:
-    """--seed, --reps and --workers under their own names, before any config is built."""
-    _check_int("--seed", args.seed, 0, 2**64 - 1, rule="be an integer in [0, 2**64)")
-    if args.reps is not None:
-        _check_int("--reps", args.reps, 1)
-    _check_int("--workers", args.workers, 1)
-
-
 def _cmd_verify(args) -> int:
-    _check_out_paths({"--out": args.out, "--plot-out": args.plot_out})
-    _check_run_flags(args)
     rows = run_scenarios(_configs_from_args(args), workers=args.workers)
     _write_report(rows, args)
     if args.plot_out:
@@ -415,9 +387,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo_aldous(args) -> int:
-    _check_out_paths({"--out": args.out})
-    _check_int("--n", args.n, 3)
-    _check_run_flags(args)
     cfg = default_config("aldous_demo", seed=args.seed, replications=args.reps)
     cfg.n_grid = (args.n,)
     rows = run_scenarios([cfg], workers=args.workers)
@@ -433,6 +402,36 @@ def _cmd_demo_aldous(args) -> int:
         file=sys.stderr,
     )
     return 0 if row.passed else 1
+
+
+# ----------------------------------------------------------------- flags
+
+def _check_out_path(flag: str, path: str) -> None:
+    """An output path must name a file in a directory that exists."""
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{flag} {path!r}: its directory does not exist")
+
+
+# Each numeric flag's rule, and the output paths', which main applies
+# under the flag's own name before any input is read or any scenario
+# runs; a flag at its None default is skipped.  A rule stricter than its
+# library argument's states only the extra part: a --radius must also be
+# finite, as JSON holds no inf.
+_FLAG_RULES = {
+    "--alpha": _check_unit_interval,
+    "--tol": _check_unit_interval,
+    "--radius": lambda flag, r: (_check_number(flag, r, "be finite", math.isfinite),
+                                 _check_radius(flag, r)),
+    "--threshold-percentile": lambda flag, p: _check_number(flag, p, "lie in [0, 100]",
+                                                            lambda p: 0 <= p <= 100),
+    "--seed": _check_seed,
+    "--reps": lambda flag, reps: _check_int(flag, reps, 1),
+    "--workers": lambda flag, workers: _check_int(flag, workers, 1),
+    "--n": lambda flag, n: _check_int(flag, n, 3),
+    **dict.fromkeys(("--out", "--plot-out", "--dist-out"), _check_out_path),
+}
 
 
 # ---------------------------------------------------------------- parser
@@ -493,29 +492,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--method", choices=("refit", "downdate"), default="downdate")
     p.add_argument("--center", action="store_true", help="mean-center features and response")
-    p.add_argument("--predict-at", default=None, help="comma-separated feature vector")
+    p.add_argument("--predict-at", default=None, help="comma-separated feature vector; "
+                   "one that starts with a minus takes the = form, --predict-at=-0.5,1")
     p.add_argument("--holdout-file", default=None)
     p.set_defaults(fn=_cmd_coverage)
 
-    p = sub.add_parser("verify", help="run the Monte Carlo bound checks")
+    # The flags of both scenario-running subcommands.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--out", default=None, help="report path (stdout if omitted)")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    p = sub.add_parser("verify", parents=[run], help="run the Monte Carlo bound checks")
     p.add_argument("--scenario", action="append", default=[], help="repeatable")
     p.add_argument("--all", action="store_true", help="run every scenario")
     p.add_argument("--config", default=None, help="JSON scenario config file")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--reps", type=int, default=None, help="override replication counts")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="report path (stdout if omitted)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--plot-out", default=None, help="write MSE-vs-1/n plot data CSV")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("demo-aldous", help="two-mode coverage demo on a sphere mixture")
+    p = sub.add_parser("demo-aldous", parents=[run],
+                       help="two-mode coverage demo on a sphere mixture")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_demo_aldous)
 
     return parser
@@ -524,6 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for flag, rule in _FLAG_RULES.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None:
+                rule(flag, value)
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

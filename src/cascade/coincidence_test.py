@@ -53,12 +53,17 @@ def nn_loo_distances(D) -> np.ndarray:
     return masked.min(axis=1)
 
 
+def _check_radius(name, r) -> None:
+    """The radius rule: the number rule, >= 0 (inf covers every pair)."""
+    _check_number(name, r, "be a nonnegative number, not NaN", lambda v: v >= 0)
+
+
 def coverage_fraction(D, r: float) -> LooEstimate:
     """W_n(r)/n: fraction of objects with nearest neighbor within r.
 
-    Right-continuous and nondecreasing in r >= 0 (the number rule).
+    Right-continuous and nondecreasing in r >= 0 (the radius rule).
     """
-    _check_number("r", r, "be a nonnegative number, not NaN", lambda v: v >= 0)
+    _check_radius("r", r)
     nn = nn_loo_distances(D)
     hits = int(np.sum(nn <= r))
     return LooEstimate(n=nn.size, hits=hits)

@@ -35,12 +35,12 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .loo_core import (
-    _check_alpha,
     _check_array,
     _check_bound_n,
     _check_int,
     _check_number,
     _check_record,
+    _check_unit_interval,
     size_estimate,
 )
 
@@ -187,7 +187,7 @@ def hull_summary(cloud, tol: float = DEFAULT_TOL) -> HullSummary:
     in every dimension, and its summary keeps no hull.  A cloud whose
     spread overflows the float range raises ``ValueError``.
     """
-    _check_number("tol", tol, "be positive, and tol must be below 1", lambda t: 0 < t < 1)
+    _check_unit_interval("tol", tol)
     pts = _check_array("cloud", cloud, _CLOUD_RULE, ndim=2)
     n, d = pts.shape
     unique_pts, inverse, counts = _unique_rows(pts)
@@ -235,7 +235,7 @@ def volume_interval(summary: HullSummary, d: int, alpha: float) -> VolumeEstimat
     rule) or when every point is extreme.
     """
     _check_record("summary", summary, HullSummary)
-    _check_alpha(alpha)
+    _check_unit_interval("alpha", alpha)
     _check_int("d", d, 1)
     n = summary.extreme_flags.shape[0]
     hits = n - summary.extreme_count

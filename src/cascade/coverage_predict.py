@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .loo_core import LooEstimate, _check_alpha, _check_array, _check_record
+from .loo_core import LooEstimate, _check_array, _check_record, _check_unit_interval
 
 __all__ = [
     "OlsFit",
@@ -156,7 +156,7 @@ def predict_interval(fit: OlsFit, x_new, alpha: float) -> PredictionInterval:
 
 def _critical_value(alpha: float) -> float:
     """z_{1-alpha/2}, the two-sided normal critical value at level alpha."""
-    _check_alpha(alpha)
+    _check_unit_interval("alpha", alpha)
     return float(ndtri(1.0 - alpha / 2.0))
 
 
@@ -209,7 +209,7 @@ def loo_coverage(fit: OlsFit, alpha: float, method: str = "refit") -> LooEstimat
     is an ``OlsFit`` (the record rule).
     """
     _check_record("fit", fit, OlsFit)
-    _check_alpha(alpha)
+    _check_unit_interval("alpha", alpha)
     if fit.n < fit.p + 2:
         raise ValueError("need n >= p + 2 for leave-one-out fits")
     if method == "refit":

@@ -163,9 +163,16 @@ def _check_bound_n(n) -> None:
     _check_int("n", n, 3, rule="be an integer >= 3, as every MSE bound requires n >= 3")
 
 
-def _check_alpha(alpha) -> None:
-    """Every interval's level precondition: the number rule, in (0, 1)."""
-    _check_number("alpha", alpha, "lie in (0, 1)", lambda a: 0 < a < 1)
+def _check_unit_interval(name, value) -> None:
+    """The open unit interval rule: the number rule, in (0, 1), as every
+    interval's level and a relative tolerance or a probability need."""
+    _check_number(name, value, "lie in (0, 1)", lambda v: 0 < v < 1)
+
+
+def _check_seed(name, seed) -> None:
+    """The seed rule: the integer rule, in [0, 2**64), the range of the
+    64-bit run seed that ``child_seed`` mixes."""
+    _check_int(name, seed, 0, 2**64 - 1, rule="be an integer in [0, 2**64)")
 
 
 def loo_estimate(oracle, sample) -> LooEstimate:

@@ -69,7 +69,8 @@ from ..convex_volume import (
     volume_interval,
 )
 from ..coverage_predict import holdout_coverage, loo_coverage, ols_fit
-from ..loo_core import _check_array, _check_int, _check_number, _check_record, size_estimate
+from ..loo_core import (_check_array, _check_int, _check_number, _check_record, _check_seed,
+                        _check_unit_interval, size_estimate)
 from ..poset_estimators import (
     Antichain,
     ProductOrder,
@@ -275,8 +276,9 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
     if dims is not None:
         need(dims and set(dims) <= {2, 3} and len(set(dims)) == len(dims), "dims",
              "be a nonempty list from {2, 3} without repeats")
-    if "alpha" in params:
-        need(0.0 < params["alpha"] < 1.0, "alpha", "lie in (0, 1)")
+    for key in ("alpha", "mutation"):
+        if key in params:
+            _check_unit_interval(f"params {key!r}", params[key])
     if "boxes" in params:
         # A JSON key is a string, a Python one may be an int.
         given = {str(k): v for k, v in params["boxes"].items()}
@@ -305,8 +307,6 @@ def _check_ranges(cfg: ScenarioConfig, params: dict) -> None:
         need(len(params["beta"]) == 2, "beta", "be two coefficients")
     if "x_scale" in params:
         need(params["x_scale"] != 0, "x_scale", "be nonzero, or every design is singular")
-    if "mutation" in params:
-        need(0.0 < params["mutation"] < 1.0, "mutation", "lie in (0, 1)")
     if "freqs" in params:
         f = params["freqs"]
         need(len(f) == 4 and 0.0 <= min(f) and max(f) <= 1.0
@@ -847,7 +847,7 @@ def validate_config(cfg: ScenarioConfig) -> dict:
         raise ValueError(f"n_grid must not repeat an n, got {list(cfg.n_grid)}")
     _check_int("replications", cfg.replications, 1)
     # child_seed's range, checked before any scenario runs.
-    _check_int("seed", cfg.seed, 0, 2**64 - 1, rule="be an integer in [0, 2**64)")
+    _check_seed("seed", cfg.seed)
     return _merged_params(cfg)
 
 

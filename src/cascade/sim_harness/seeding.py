@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..loo_core import _check_int
+from ..loo_core import _check_int, _check_seed
 
 __all__ = ["fnv1a64", "mix64", "child_seed", "rng_for"]
 
@@ -59,7 +59,7 @@ def child_seed(seed: int, tag: str, n: int, k: int) -> int:
     """Derived 64-bit seed for replication k of cell (tag, n): ``seed`` is
     an integer in [0, 2**64), ``n`` and ``k`` integers >= 0 (integer rule),
     read modulo 2**64, and ``tag`` a string."""
-    _check_int("seed", seed, 0, _MASK, rule="be an integer in [0, 2**64)")
+    _check_seed("seed", seed)
     _check_int("n", n, 0)
     _check_int("k", k, 0)
     if not isinstance(tag, str):

@@ -54,7 +54,7 @@ def test_tol_must_be_positive(tol):
     # before the rank test.
     collinear = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     for cloud in (SQUARE, collinear):
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match=rf"^tol must lie in \(0, 1\), got {tol!r}$"):
             hull_summary(cloud, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         in_hull([0.5, 0.5], SQUARE, tol=tol)
@@ -64,7 +64,7 @@ def test_tol_must_be_positive(tol):
 def test_hull_tol_must_be_below_one(tol):
     # A relative tolerance of 1 or more would give every cloud rank 0.
     for cloud in (SQUARE, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])):
-        with pytest.raises(ValueError, match="tol must be below 1"):
+        with pytest.raises(ValueError, match=rf"^tol must lie in \(0, 1\), got {tol!r}$"):
             hull_summary(cloud, tol=tol)
     # in_hull's tol is an absolute LP slack, so large values stay valid.
     assert in_hull([0.5, 0.5], SQUARE, tol=tol)
