@@ -56,25 +56,28 @@ from .sim_harness import (
 from .unseen_species import good_turing, unseen_bound
 
 
-def _open_text(path: str):
-    if path == "-":
-        return contextlib.nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8")
-
-
-def _read_text(path: str) -> str:
-    with _open_text(path) as fh:
-        return fh.read()
-
-
 @contextlib.contextmanager
-def _naming(flag: str, value: str):
-    """A ``ValueError`` raised inside names the flag (or ``input``) and
-    its value, the path or token it came from."""
+def _naming(flag: str, value):
+    """An ``OSError`` or ``ValueError`` raised inside, or the
+    ``RecursionError`` of too deeply nested JSON, becomes one
+    ``ValueError`` that names the flag (or ``input``) and its value, the
+    path or numbers it came from; an ``OSError`` gives its reason, not
+    its ``[Errno …]`` form."""
     try:
         yield
-    except ValueError as exc:
-        raise ValueError(f"{flag} {value!r}: {exc}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{flag} {value!r}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _read(flag: str, path: str, parse):
+    """``parse`` of the open text file ``path`` ('-' for stdin): opening,
+    decoding and parsing it, format checks included, fail under
+    ``flag``'s name."""
+    with _naming(flag, path):
+        if path == "-":
+            return parse(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
 
 
 def _matrix_from_text(text: str) -> np.ndarray:
@@ -107,11 +110,6 @@ def _matrix_from_text(text: str) -> np.ndarray:
     return values.reshape(-1, widths.pop()).copy()
 
 
-def _load_matrix(flag: str, path: str) -> np.ndarray:
-    with _naming(flag, path):
-        return _matrix_from_text(_read_text(path))
-
-
 def _emit_json(obj) -> None:
     # allow_nan=False: a NaN or infinity would print as invalid JSON.
     print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
@@ -119,15 +117,19 @@ def _emit_json(obj) -> None:
 
 # ----------------------------------------------------------- subcommands
 
-def _cmd_unseen(args) -> int:
+def _labels(fh) -> Counter:
     # Every line break is whitespace, so counting line by line splits the
     # same labels while holding only the distinct ones.
     counts = Counter()
-    with _open_text(args.input) as fh:
-        for line in fh:
-            counts.update(line.replace(",", " ").split())
+    for line in fh:
+        counts.update(line.replace(",", " ").split())
     if not counts:
         raise ValueError("no labels in input")
+    return counts
+
+
+def _cmd_unseen(args) -> int:
+    counts = _read("input", args.input, _labels)
     est = good_turing(counts)
     three_term, cap = unseen_bound(est.n) if est.n >= 3 else (None, None)
     _emit_json(
@@ -144,7 +146,7 @@ def _cmd_unseen(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    cloud = _load_matrix("input", args.input)
+    cloud = _read("input", args.input, lambda fh: _matrix_from_text(fh.read()))
     summary = hull_summary(cloud, tol=args.tol)
     n, d = cloud.shape
     out = {
@@ -164,30 +166,27 @@ def _cmd_hull(args) -> int:
     return 0
 
 
-def _parse_poset_sample(kind: str, text: str):
-    lines = [ln.strip() for ln in text.splitlines()]
+def _poset_sample(kind: str, fh):
+    """The sample, one element per line, and the order of ``kind``."""
+    lines = [ln.strip() for ln in fh.read().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("no elements in input")
-    if kind in ("antichain", "chain"):
-        return [int(tok) for ln in lines for tok in ln.replace(",", " ").split()]
     if kind == "product":
-        return [tuple(int(t) for t in ln.replace(",", " ").split()) for ln in lines]
-    return [tuple(int(p) for p in ln.split("/") if p) for ln in lines]
-
-
-def _cmd_poset(args) -> int:
-    with _naming("input", args.input):
-        sample = _parse_poset_sample(args.kind, _read_text(args.input))
-    n = len(sample)
-    if args.kind == "product":
+        sample = [tuple(int(t) for t in ln.replace(",", " ").split()) for ln in lines]
         widths = {len(x) for x in sample}
         if len(widths) != 1:
             raise ValueError("product-order elements must share one width")
-        oracle = ProductOrder(widths.pop())
-    else:
-        orders = {"antichain": Antichain, "chain": ReversedNaturals, "tree": TreeAncestor}
-        oracle = orders[args.kind]()
+        return sample, ProductOrder(widths.pop())
+    if kind == "tree":
+        return [tuple(int(p) for p in ln.split("/") if p) for ln in lines], TreeAncestor()
+    sample = [int(tok) for ln in lines for tok in ln.replace(",", " ").split()]
+    return sample, (Antichain if kind == "antichain" else ReversedNaturals)()
+
+
+def _cmd_poset(args) -> int:
+    sample, oracle = _read("input", args.input, lambda fh: _poset_sample(args.kind, fh))
+    n = len(sample)
     count, closure = count_and_closure(sample, oracle, args.convex)
     bound = poset_convex_mse_bound if args.convex else upset_mse_bound
     _emit_json(
@@ -204,42 +203,34 @@ def _cmd_poset(args) -> int:
 
 
 def _parse_fasta(text: str) -> list[tuple[str, str]]:
-    records, name, parts = [], None, []
+    """(name, sequence) of each record of ``text``, whose first nonblank
+    character is ``>``."""
+    records = []
     for line in text.splitlines():
         line = line.strip()
-        if not line:
-            continue
         if line.startswith(">"):
-            if name is not None:
-                records.append((name, "".join(parts)))
-            name = line[1:].split()[0] if len(line) > 1 else f"seq{len(records)}"
-            parts = []
-        elif name is not None:
-            parts.append(line)
-    if name is not None:
-        records.append((name, "".join(parts)))
-    if not records:
-        raise ValueError("no FASTA records in input")
-    return records
+            records.append((line[1:].split()[0] if len(line) > 1 else f"seq{len(records)}", []))
+        elif line:
+            records[-1][1].append(line)
+    return [(name, "".join(parts)) for name, parts in records]
+
+
+def _distances(mask_ambiguous: bool, fh):
+    """The ids and distance matrix of a FASTA file (Kimura distances) or
+    of a square distance matrix."""
+    text = fh.read()
+    if text.lstrip().startswith(">"):
+        records = [SequenceRecord(name, seq, mask_ambiguous=mask_ambiguous)
+                   for name, seq in _parse_fasta(text)]
+        return [r.id for r in records], kimura_matrix(records)
+    dist = _matrix_from_text(text)
+    if dist.shape[0] != dist.shape[1]:
+        raise ValueError("distance matrix must be square")
+    return [f"item{i}" for i in range(dist.shape[0])], dist
 
 
 def _cmd_coincide(args) -> int:
-    text = _read_text(args.input)
-    stripped = text.lstrip()
-    if stripped.startswith(">"):
-        pairs = _parse_fasta(text)
-        records = [
-            SequenceRecord(name, seq, mask_ambiguous=args.mask_ambiguous)
-            for name, seq in pairs
-        ]
-        ids = [r.id for r in records]
-        dist = kimura_matrix(records)
-    else:
-        with _naming("input", args.input):
-            dist = _matrix_from_text(text)
-        if dist.shape[0] != dist.shape[1]:
-            raise ValueError("distance matrix must be square")
-        ids = [f"item{i}" for i in range(dist.shape[0])]
+    ids, dist = _read("input", args.input, lambda fh: _distances(args.mask_ambiguous, fh))
     n = dist.shape[0]
     out: dict = {"n": n, "ids_preview": ids[:5]}
 
@@ -248,6 +239,8 @@ def _cmd_coincide(args) -> int:
     if args.query_id is not None:
         if args.query_id not in ids:
             raise ValueError(f"--query-id {args.query_id!r} not found")
+        if n < 3:
+            raise ValueError(f"--query-id needs at least 3 objects in the input, got {n}")
         q = ids.index(args.query_id)
         keep = [i for i in range(n) if i != q]
         ref_nn = nn_loo_distances(dist[np.ix_(keep, keep)])
@@ -293,10 +286,18 @@ def _cmd_coincide(args) -> int:
     return 0
 
 
-def _cmd_coverage(args) -> int:
-    data = _load_matrix("input", args.input)
+def _table(fh, width=None) -> np.ndarray:
+    """Feature columns then the response, ``width`` columns when given."""
+    data = _matrix_from_text(fh.read())
     if data.shape[1] < 2:
         raise ValueError("need at least one feature column plus the response")
+    if width not in (None, data.shape[1]):
+        raise ValueError(f"{data.shape[1]} columns, but the input has {width}")
+    return data
+
+
+def _cmd_coverage(args) -> int:
+    data = _read("input", args.input, _table)
     X, y = data[:, :-1], data[:, -1]
     x_shift = X.mean(axis=0) if args.center else np.zeros(X.shape[1])
     y_shift = y.mean() if args.center else 0.0
@@ -314,21 +315,17 @@ def _cmd_coverage(args) -> int:
     }
     if args.predict_at is not None:
         with _naming("--predict-at", args.predict_at):
-            x_new = _check_array("x_new", [float(t) for t in args.predict_at.split(",")],
-                                 "be finite")
-            if x_new.shape[0] != X.shape[1]:
-                raise ValueError(f"x_new has {x_new.shape[0]} values but the data have "
+            if len(args.predict_at) != X.shape[1]:
+                raise ValueError(f"x_new has {len(args.predict_at)} values but the data have "
                                  f"{X.shape[1]} features")
-            interval = predict_interval(fit, x_new - x_shift, args.alpha)
+            interval = predict_interval(fit, np.asarray(args.predict_at) - x_shift, args.alpha)
         out["prediction_interval"] = {
             "center": interval.center + y_shift,
             "low": interval.low + y_shift,
             "high": interval.high + y_shift,
         }
     if args.holdout_file is not None:
-        hold = _load_matrix("--holdout-file", args.holdout_file)
-        if hold.shape[1] != data.shape[1]:
-            raise ValueError("holdout file must match the training column count")
+        hold = _read("--holdout-file", args.holdout_file, lambda fh: _table(fh, data.shape[1]))
         out["holdout_coverage"] = holdout_coverage(
             fit, hold[:, :-1] - x_shift, hold[:, -1] - y_shift, args.alpha
         )
@@ -337,35 +334,31 @@ def _cmd_coverage(args) -> int:
 
 
 def _configs_from_args(args) -> list[ScenarioConfig]:
-    given = {"--config": args.config, "--all": args.all, "--scenario": args.scenario,
-             "--reps": args.reps is not None}
-    for first, second in (("--config", "--all"), ("--config", "--scenario"),
-                          ("--config", "--reps"), ("--all", "--scenario")):
-        if given[first] and given[second]:
-            raise ValueError(f"{first} cannot be combined with {second}")
-    if args.config:
-        raw = json.loads(_read_text(args.config))
-        if isinstance(raw, dict):
-            raw = [raw]
-        if not isinstance(raw, list):
-            raise ValueError(f"--config must hold a JSON object or a list of them, got {raw!r}")
-        entry_keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        configs = []
-        for item in raw:
-            if not isinstance(item, dict):
-                raise ValueError("each --config entry must be a JSON object")
-            for key in ("scenario", "n_grid", "replications"):
-                if key not in item:
-                    raise ValueError(f"--config entry lacks the {key!r} key")
-            unknown = sorted(set(item) - entry_keys)
-            if unknown:
-                raise ValueError(f"--config entry has an unknown key {unknown[0]!r}")
-            configs.append(ScenarioConfig(**{"seed": args.seed, **item}))
-        return configs
-    names = list(SCENARIO_NAMES) if args.all else args.scenario
-    if not names:
-        raise ValueError("pass --all, --scenario, or --config")
-    return [default_config(name, seed=args.seed, replications=args.reps) for name in names]
+    # argparse takes exactly one of --config, --all and --scenario.
+    if args.config is None:
+        names = SCENARIO_NAMES if args.all else args.scenario
+        return [default_config(name, seed=args.seed, replications=args.reps) for name in names]
+    if args.reps is not None:
+        raise ValueError("--config cannot be combined with --reps")
+    raw = _read("--config", args.config, json.load)
+    if isinstance(raw, dict):
+        raw = [raw]
+    if not isinstance(raw, list) or not raw:
+        raise ValueError(f"--config must hold a JSON object or a nonempty list of them, "
+                         f"got {raw!r}")
+    entry_keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    configs = []
+    for item in raw:
+        if not isinstance(item, dict):
+            raise ValueError("each --config entry must be a JSON object")
+        for key in ("scenario", "n_grid", "replications"):
+            if key not in item:
+                raise ValueError(f"--config entry lacks the {key!r} key")
+        unknown = sorted(set(item) - entry_keys)
+        if unknown:
+            raise ValueError(f"--config entry has an unknown key {unknown[0]!r}")
+        configs.append(ScenarioConfig(**{"seed": args.seed, **item}))
+    return configs
 
 
 def _write_report(rows, args) -> None:
@@ -414,11 +407,21 @@ def _check_out_path(flag: str, path: str) -> None:
         raise ValueError(f"{flag} {path!r}: its directory does not exist")
 
 
+def _floats(text: str) -> list[float]:
+    """The argparse type of a comma-separated vector: a bad token exits
+    with ``float``'s message, under the flag's name."""
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 # Each numeric flag's rule, and the output paths', which main applies
 # under the flag's own name before any input is read or any scenario
 # runs; a flag at its None default is skipped.  A rule stricter than its
 # library argument's states only the extra part: a --radius must also be
-# finite, as JSON holds no inf.
+# finite, as JSON holds no inf.  Only --predict-at's width waits for the
+# data.
 _FLAG_RULES = {
     "--alpha": _check_unit_interval,
     "--tol": _check_unit_interval,
@@ -430,6 +433,7 @@ _FLAG_RULES = {
     "--reps": lambda flag, reps: _check_int(flag, reps, 1),
     "--workers": lambda flag, workers: _check_int(flag, workers, 1),
     "--n": lambda flag, n: _check_int(flag, n, 3),
+    "--predict-at": lambda flag, x: _check_array(flag, x, "be finite"),
     **dict.fromkeys(("--out", "--plot-out", "--dist-out"), _check_out_path),
 }
 
@@ -492,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--method", choices=("refit", "downdate"), default="downdate")
     p.add_argument("--center", action="store_true", help="mean-center features and response")
-    p.add_argument("--predict-at", default=None, help="comma-separated feature vector; "
+    p.add_argument("--predict-at", type=_floats, help="comma-separated feature vector; "
                    "one that starts with a minus takes the = form, --predict-at=-0.5,1")
     p.add_argument("--holdout-file", default=None)
     p.set_defaults(fn=_cmd_coverage)
@@ -505,9 +509,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("verify", parents=[run], help="run the Monte Carlo bound checks")
-    p.add_argument("--scenario", action="append", default=[], help="repeatable")
-    p.add_argument("--all", action="store_true", help="run every scenario")
-    p.add_argument("--config", default=None, help="JSON scenario config file")
+    pick = p.add_mutually_exclusive_group(required=True)
+    pick.add_argument("--scenario", action="append", choices=SCENARIO_NAMES, metavar="NAME",
+                      help="a scenario of the registry; repeatable")
+    pick.add_argument("--all", action="store_true", help="run every scenario")
+    pick.add_argument("--config", help="JSON scenario config file")
     p.add_argument("--reps", type=int, default=None, help="override replication counts")
     p.add_argument("--plot-out", default=None, help="write MSE-vs-1/n plot data CSV")
     p.set_defaults(fn=_cmd_verify)

@@ -1,9 +1,12 @@
-"""Every CLI flag that takes a value, swept like the library's arguments
-in ``test_scalar_arguments.py``.  A bad value that argparse parses exits
-2 with nothing on stdout and a message that starts with the flag, before
-any scenario runs; a numeric flag's value is checked before any input is
-read.  A flag that joins the parser fails here until it joins TABLE or
-is listed with its reason."""
+"""Every CLI argument that takes a value, swept like the library's
+arguments in ``test_scalar_arguments.py``.  A bad value that argparse
+parses exits 2 with nothing on stdout and a message that starts with the
+flag, before any scenario runs; a numeric flag's value is checked before
+any input is read.  A file that cannot be opened, decoded or parsed
+exits 2 naming the flag (``input`` for the positional) and the path.  An
+argument that joins the parser fails here until it joins TABLE or
+READS; a value argparse restricts (choices, exclusions) exits through
+argparse, naming the flag."""
 
 import argparse
 import json
@@ -13,6 +16,7 @@ import pytest
 import cascade.cli
 from cascade.cli import _build_parser, main
 from cascade.coverage_predict import ols_fit, predict_interval
+from cascade.sim_harness import SCENARIO_NAMES
 
 SQUARE = "0,0\n1,0\n1,1\n0,1\n"
 DATA = "0,1\n1,2.1\n2,2.9\n3,4.2\n4,4.8\n"
@@ -27,15 +31,19 @@ AT_LEAST_ONE = "be an integer >= 1"
 
 # (argv before the flag, flag, bad values, the rule its message states
 # as "<flag> must <rule>, got ", or None for another message).  "{input}"
-# is a file holding the subcommand's input; "{missing}" an output path
-# in a directory that does not exist, "{dir}" a directory.
+# is a file holding the subcommand's input, "{pair}" a distance matrix of
+# two objects; "{missing}" an output path in a directory that does not
+# exist, "{dir}" a directory.
 TABLE = [
     # Every point extreme: the interval is never computed, and alpha is
     # still checked.
     (["hull", "{input}"], "--alpha", ("5", "-0.1", "1") + SWEEP, UNIT_INTERVAL),
     (["hull", "{input}"], "--tol", ("1", "2") + SWEEP, UNIT_INTERVAL),
     (["coverage", "{input}"], "--alpha", SWEEP, UNIT_INTERVAL),
-    (["coverage", "{input}"], "--predict-at", ("nan", "inf", "1e308", "abc", "1,2"), None),
+    (["coverage", "{input}"], "--predict-at", ("nan", "inf", "-inf", "1,nan", "1e400"),
+     "be finite"),
+    # Its width, and an interval that overflows, wait for the data.
+    (["coverage", "{input}"], "--predict-at", ("1e308", "1,2"), None),
     # --radius must also be finite, as JSON holds no inf; the rest is
     # coverage_fraction's radius rule.
     (["coincide", "{input}"], "--radius", ("inf", "-inf", "nan"), "be finite"),
@@ -43,6 +51,7 @@ TABLE = [
     (["coincide", "{input}"], "--threshold-percentile",
      ("150", "-1", "nan", "inf", "1e308", "-1e308"), "lie in [0, 100]"),
     (["coincide", "{input}"], "--query-id", ("ghost",), None),
+    (["coincide", "{pair}"], "--query-id", ("item0", "item1"), None),
     (["coincide", "{input}"], "--dist-out", ("{missing}", "{dir}"), None),
     *[(argv, flag, values, rule)
       for argv in (["verify", "--scenario", "upset_chain"], ["demo-aldous", "--n", "30"])
@@ -54,14 +63,20 @@ TABLE = [
     (["demo-aldous"], "--n", ("2", "0", "-5", "-1"), "be an integer >= 3"),
 ]
 
-# Flags that take a value but have no bad-value row, by reason.  A flag
-# that takes none (store_true) or whose values argparse restricts
-# (choices) needs no row either.
-LISTED = {
-    "--holdout-file": "an input file, read with its flag named in any parse error",
-    "--config": "an input file, checked entry by entry as --config",
-    "--scenario": "a scenario name, which the library looks up in its registry",
-}
+# Every argument that reads a file: (argv, its name, malformed content),
+# where "{path}" is the file read and "{data}" a valid training file.
+# Each is given a missing path, a directory and the malformed file.
+READS = [
+    (["unseen", "{path}"], "input", b"a b\n\xff\n"),  # not UTF-8
+    (["hull", "{path}"], "input", b"1,2\n3\n"),
+    (["poset", "{path}", "--kind", "product"], "input", b"1,1\n2,2,2\n"),
+    (["coincide", "{path}"], "input", b">a\nACGT\n>b\nACGX\n"),
+    (["coincide", "{path}"], "input", b"0,1,2\n1,0,1\n"),
+    (["coverage", "{path}"], "input", b"1\n2\n3\n"),
+    (["coverage", "{data}", "--holdout-file", "{path}"], "--holdout-file", b"1,2,3\n"),
+    (["verify", "--config", "{path}"], "--config", b'{"scenario": "upset_chain",}'),
+    (["verify", "--config", "{path}"], "--config", b"[" * 100_000 + b"]" * 100_000),
+]
 
 INPUTS = {"hull": SQUARE, "coverage": DATA, "coincide": DIST}
 
@@ -85,8 +100,10 @@ def test_every_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cascade.cli, "run_scenarios", no_run)
     path = tmp_path / "input.csv"
     path.write_text(INPUTS.get(argv[0], ""))
-    paths = {"input": str(path), "missing": str(tmp_path / "absent" / "o.csv"),
-             "dir": str(tmp_path)}
+    pair = tmp_path / "pair.csv"
+    pair.write_text("0,1\n1,0\n")
+    paths = {"input": str(path), "pair": str(pair),
+             "missing": str(tmp_path / "absent" / "o.csv"), "dir": str(tmp_path)}
     for value in values:
         # The = form passes a value with a leading minus as the flag's.
         args = [a.format(**paths) for a in argv] + [f"{flag}={value.format(**paths)}"]
@@ -115,23 +132,110 @@ def test_a_token_argparse_cannot_parse_keeps_its_message(capsys, argv):
     assert f"error: argument {argv[-2]}: invalid " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag, content", READS,
+                         ids=[f"{row[0][0]}-{row[1]}-{i}" for i, row in enumerate(READS)])
+@pytest.mark.parametrize("case", ["missing", "directory", "malformed"])
+def test_every_unreadable_file_exits_2_naming_its_flag(tmp_path, capsys, monkeypatch, argv, flag,
+                                                       content, case):
+    monkeypatch.setattr(cascade.cli, "run_scenarios", lambda *a, **k: pytest.fail("ran"))
+    data = tmp_path / "data.csv"
+    data.write_text(DATA)
+    path = {"missing": tmp_path / "missing.csv", "directory": tmp_path,
+            "malformed": tmp_path / "bad.txt"}[case]
+    (tmp_path / "bad.txt").write_bytes(content)
+    rc, out, err = _run(capsys, [a.format(path=path, data=data) for a in argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {flag} {str(path)!r}: "), err
+    assert "Errno" not in err
+
+
+def _subparsers():
+    """The parser of each subcommand, by name."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def _value_flags():
-    """(subcommand, flag) for every flag that takes a free-form value."""
-    parser = _build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name, subparser in sub.choices.items():
+    """(subcommand, flag) for every argument that takes a free-form value,
+    a positional under its name."""
+    for name, subparser in _subparsers().items():
         for action in subparser._actions:
-            if action.option_strings and action.nargs != 0 and action.choices is None:
-                yield name, action.option_strings[-1]
+            if action.nargs != 0 and action.choices is None:
+                yield name, (action.option_strings or [action.dest])[-1]
 
 
-def test_every_flag_is_in_the_table_or_listed():
+def test_every_argument_is_in_the_table_or_reads():
     in_table = {(argv[0], flag) for argv, flag, _, _ in TABLE}
-    flags = set(_value_flags())
-    assert {(cmd, flag) for cmd, flag in flags if flag not in LISTED} == in_table
-    assert {flag for _, flag in flags} >= set(LISTED)
+    assert set(_value_flags()) == in_table | {(argv[0], flag) for argv, flag, _ in READS}
     # Every flag with a rule in the CLI's table has rows here.
     assert set(cascade.cli._FLAG_RULES) <= {flag for _, flag in in_table}
+
+
+@pytest.fixture
+def config(tmp_path, monkeypatch):
+    """A valid --config file; no scenario may run."""
+    monkeypatch.setattr(cascade.cli, "run_scenarios", lambda *a, **k: pytest.fail("ran"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": "upset_chain", "n_grid": [10], "replications": 3}))
+    return path
+
+
+def _argparse_error(capsys, argv):
+    """The last line of argparse's exit-2 message, which nothing precedes on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    return captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--scenario", "nope"], "argument --scenario: invalid choice: 'nope' (choose from "),
+        (["--scenario", "upset_chain", "--scenario", "nope"], "argument --scenario: invalid "),
+        ([], "one of the arguments --scenario --all --config is required"),
+        (["--config", "{cfg}", "--all"], "argument --all: not allowed with argument --config"),
+        (["--config", "{cfg}", "--scenario", "unseen_uniform"],
+         "argument --scenario: not allowed with argument --config"),
+        (["--config", "{cfg}", "--reps", "50", "--scenario", "unseen_uniform", "--all"],
+         "argument --scenario: not allowed with argument --config"),
+        (["--scenario", "upset_chain", "--all", "--reps", "3"],
+         "argument --all: not allowed with argument --scenario"),
+    ],
+)
+def test_verify_selection_is_checked_by_argparse(capsys, config, flags, message):
+    argv = ["verify", *(f.format(cfg=config) for f in flags)]
+    assert _argparse_error(capsys, argv).startswith(f"cascade verify: error: {message}")
+
+
+def test_verify_config_takes_no_reps(capsys, config):
+    # --reps goes with --all or --scenario, so argparse lets it through.
+    rc, out, err = _run(capsys, ["verify", "--config", str(config), "--reps", "50"])
+    assert (rc, out, err) == (2, "", "error: --config cannot be combined with --reps\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "1,,2", ""])
+def test_predict_at_is_parsed_before_the_input_is_read(tmp_path, capsys, value):
+    # The input does not exist: reading it would fail naming the input.
+    argv = ["coverage", str(tmp_path / "missing.csv"), f"--predict-at={value}"]
+    assert _argparse_error(capsys, argv).startswith(
+        "cascade coverage: error: argument --predict-at: could not convert string to float: ")
+
+
+@pytest.mark.parametrize("command", [None, *_subparsers()])
+def test_every_help_exits_0(capsys, command):
+    argv = [] if command is None else [command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(" ".join(["usage: cascade", *argv]))
+    if command == "verify":
+        # The usage names the metavar, not the 16 scenario names.
+        usage = out.split("\n\n")[0]
+        assert "(--scenario NAME | --all | --config CONFIG)" in usage
+        assert not [name for name in SCENARIO_NAMES if name in usage]
 
 
 def test_predict_at_takes_a_leading_minus_after_an_equals_sign(tmp_path, capsys):
